@@ -31,8 +31,6 @@ from .model import (
     HalfOrderRational,
     ImpedanceCurve,
     RandlesParams,
-    SocTrace,
-    coulomb_count,
     eval_rational,
     randles_impedance,
     randles_to_rational,
@@ -57,12 +55,10 @@ __all__ = [
     "NumericsError",
     "RandlesParams",
     "SchemaError",
-    "SocTrace",
     "SpectralSet",
     "TimeRecord",
     "add_noise",
     "build_regressor",
-    "coulomb_count",
     "design_odd_quasilog",
     "dft",
     "equation_error_sigma",

@@ -97,8 +97,6 @@ ESTIMATE_SCHEMA = {
         "k_max": {"type": "integer", "minimum": 1},
         "excited_bins": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "multisine_path": {"type": "string"},
-        "column_scaling": {"type": "boolean"},
-        "noise_whitening": {"type": "boolean"},
         "grid_points": {"type": "integer", "minimum": 2},
     },
     "additionalProperties": False,
@@ -254,8 +252,6 @@ def _estimation_config(cfg: dict) -> tuple[EstimationConfig, int]:
         bin_window=window,
         bin_mask=mask,
         iterations=cfg.get("iterations", 10),
-        column_scaling=cfg.get("column_scaling", True),
-        noise_whitening=cfg.get("noise_whitening", True),
     )
     return est, cfg.get("grid_points", 200)
 

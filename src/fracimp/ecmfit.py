@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericsError
 from .model import SQRT2, HalfOrderRational, RandlesParams
 
 _RESIDUAL_FLOOR = 1e-12
@@ -74,13 +75,13 @@ def init_from_coefficients(r: HalfOrderRational) -> RandlesParams:
     """Closed-form start from four of the six equations; exact on consistent input."""
     a2, a3, b0, b1, _, _ = _randles_targets(r)
     if min(b0, a2, a3, b1) <= 0:
-        raise ValueError("coefficients inconsistent with Randles structure")
+        raise NumericsError("coefficients inconsistent with Randles structure")
     sigma_w = b0 / SQRT2
     c_dl = a2 / b0
     r_ct = a3 * b0 / a2
     r_s = b1 - r_ct
     if r_s <= 0 or c_dl <= 0 or r_ct <= 0 or sigma_w <= 0:
-        raise ValueError("coefficients inconsistent with Randles structure")
+        raise NumericsError("coefficients inconsistent with Randles structure")
     return RandlesParams(r_s=r_s, r_ct=r_ct, c_dl=c_dl, sigma_w=sigma_w)
 
 

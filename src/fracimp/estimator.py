@@ -6,11 +6,13 @@ The equation error at segment bin k,
          - sum_{n=0..Nb} b_n (j*w_k)^{n/2} I(k)
          + sum_{r=0..Nr} c_r (j*w_k)^{r/2},
 
-is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr].  The homogeneous
-least-squares problem min ||K theta|| s.t. ||theta|| = 1 is solved on the
-real/imaginary-stacked regressor via the SVD; weighting rows by the inverse
-equation-error standard deviation and iterating yields the consistent
-weighted estimate.  All half powers use the principal branch of sqrt(j*w).
+is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr].  Every estimate is
+one generalized total-least-squares problem, min ||K theta|| subject to
+theta_n^T G theta_n = 1, solved on the real/imaginary-stacked regressor via
+the SVD: plain TLS takes G as the squared column norms, and the weighted
+passes scale rows by the inverse equation-error standard deviation and take G
+as the noise Gram of the a/b columns, which yields the consistent estimate.
+All half powers use the principal branch of sqrt(j*w).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .spectra import SpectralSet
 # per-bin current SNR above which sample covariances are treated as float
 # rounding debris (noiseless data) rather than measurement noise
 _NOISELESS_SNR_GUARD = 1e8
+# relative diagonal load that keeps a near-singular noise Gram factorizable
+_GRAM_RIDGE = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,11 +40,8 @@ class EstimationConfig:
     ``bin_window`` is an inclusive (k_min, k_max) interval of segment bins;
     None means all bins except DC and Nyquist.  ``bin_mask`` restricts the
     window to an explicit bin set (use the excited harmonics for multisine
-    data; leave None for noise excitation).  ``noise_whitening`` additionally
-    whitens the a/b regressor columns by the Cholesky factor of the weighted
-    noise covariance in the iterated solves, which removes the quadratic
-    noise bias of the plain row-weighted solution; disable it to reproduce
-    the plain row-scaled iteration.
+    data; leave None for noise excitation).  Mask bins outside the window are
+    dropped with a warning.
     """
 
     n_a: int = 3
@@ -49,8 +50,6 @@ class EstimationConfig:
     bin_window: tuple[int, int] | None = None
     bin_mask: np.ndarray | None = None
     iterations: int = 10
-    column_scaling: bool = True
-    noise_whitening: bool = True
 
     def __post_init__(self):
         if self.n_a < 1:
@@ -82,10 +81,15 @@ class EstimationConfig:
             if k_max > top:
                 raise ValueError(f"bin_window exceeds available bins (max {top})")
         bins = np.arange(k_min, k_max + 1)
-        if self.bin_mask is not None:
-            bins = bins[np.isin(bins, self.bin_mask)]
+        if self.bin_mask is None:
+            return bins
+        bins = bins[np.isin(bins, self.bin_mask)]
         if bins.size == 0:
             raise ValueError("bin selection is empty")
+        dropped = self.bin_mask.size - bins.size
+        if dropped:
+            warnings.warn(f"{dropped} of {self.bin_mask.size} mask bins outside the window",
+                          stacklevel=3)
         return bins
 
 
@@ -131,8 +135,20 @@ def _half_powers(omega: np.ndarray, orders) -> np.ndarray:
     return np.stack([q**n for n in orders])
 
 
-def _regression_frequencies(spectra: SpectralSet, bins: np.ndarray) -> np.ndarray:
-    return 2.0 * np.pi * spectra.freq_hz[bins]
+def _basis(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
+    """Every half power the model needs at the selected bins; row n is (jw)^{n/2}."""
+    omega = 2.0 * np.pi * spectra.freq_hz[bins]
+    return _half_powers(omega, range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1))
+
+
+def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
+               cfg: EstimationConfig) -> np.ndarray:
+    cols = np.concatenate([
+        basis[1: cfg.n_a + 1] * spectra.mean_voltage[bins],
+        -basis[: cfg.n_b + 1] * spectra.mean_current[bins],
+        basis[: cfg.n_r + 1],
+    ])
+    return cols.T.copy()
 
 
 def build_regressor(spectra: SpectralSet, cfg: EstimationConfig) -> np.ndarray:
@@ -142,32 +158,12 @@ def build_regressor(spectra: SpectralSet, cfg: EstimationConfig) -> np.ndarray:
     [(jw)^{r/2}]_{r=0..Nr}.
     """
     bins = cfg.selected_bins(spectra)
-    omega = _regression_frequencies(spectra, bins)
-    qv = _half_powers(omega, range(1, cfg.n_a + 1))
-    qi = _half_powers(omega, range(0, cfg.n_b + 1))
-    qt = _half_powers(omega, range(0, cfg.n_r + 1))
-    cols = np.concatenate([
-        qv * spectra.mean_voltage[bins],
-        -qi * spectra.mean_current[bins],
-        qt,
-    ])
-    return cols.T.copy()
+    return _regressor(spectra, bins, _basis(spectra, bins, cfg), cfg)
 
 
 def _stacked_real(regressor: np.ndarray, row_weights: np.ndarray | None) -> np.ndarray:
     k = regressor if row_weights is None else regressor * row_weights[:, None]
     return np.vstack([k.real, k.imag])
-
-
-def _smallest_right_singular_vector(matrix: np.ndarray) -> np.ndarray:
-    _, s, vt = np.linalg.svd(matrix, full_matrices=False)
-    if s[-2] - s[-1] <= 1e-8 * max(s[0], np.finfo(float).tiny):
-        warnings.warn(
-            "two smallest singular values nearly coincide; the solution "
-            "direction is ambiguous",
-            stacklevel=3,
-        )
-    return vt[-1]
 
 
 def _normalize_a1(theta: np.ndarray) -> np.ndarray:
@@ -176,22 +172,51 @@ def _normalize_a1(theta: np.ndarray) -> np.ndarray:
     return theta / theta[0]
 
 
-def _solve_tls(regressor: np.ndarray, cfg: EstimationConfig,
-               row_weights: np.ndarray | None = None) -> np.ndarray:
-    """Plain (row-weighted) TLS direction via SVD, a_1-normalized."""
-    stacked = _stacked_real(regressor, row_weights)
+def _column_gram(stacked: np.ndarray) -> np.ndarray:
+    """Constraint matrix of plain TLS: squared column norms (a zero column counts as 1)."""
+    scale = np.linalg.norm(stacked, axis=0)
+    scale[scale == 0] = 1.0
+    return np.diag(scale**2)
+
+
+def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+    """min ||K theta|| subject to theta_n^T (G + ridge diag G) theta_n = 1, a_1-normalized.
+
+    theta_n are the coefficients of the first G.shape[0] columns of the
+    stacked regressor K, the ones carrying noise; the remaining columns are
+    noise free, so they are projected out first and back-substituted
+    afterwards.  The projected columns are scaled by sqrt(diag G) and
+    whitened by the Cholesky factor of the ridged correlation before the SVD.
+    Plain TLS is the case G = _column_gram(K), where a ridge would only
+    rescale G; the weighted passes give the noise Gram of the a/b columns
+    and _GRAM_RIDGE.
+    """
     if stacked.shape[0] < stacked.shape[1]:
         raise ValueError(
             f"{stacked.shape[0]} stacked rows < {stacked.shape[1]} columns; "
             "select more bins or reduce model orders"
         )
-    if cfg.column_scaling:
-        scale = np.linalg.norm(stacked, axis=0)
-        scale[scale == 0] = 1.0
-    else:
-        scale = np.ones(stacked.shape[1])
-    theta = _smallest_right_singular_vector(stacked / scale) / scale
-    return _normalize_a1(theta)
+    n = gram.shape[0]
+    k_n, k_f = stacked[:, :n], stacked[:, n:]  # k_f, q_f, theta_f are empty for plain TLS
+    q_f, _ = np.linalg.qr(k_f)
+    k_proj = k_n - q_f @ (q_f.T @ k_n)
+
+    diag = np.sqrt(np.diag(gram))
+    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
+        raise np.linalg.LinAlgError("constraint Gram has a non-positive diagonal")
+    chol = np.linalg.cholesky(gram / np.outer(diag, diag) + ridge * np.eye(n))
+    whitened = np.linalg.solve(chol, (k_proj / diag).T).T
+
+    _, s, vt = np.linalg.svd(whitened, full_matrices=False)
+    if s[-2] - s[-1] <= 1e-8 * max(s[0], np.finfo(float).tiny):
+        warnings.warn(
+            "two smallest singular values nearly coincide; the solution "
+            "direction is ambiguous",
+            stacklevel=3,
+        )
+    theta_n = np.linalg.solve(chol.T, vt[-1]) / diag
+    theta_f = -np.linalg.lstsq(k_f, k_n @ theta_n, rcond=None)[0]
+    return _normalize_a1(np.concatenate([theta_n, theta_f]))
 
 
 def _theta_cost(regressor: np.ndarray, theta: np.ndarray,
@@ -212,15 +237,16 @@ def _split_theta(theta: np.ndarray, cfg: EstimationConfig):
 def tls_solve(regressor: np.ndarray, cfg: EstimationConfig) -> EstimateResult:
     """Unweighted total-least-squares estimate from a (possibly pre-weighted) regressor.
 
-    Stacks real and imaginary parts, optionally normalizes columns to unit
-    Euclidean norm (undone afterwards), and takes the right singular vector
-    of the smallest singular value, rescaled so a_1 = 1.
+    Stacks real and imaginary parts, normalizes columns to unit Euclidean
+    norm (undone afterwards), and takes the right singular vector of the
+    smallest singular value, rescaled so a_1 = 1.
     """
     if regressor.shape[1] != cfg.n_columns:
         raise ValueError(
             f"regressor has {regressor.shape[1]} columns, config implies {cfg.n_columns}"
         )
-    theta = _solve_tls(regressor, cfg)
+    stacked = _stacked_real(regressor, None)
+    theta = _solve(stacked, _column_gram(stacked))
     a, b, c = _split_theta(theta, cfg)
     cost = _theta_cost(regressor, theta, None)
     return EstimateResult(
@@ -233,18 +259,24 @@ def tls_solve(regressor: np.ndarray, cfg: EstimationConfig) -> EstimateResult:
     )
 
 
-def _response_polynomials(theta: np.ndarray, omega: np.ndarray, cfg: EstimationConfig):
-    a, b, _ = _split_theta(theta, cfg)
-    qv = _half_powers(omega, range(1, cfg.n_a + 1))
-    qi = _half_powers(omega, range(0, cfg.n_b + 1))
-    return a @ qv, b @ qi
-
-
 def _floor_sigma(sigma: np.ndarray) -> np.ndarray:
     med = float(np.median(sigma))
     if med > 0.0:
         return np.maximum(sigma, 1e-8 * med)
     return np.ones_like(sigma)
+
+
+def _sigma_e(theta: np.ndarray, basis: np.ndarray, spectra: SpectralSet,
+             bins: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
+    a, b, _ = _split_theta(theta, cfg)
+    pol_a = a @ basis[1: cfg.n_a + 1]
+    pol_b = b @ basis[: cfg.n_b + 1]
+    var = (
+        np.abs(pol_a) ** 2 * spectra.var_voltage[bins]
+        + np.abs(pol_b) ** 2 * spectra.var_current[bins]
+        - 2.0 * np.real(pol_a * spectra.covar_vi[bins] * np.conj(pol_b))
+    )
+    return _floor_sigma(np.sqrt(np.maximum(var, 0.0)))
 
 
 def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
@@ -261,21 +293,14 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
             "noise covariances unavailable (single period); use unweighted tls_solve"
         )
     bins = cfg.selected_bins(spectra)
-    omega = _regression_frequencies(spectra, bins)
-    pol_a, pol_b = _response_polynomials(theta.theta, omega, cfg)
-    var = (
-        np.abs(pol_a) ** 2 * spectra.var_voltage[bins]
-        + np.abs(pol_b) ** 2 * spectra.var_current[bins]
-        - 2.0 * np.real(pol_a * spectra.covar_vi[bins] * np.conj(pol_b))
-    )
-    return _floor_sigma(np.sqrt(np.maximum(var, 0.0)))
+    return _sigma_e(theta.theta, _basis(spectra, bins, cfg), spectra, bins, cfg)
 
 
-def _noise_gram(spectra: SpectralSet, bins: np.ndarray, omega: np.ndarray,
+def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
                 weights: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
     """Column-space covariance of the row-weighted regressor noise (a/b block)."""
-    qv = _half_powers(omega, range(1, cfg.n_a + 1))
-    qi = _half_powers(omega, range(0, cfg.n_b + 1))
+    qv = basis[1: cfg.n_a + 1]
+    qi = basis[: cfg.n_b + 1]
     w2 = weights**2
     sv = spectra.var_voltage[bins] * w2
     si = spectra.var_current[bins] * w2
@@ -290,37 +315,6 @@ def _noise_gram(spectra: SpectralSet, bins: np.ndarray, omega: np.ndarray,
     return gram
 
 
-def _solve_whitened(regressor: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
-                    omega: np.ndarray, weights: np.ndarray,
-                    cfg: EstimationConfig) -> np.ndarray:
-    """Row-weighted solve whitened by the noise covariance of the a/b columns.
-
-    The transient columns carry no noise, so they are projected out first and
-    back-substituted afterwards.  The a/b block is scaled to unit noise
-    diagonal, whitened by the Cholesky factor of the (ridged) noise
-    correlation, and the smallest right singular vector taken in the whitened
-    coordinates.
-    """
-    n_ab = cfg.n_a + cfg.n_b + 1
-    stacked = _stacked_real(regressor, weights)
-    k_ab, k_t = stacked[:, :n_ab], stacked[:, n_ab:]
-    q_t, _ = np.linalg.qr(k_t)
-    k_ab_proj = k_ab - q_t @ (q_t.T @ k_ab)
-
-    gram = _noise_gram(spectra, bins, omega, weights, cfg)
-    diag = np.sqrt(np.diag(gram))
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise np.linalg.LinAlgError("noise gram not positive")
-    corr = gram / np.outer(diag, diag) + 1e-10 * np.eye(n_ab)
-    chol = np.linalg.cholesky(corr)
-
-    whitened = np.linalg.solve(chol, (k_ab_proj / diag).T).T
-    phi = _smallest_right_singular_vector(whitened)
-    theta_ab = np.linalg.solve(chol.T, phi) / diag
-    theta_t = -np.linalg.lstsq(k_t, k_ab @ theta_ab, rcond=None)[0]
-    return _normalize_a1(np.concatenate([theta_ab, theta_t]))
-
-
 def _covariances_are_rounding_noise(spectra: SpectralSet, bins: np.ndarray) -> bool:
     mag = np.abs(spectra.mean_current[bins])
     noise = np.sqrt(np.maximum(spectra.var_current[bins], 0.0)) + np.finfo(float).tiny
@@ -333,16 +327,18 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
 
     Iteration 0 is the unweighted TLS; each of the cfg.iterations weighted
     passes recomputes sigma_E from the previous parameters, scales rows by
-    1/sigma_E, and re-solves (whitened by the noise covariance when
-    cfg.noise_whitening is set and the data carries real measurement noise).
-    Falls back to the unweighted estimate with a warning when only one period
-    is available.
+    1/sigma_E, and re-solves with the a/b columns whitened by their weighted
+    noise Gram.  Where the covariances are float rounding debris (noiseless
+    data) or that Gram is not positive definite, the pass re-solves the
+    row-weighted regressor as plain TLS instead.  Falls back to the
+    unweighted estimate with a warning when only one period is available.
     """
     bins = cfg.selected_bins(spectra)
-    regressor = build_regressor(spectra, cfg)
-    omega = _regression_frequencies(spectra, bins)
+    basis = _basis(spectra, bins, cfg)
+    regressor = _regressor(spectra, bins, basis, cfg)
 
-    theta = _solve_tls(regressor, cfg)
+    stacked = _stacked_real(regressor, None)
+    theta = _solve(stacked, _column_gram(stacked))
     history = [_theta_cost(regressor, theta, None)]
     sigma = None
     iterations_run = 0
@@ -354,25 +350,19 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             stacklevel=2,
         )
     elif cfg.iterations > 0:
-        whiten = cfg.noise_whitening and not _covariances_are_rounding_noise(spectra, bins)
+        whiten = not _covariances_are_rounding_noise(spectra, bins)
         for _ in range(cfg.iterations):
-            a_i, b_i, c_i = _split_theta(theta, cfg)
-            partial = EstimateResult(
-                rational=HalfOrderRational(a=a_i, b=b_i),
-                transient=c_i,
-                weighted_cost=np.nan,
-                iterations_run=iterations_run,
-                sigma_e=None,
-            )
-            sigma = equation_error_sigma(spectra, partial, cfg)
+            sigma = _sigma_e(theta, basis, spectra, bins, cfg)
             weights = 1.0 / sigma
+            stacked = _stacked_real(regressor, weights)
             if whiten:
                 try:
-                    theta = _solve_whitened(regressor, spectra, bins, omega, weights, cfg)
+                    gram = _noise_gram(basis, spectra, bins, weights, cfg)
+                    theta = _solve(stacked, gram, _GRAM_RIDGE)
                 except np.linalg.LinAlgError:
-                    theta = _solve_tls(regressor, cfg, row_weights=weights)
+                    theta = _solve(stacked, _column_gram(stacked))
             else:
-                theta = _solve_tls(regressor, cfg, row_weights=weights)
+                theta = _solve(stacked, _column_gram(stacked))
             iterations_run += 1
             history.append(_theta_cost(regressor, theta, weights))
 

@@ -97,6 +97,9 @@ class TimeRecord:
             raise ValueError(f"kind must be 'current' or 'voltage', got {self.kind!r}")
         if self.samples.ndim != 1:
             raise ValueError("samples must be 1-D")
+        bad = np.flatnonzero(~np.isfinite(self.samples))
+        if bad.size:
+            raise ValueError(f"sample {bad[0]} is not finite ({self.samples[bad[0]]})")
         expected = int(round(self.periods * self.period_s * self.sample_rate_hz))
         if self.samples.size != expected:
             raise ValueError(

@@ -3,19 +3,16 @@
 The Randles cell (series resistance, double-layer capacitance in parallel with
 charge-transfer resistance plus a Warburg diffusion element) has an impedance
 that is rational in q = sqrt(s).  This module holds the circuit, the rational
-form, the exact coefficient map between them, and Coulomb counting.
+form, and the exact coefficient map between them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericsError
-from .excitation import TimeRecord
 
 SQRT2 = float(np.sqrt(2.0))
 # principal branch of sqrt(j): exp(j*pi/4)
@@ -102,22 +99,6 @@ class HalfOrderRational:
 
 
 @dataclass(frozen=True, eq=False)
-class SocTrace:
-    """State-of-charge (percent) at every sample instant of a current record."""
-
-    soc_percent: np.ndarray
-    initial_soc: float
-    capacity_ah: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "soc_percent", np.asarray(self.soc_percent, dtype=float))
-
-    @property
-    def within_bounds(self) -> bool:
-        return bool(np.all((self.soc_percent >= 0.0) & (self.soc_percent <= 100.0)))
-
-
-@dataclass(frozen=True, eq=False)
 class ImpedanceCurve:
     """Complex impedance sampled on a frequency grid."""
 
@@ -183,22 +164,3 @@ def eval_rational(r: HalfOrderRational, omega):
     if np.any(np.abs(den) < 1e-30):
         raise NumericsError("denominator vanishes at an evaluation frequency (pole)")
     return num / den
-
-
-def coulomb_count(current: TimeRecord, initial_soc: float, capacity_ah: float) -> SocTrace:
-    """Track SOC by trapezoidal integration of the current.
-
-    SOC(t_n) = initial_soc + 100/(3600*capacity_ah) * integral of i up to t_n.
-    Values outside [0, 100] are reported (with a warning), never clamped.
-    """
-    if capacity_ah <= 0:
-        raise ValueError("capacity_ah must be positive")
-    if current.kind != "current":
-        raise ValueError("coulomb_count expects a current record")
-    dt = 1.0 / current.sample_rate_hz
-    charge = cumulative_trapezoid(current.samples, dx=dt, initial=0.0)
-    soc = initial_soc + charge * (100.0 / (3600.0 * capacity_ah))
-    trace = SocTrace(soc_percent=soc, initial_soc=initial_soc, capacity_ah=capacity_ah)
-    if not trace.within_bounds:
-        warnings.warn("SOC trace leaves the [0, 100] %% range", stacklevel=2)
-    return trace

@@ -101,6 +101,12 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
             f"{csv_path}: {len(rows)} data rows, metadata implies {expected}"
         )
     table = np.asarray(rows)
+    bad_row, bad_col = np.nonzero(~np.isfinite(table))
+    if bad_row.size:
+        raise SchemaError(
+            f"{csv_path}: row {int(bad_row[0]) + 2} has a non-finite "
+            f"{CSV_HEADER.split(',')[bad_col[0]]} value"
+        )
     time_s = table[:, 0]
     ideal = np.arange(expected) / fs
     bad = np.nonzero(np.abs(time_s - ideal) > _TIME_TOL_S)[0]

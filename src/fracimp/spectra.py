@@ -27,7 +27,7 @@ def dft(samples) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpectralSet:
-    """Per-period and averaged spectra of a current/voltage pair, with noise covariances.
+    """Period-averaged spectra of a current/voltage pair, with noise covariances.
 
     Arrays are indexed by segment bin k = 0..M/2 (M samples per period);
     freq_hz[k] = k/period_s.  Covariance fields are None when only one period
@@ -37,8 +37,6 @@ class SpectralSet:
     freq_hz: np.ndarray
     mean_current: np.ndarray
     mean_voltage: np.ndarray
-    per_period_current: np.ndarray
-    per_period_voltage: np.ndarray
     var_current: np.ndarray | None
     var_voltage: np.ndarray | None
     covar_vi: np.ndarray | None
@@ -49,15 +47,6 @@ class SpectralSet:
         for name in ("mean_current", "mean_voltage"):
             if getattr(self, name).shape != (n,):
                 raise ValueError(f"{name} must have one entry per bin")
-        for name in ("per_period_current", "per_period_voltage"):
-            if getattr(self, name).shape != (self.periods, n):
-                raise ValueError(f"{name} must be (periods, bins)")
-        if not np.allclose(self.per_period_current.mean(axis=0), self.mean_current,
-                           rtol=1e-12, atol=1e-300):
-            raise ValueError("mean_current must equal the mean of per-period spectra")
-        if not np.allclose(self.per_period_voltage.mean(axis=0), self.mean_voltage,
-                           rtol=1e-12, atol=1e-300):
-            raise ValueError("mean_voltage must equal the mean of per-period spectra")
         if self.var_current is not None:
             if np.any(self.var_current < 0) or np.any(self.var_voltage < 0):
                 raise ValueError("variances must be nonnegative")
@@ -131,8 +120,6 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
         freq_hz=freq_hz,
         mean_current=mean_cur,
         mean_voltage=mean_vol,
-        per_period_current=cur,
-        per_period_voltage=vol,
         var_current=var_cur,
         var_voltage=var_vol,
         covar_vi=covar_vi,

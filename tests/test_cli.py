@@ -212,6 +212,14 @@ def test_estimate_with_explicit_excited_bins(tmp_path):
     assert nyquist[0] == "re_ohm,neg_im_ohm"
 
 
+@pytest.mark.parametrize("key", ["column_scaling", "noise_whitening"])
+def test_estimate_rejects_removed_variant_keys(tmp_path, key):
+    out = _run_simulate(tmp_path)
+    est_cfg = _json(tmp_path, "est.json", {key: True})
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+
+
 def test_estimate_rejects_both_mask_sources(tmp_path):
     out = _run_simulate(tmp_path)
     est_cfg = _json(tmp_path, "est.json", {
@@ -257,6 +265,18 @@ def test_numerical_failure_exit_2(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "fit_randles", boom)
     assert main(["fit", "--estimate", str(est), "--out", str(tmp_path), "--quiet"]) == 2
+
+
+def test_fit_inconsistent_coefficients_exit_2(tmp_path, capsys):
+    from fracimp import randles_to_rational
+
+    truth = randles_to_rational(SIM_PARAMS)
+    est = tmp_path / "estimate.json"
+    # a_3 inflated tenfold: the closed-form start implies a negative R_s
+    est.write_text(json.dumps({"a": (truth.a * [1.0, 1.0, 10.0]).tolist(),
+                               "b": truth.b.tolist()}))
+    assert main(["fit", "--estimate", str(est), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "inconsistent" in capsys.readouterr().err
 
 
 def test_fit_prints_parameter_table(tmp_path, capsys):

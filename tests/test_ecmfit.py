@@ -3,6 +3,7 @@ import pytest
 
 from fracimp import (
     HalfOrderRational,
+    NumericsError,
     RandlesParams,
     fit_randles,
     init_from_coefficients,
@@ -38,7 +39,7 @@ def test_initializer_rejects_negative_series_resistance():
     rational = randles_to_rational(SIM_PARAMS)
     # a_3 inflated so the implied r_ct exceeds b_1
     broken = HalfOrderRational(a=rational.a * [1.0, 1.0, 10.0], b=rational.b)
-    with pytest.raises(ValueError, match="inconsistent"):
+    with pytest.raises(NumericsError, match="inconsistent"):
         init_from_coefficients(broken)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -36,8 +37,6 @@ def _spectral_set(period_s, mean_current, mean_voltage, var_current=None,
         freq_hz=np.arange(n) / period_s,
         mean_current=mean_current,
         mean_voltage=mean_voltage,
-        per_period_current=np.tile(mean_current, (periods, 1)),
-        per_period_voltage=np.tile(mean_voltage, (periods, 1)),
         var_current=None if var_current is None else np.asarray(var_current, dtype=float),
         var_voltage=None if var_voltage is None else np.asarray(var_voltage, dtype=float),
         covar_vi=None if covar_vi is None else np.asarray(covar_vi, dtype=complex),
@@ -316,20 +315,49 @@ def test_returned_coefficients_are_real_arrays():
 def test_final_iteration_does_not_increase_weighted_cost():
     spec, spectra = _noisy_spectra(34, period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
                                    points_per_decade=8, sample_rate_hz=20.0, periods=4)
-    base_cfg = dict(bin_mask=spec.harmonics, noise_whitening=False)
-    prev = wtls_estimate(spectra, EstimationConfig(iterations=3, **base_cfg))
-    last = wtls_estimate(spectra, EstimationConfig(iterations=4, **base_cfg))
-    cfg = EstimationConfig(iterations=4, **base_cfg)
-    sigma = equation_error_sigma(spectra, prev, cfg)
-    regressor = build_regressor(spectra, cfg)
-    stacked = np.vstack([regressor.real, regressor.imag]) / np.concatenate([sigma, sigma])[:, None]
-    scale = np.linalg.norm(stacked, axis=0)
+    prev = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=3))
+    last = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=4))
+    cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=4)
+    w2 = 1.0 / equation_error_sigma(spectra, prev, cfg) ** 2
+    weighted = build_regressor(spectra, cfg) * np.sqrt(w2)[:, None]
+
+    # weighted noise Gram of the a/b columns [q^n V]_{n=1..3} | [-q^n I]_{n=0..3}
+    bins = prev.bins
+    q = np.sqrt(2 * np.pi * spectra.freq_hz[bins]) * Q45
+    qv = q[None, :] ** np.arange(1, 4)[:, None]
+    qi = q[None, :] ** np.arange(0, 4)[:, None]
+    cross = -(qv * w2 * spectra.covar_vi[bins]) @ qi.conj().T
+    gram = np.block([
+        [(qv * w2 * spectra.var_voltage[bins]) @ qv.conj().T, cross],
+        [cross.conj().T, (qi * w2 * spectra.var_current[bins]) @ qi.conj().T],
+    ]).real
+    ridged = gram + 1e-10 * np.diag(np.diag(gram))
 
     def quotient(theta):
-        return np.linalg.norm(stacked @ theta) / np.linalg.norm(scale * theta)
+        theta_ab = theta[:7]
+        return np.sum(np.abs(weighted @ theta) ** 2) / (theta_ab @ ridged @ theta_ab)
 
     assert quotient(last.theta) <= quotient(prev.theta) * (1 + 1e-10)
     assert len(last.cost_history) == 5
+
+
+def test_mask_bins_outside_window_warn_with_count():
+    spectra = _spectral_set(1.0, np.ones(10), np.ones(10))
+    cfg = EstimationConfig(bin_window=(1, 6), bin_mask=[2, 3, 7, 9, 2])
+    with pytest.warns(UserWarning, match="2 of 4 mask bins outside the window"):
+        assert list(cfg.selected_bins(spectra)) == [2, 3]
+
+
+def test_dropped_mask_bins_warn_once_per_estimate():
+    spec, spectra = _noisy_spectra(35, period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
+                                   points_per_decade=8, sample_rate_hz=20.0, periods=4)
+    cfg = EstimationConfig(bin_window=(1, int(spec.harmonics[-2])), bin_mask=spec.harmonics)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        wtls_estimate(spectra, cfg)
+    dropped = [w for w in caught if "outside the window" in str(w.message)]
+    assert len(dropped) == 1
+    assert str(dropped[0].message) == f"1 of {spec.harmonics.size} mask bins outside the window"
 
 
 def test_wtls_requires_some_data():

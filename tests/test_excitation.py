@@ -199,6 +199,15 @@ def test_time_record_length_invariant():
                    period_s=1.0, kind="current")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_time_record_rejects_non_finite_sample(bad):
+    samples = np.zeros(8)
+    samples[5] = bad
+    with pytest.raises(ValueError, match="sample 5 is not finite"):
+        TimeRecord(samples=samples, sample_rate_hz=4.0, periods=2,
+                   period_s=1.0, kind="current")
+
+
 def test_multisine_spec_rejects_bad_fields():
     with pytest.raises(ValueError):
         MultisineSpec(period_s=1.0, harmonics=[2, 2], amplitudes=[1, 1], phases=[0, 0])

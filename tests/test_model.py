@@ -5,8 +5,6 @@ from fracimp import (
     HalfOrderRational,
     NumericsError,
     RandlesParams,
-    TimeRecord,
-    coulomb_count,
     eval_rational,
     randles_impedance,
     randles_to_rational,
@@ -149,50 +147,6 @@ def test_normalized_rescales_a1():
 def test_params_require_positive_values():
     with pytest.raises(ValueError):
         RandlesParams(r_s=0.0, r_ct=0.1, c_dl=1.0, sigma_w=0.1)
-
-
-# ---------------------------------------------------------------- Coulomb counting
-
-
-def _constant_current(value, duration_s, fs):
-    n = int(round(duration_s * fs))
-    return TimeRecord(samples=np.full(n, value), sample_rate_hz=fs, periods=1,
-                      period_s=duration_s, kind="current")
-
-
-def test_full_charge_in_one_hour():
-    capacity = 4.8
-    record = _constant_current(capacity, 3600.0, fs=10.0)
-    trace = coulomb_count(record, initial_soc=0.0, capacity_ah=capacity)
-    # trapezoid covers (N-1)/fs seconds, so allow the single-sample shortfall
-    assert trace.soc_percent[-1] == pytest.approx(100.0, rel=1e-3)
-
-
-def test_zero_mean_periodic_current_returns_to_initial():
-    spec, current = _multisine()
-    trace = coulomb_count(current, initial_soc=50.0, capacity_ah=5.0)
-    assert trace.soc_percent[-1] == pytest.approx(50.0, abs=1e-3)
-
-
-def _multisine():
-    from conftest import make_multisine_current
-
-    return make_multisine_current(period_s=20.0, f_min_hz=0.05, f_max_hz=1.0,
-                                  points_per_decade=6, sample_rate_hz=50.0, periods=2)
-
-
-def test_quarter_discharge():
-    record = _constant_current(-2.4, 1800.0, fs=10.0)
-    trace = coulomb_count(record, initial_soc=60.0, capacity_ah=4.8)
-    assert trace.soc_percent[-1] - 60.0 == pytest.approx(-25.0, rel=1e-3)
-    assert trace.within_bounds
-
-
-def test_out_of_bounds_soc_warns_not_clamps():
-    record = _constant_current(4.8, 3600.0, fs=2.0)
-    with pytest.warns(UserWarning, match="SOC"):
-        trace = coulomb_count(record, initial_soc=50.0, capacity_ah=4.8)
-    assert trace.soc_percent[-1] > 100.0
 
 
 # ---------------------------------------------------------------- plane geometry

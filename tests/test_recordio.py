@@ -73,6 +73,18 @@ def test_non_numeric_row_is_named(tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("column, name", [(1, "current_a"), (2, "voltage_v")])
+def test_non_finite_sample_names_row_and_column(tmp_path, column, name):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    fields = lines[7].split(",")
+    fields[column] = "nan"
+    lines[7] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=f"row 8 has a non-finite {name} value"):
+        read_record(path)
+
+
 def test_metadata_must_be_valid_json(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     sidecar_path(path).write_text("{not json")

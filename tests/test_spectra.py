@@ -130,8 +130,6 @@ def test_spectral_set_invariants_on_noisy_data():
     assert np.all(spectra.var_voltage >= 0)
     cs = spectra.var_current * spectra.var_voltage - np.abs(spectra.covar_vi) ** 2
     assert np.all(cs >= -1e-12 * np.maximum(spectra.var_current * spectra.var_voltage, 1e-300))
-    assert spectra.mean_current == pytest.approx(
-        spectra.per_period_current.mean(axis=0), rel=1e-12)
     assert spectra.freq_hz[1] == pytest.approx(1 / 4.0, rel=1e-15)
 
 
@@ -221,15 +219,11 @@ def _doctor_weak_bin(spectra, bin_index):
     from fracimp import SpectralSet
 
     mean_current = spectra.mean_current.copy()
-    per_period = spectra.per_period_current.copy()
-    per_period[:, bin_index] = 0.0
     mean_current[bin_index] = 0.0
     return SpectralSet(
         freq_hz=spectra.freq_hz,
         mean_current=mean_current,
         mean_voltage=spectra.mean_voltage,
-        per_period_current=per_period,
-        per_period_voltage=spectra.per_period_voltage,
         var_current=spectra.var_current,
         var_voltage=spectra.var_voltage,
         covar_vi=spectra.covar_vi,
