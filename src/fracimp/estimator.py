@@ -329,9 +329,10 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     passes recomputes sigma_E from the previous parameters, scales rows by
     1/sigma_E, and re-solves with the a/b columns whitened by their weighted
     noise Gram.  Where the covariances are float rounding debris (noiseless
-    data) or that Gram is not positive definite, the pass re-solves the
-    row-weighted regressor as plain TLS instead.  Falls back to the
-    unweighted estimate with a warning when only one period is available.
+    data), every pass is the plain TLS with unit row weights; where that Gram
+    is not positive definite, the pass re-solves the row-weighted regressor
+    as plain TLS instead.  Falls back to the unweighted estimate with a
+    warning when only one period is available.
     """
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
@@ -352,7 +353,9 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     elif cfg.iterations > 0:
         whiten = not _covariances_are_rounding_noise(spectra, bins)
         for _ in range(cfg.iterations):
-            sigma = _sigma_e(theta, basis, spectra, bins, cfg)
+            # rounding debris counts as zero covariance, which _floor_sigma
+            # turns into unit weights
+            sigma = _sigma_e(theta, basis, spectra, bins, cfg) if whiten else np.ones(bins.size)
             weights = 1.0 / sigma
             stacked = _stacked_real(regressor, weights)
             if whiten:

@@ -203,8 +203,10 @@ def design_odd_quasilog(
 def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: int) -> TimeRecord:
     """Sample the multisine sum of sines at sample_rate_hz over `periods` periods.
 
-    The record is exactly periodic by construction (period_s*sample_rate_hz
-    must be an integer number of samples).
+    One period of M = period_s*sample_rate_hz samples (which must be an
+    integer) is the inverse real DFT of the line spectrum, harmonic k carrying
+    amplitude*M/2 at phase - pi/2 (a sine, not a cosine); it is tiled
+    `periods` times, so every period is bitwise identical.
     """
     f_nyq_limit = 2.0 * spec.harmonics[-1] / spec.period_s
     if sample_rate_hz <= f_nyq_limit * (1 - 1e-12):
@@ -218,13 +220,14 @@ def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: in
     if periods < 1:
         raise ValueError("periods must be >= 1")
 
-    n_total = int(round(m)) * periods
-    t = np.arange(n_total) / sample_rate_hz
-    x = np.zeros(n_total)
-    for k, alpha, phi in zip(spec.harmonics, spec.amplitudes, spec.phases):
-        x += alpha * np.sin(TWO_PI * k / spec.period_s * t + phi)
+    m = int(round(m))
+    lines = np.zeros(m // 2 + 1, dtype=complex)
+    # irfft counts a line on the Nyquist bin (allowed when fs is exactly twice
+    # the top frequency) once instead of twice, and keeps only its real part
+    gain = np.where(2 * spec.harmonics == m, m, m / 2.0)
+    lines[spec.harmonics] = spec.amplitudes * gain * np.exp(1j * (spec.phases - np.pi / 2))
     return TimeRecord(
-        samples=x,
+        samples=np.tile(np.fft.irfft(lines, n=m), periods),
         sample_rate_hz=sample_rate_hz,
         periods=periods,
         period_s=spec.period_s,

@@ -83,9 +83,11 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
                 f"{csv_path}: expected header '{CSV_HEADER}', got '{header}'"
             )
         rows = []
+        blanks = []  # data rows read before each skipped blank line
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
+                blanks.append(len(rows))
                 continue
             parts = line.split(",")
             if len(parts) != 3:
@@ -100,11 +102,15 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         raise SchemaError(
             f"{csv_path}: {len(rows)} data rows, metadata implies {expected}"
         )
+
+    def file_row(i: int) -> int:
+        return i + 2 + int(np.searchsorted(blanks, i, side="right"))
+
     table = np.asarray(rows)
     bad_row, bad_col = np.nonzero(~np.isfinite(table))
     if bad_row.size:
         raise SchemaError(
-            f"{csv_path}: row {int(bad_row[0]) + 2} has a non-finite "
+            f"{csv_path}: row {file_row(bad_row[0])} has a non-finite "
             f"{CSV_HEADER.split(',')[bad_col[0]]} value"
         )
     time_s = table[:, 0]
@@ -112,7 +118,7 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     bad = np.nonzero(np.abs(time_s - ideal) > _TIME_TOL_S)[0]
     if bad.size:
         raise SchemaError(
-            f"{csv_path}: non-uniform time column starting at row {int(bad[0]) + 2} "
+            f"{csv_path}: non-uniform time column starting at row {file_row(bad[0])} "
             f"(expected step {1.0 / fs})"
         )
 

@@ -1,9 +1,10 @@
 """Steady-state voltage response of a battery impedance, plus SNR-controlled noise.
 
-Simulation happens in the frequency domain: the current record is assumed
-exactly periodic, so multiplying its spectrum by the impedance gives the
-periodic steady-state voltage with no transient.  The impedance is never
-evaluated at DC (it diverges there); the DC voltage bin is the OCV.
+Simulation happens in the frequency domain on one period: the current record
+must be exactly periodic, so multiplying the spectrum of one period by the
+impedance gives the periodic steady-state voltage with no transient.  The
+impedance is never evaluated at DC (it diverges there); the DC voltage bin is
+the OCV.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ class NoiseSpec:
 def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     """Voltage record OCV + Z{i} for an exactly periodic current.
 
-    Works circularly on the full record, which is exact for the periodic
-    steady state.  The Nyquist bin (if present) is scaled by Re(Z) so that the
-    sampled response of a real sinusoid at Nyquist comes out correctly real.
+    Every period of the current must be bitwise identical to the first.  The
+    response is computed circularly on that one period, which is exact for the
+    periodic steady state, and tiled over the record.  The Nyquist bin (if
+    present) is scaled by Re(Z) so that the sampled response of a real
+    sinusoid at Nyquist comes out correctly real.
     """
     if current.kind != "current":
         raise ValueError("simulate_response expects a current record")
@@ -44,17 +47,29 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
             "not an integer); this simulator is steady-state only"
         )
 
-    n = current.n_samples
-    spec = np.fft.rfft(current.samples)
+    m = int(round(m))
+    per_period = current.samples.reshape(current.periods, m)
+    for row in range(1, current.periods):
+        differs = per_period[row] != per_period[0]
+        if differs.any():
+            first = row * m + int(np.argmax(differs))
+            raise ValueError(
+                f"current record is not exactly periodic: sample {first} differs "
+                f"from sample {first % m} of the first period; this simulator is "
+                "steady-state only"
+            )
+
+    spec = np.fft.rfft(per_period[0])
     k = np.arange(1, spec.size)
-    omega = 2.0 * np.pi * k * current.sample_rate_hz / n
+    omega = 2.0 * np.pi * k * current.sample_rate_hz / m
     z = randles_impedance(p, omega)
-    if n % 2 == 0:
+    if m % 2 == 0:
         z[-1] = z[-1].real
     out = np.empty_like(spec)
-    out[0] = p.ocv * n  # unnormalized rfft convention: DC bin = N * mean
+    out[0] = p.ocv * m  # unnormalized rfft convention: DC bin = M * mean
     out[1:] = spec[1:] * z
-    return current.with_samples(np.fft.irfft(out, n=n), kind="voltage")
+    return current.with_samples(np.tile(np.fft.irfft(out, n=m), current.periods),
+                                kind="voltage")
 
 
 def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:

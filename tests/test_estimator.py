@@ -10,6 +10,7 @@ from fracimp import (
     HalfOrderRational,
     NumericsError,
     SpectralSet,
+    TimeRecord,
     build_regressor,
     equation_error_sigma,
     eval_rational,
@@ -18,6 +19,7 @@ from fracimp import (
     randles_impedance,
     randles_to_rational,
     relative_error_curve,
+    simulate_response,
     tls_solve,
     wtls_estimate,
 )
@@ -245,6 +247,26 @@ def test_wtls_with_uniform_weights_equals_unweighted_tls():
     plain = tls_solve(build_regressor(zeroed, cfg), cfg)
     assert weighted.theta == pytest.approx(plain.theta, rel=1e-13)
     assert weighted.iterations_run == 7
+
+
+@pytest.mark.parametrize("periods", [2, 5, 6])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_noiseless_tiled_record_is_solved_with_unit_weights(seed, periods):
+    # bitwise identical periods leave only rounding debris in the sample
+    # covariances (exact zeros at P = 2, not at P = 6); weighting rows by
+    # that debris degrades recovery to about 1e-6
+    spec, one_period = make_multisine_current(periods=1, seed=seed)
+    current = TimeRecord(samples=np.tile(one_period.samples, periods),
+                         sample_rate_hz=one_period.sample_rate_hz, periods=periods,
+                         period_s=one_period.period_s, kind="current")
+    spectra = per_period_spectra(current, simulate_response(SIM_PARAMS, current))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="two smallest singular values")
+        result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
+    truth = randles_to_rational(SIM_PARAMS)
+    assert result.iterations_run == 10
+    assert result.rational.a == pytest.approx(truth.a, rel=1e-10)
+    assert result.rational.b == pytest.approx(truth.b, rel=1e-10)
 
 
 def test_wtls_single_period_falls_back_with_warning():

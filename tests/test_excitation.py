@@ -100,6 +100,34 @@ def test_synthesize_simulation_protocol_sample_count():
     assert record.n_samples == 200_000
 
 
+def test_synthesized_periods_are_bitwise_identical():
+    spec = design_odd_quasilog(20.0, 0.05, 2.0, 8, seed=12)
+    record = synthesize_multisine(spec, sample_rate_hz=40.0, periods=6)
+    per_period = record.samples.reshape(6, 800)
+    assert np.array_equal(per_period, np.broadcast_to(per_period[0], per_period.shape))
+
+
+def test_synthesize_matches_direct_sum_of_sines_over_sixteen_periods():
+    spec = design_odd_quasilog(200.0, 0.005, 10.0, 12, seed=1)
+    record = synthesize_multisine(spec, sample_rate_hz=200.0, periods=16)
+    t = np.arange(16 * 40_000) / 200.0
+    direct = np.zeros_like(t)
+    for k, alpha, phi in zip(spec.harmonics, spec.amplitudes, spec.phases):
+        direct += alpha * np.sin(2 * np.pi * k / spec.period_s * t + phi)
+    assert np.abs(record.samples - direct).max() < 1e-9
+
+
+def test_synthesize_line_on_the_nyquist_bin():
+    # fs exactly twice the top frequency is allowed: that line samples as
+    # alpha*sin(phi)*(-1)^n
+    spec = MultisineSpec(period_s=1.0, harmonics=[1, 9], amplitudes=[1.0, 0.5],
+                         phases=[0.3, 1.2])
+    record = synthesize_multisine(spec, sample_rate_hz=18.0, periods=2)
+    t = record.times()
+    direct = np.sin(2 * np.pi * t + 0.3) + 0.5 * np.sin(2 * np.pi * 9 * t + 1.2)
+    assert record.samples == pytest.approx(direct, abs=1e-14)
+
+
 def test_synthesize_nyquist_violation_names_harmonic():
     spec = MultisineSpec(period_s=1.0, harmonics=[1, 9], amplitudes=[1, 1], phases=[0, 0])
     with pytest.raises(ValueError, match="harmonic 9"):

@@ -85,6 +85,22 @@ def test_non_finite_sample_names_row_and_column(tmp_path, column, name):
         read_record(path)
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (1, "nan", "row 12 has a non-finite current_a value"),
+    (0, "0.123", "non-uniform time column starting at row 12 "),
+])
+def test_rows_after_a_blank_line_are_named_by_file_line(tmp_path, column, value, message):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    lines.insert(3, "")  # blank file line 4
+    fields = lines[11].split(",")  # file line 12
+    fields[column] = value
+    lines[11] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=message):
+        read_record(path)
+
+
 def test_metadata_must_be_valid_json(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     sidecar_path(path).write_text("{not json")

@@ -97,6 +97,25 @@ def test_fractional_period_record_is_rejected(sim_params):
         simulate_response(sim_params, record)
 
 
+def test_noisy_current_is_rejected_as_not_steady_state(sim_params):
+    _, current = make_multisine_current(period_s=4.0, f_min_hz=0.25, f_max_hz=2.0,
+                                        points_per_decade=4, sample_rate_hz=16.0,
+                                        periods=3)
+    noisy = add_noise(current, NoiseSpec(snr=50.0, seed=5))
+    with pytest.raises(ValueError, match="steady-state"):
+        simulate_response(sim_params, noisy)
+
+
+def test_periodicity_error_names_the_first_breaking_sample(sim_params):
+    _, current = make_multisine_current(period_s=4.0, f_min_hz=0.25, f_max_hz=2.0,
+                                        points_per_decade=4, sample_rate_hz=16.0,
+                                        periods=3)
+    samples = current.samples.copy()
+    samples[[100, 75]] += 1e-3  # periods of 64 samples: 75 is in the second
+    with pytest.raises(ValueError, match="sample 75 differs from sample 11 "):
+        simulate_response(sim_params, current.with_samples(samples))
+
+
 def test_voltage_record_is_rejected(sim_params):
     record = TimeRecord(samples=np.zeros(8), sample_rate_hz=4.0, periods=1,
                         period_s=2.0, kind="voltage")
