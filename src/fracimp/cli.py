@@ -21,7 +21,7 @@ from .estimator import EstimationConfig, parametric_impedance, relative_error_cu
 from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
-from .recordio import read_record, write_record
+from .recordio import read_record, write_csv, write_record
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
 
@@ -132,11 +132,6 @@ def _load_config(path: str | None, schema: dict) -> dict:
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def _write_csv(path: Path, header: str, columns) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=header, comments="", newline="\n")
 
 
 def _load_multisine(path: str) -> MultisineSpec:
@@ -271,10 +266,10 @@ def cmd_estimate(args) -> int:
     grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), grid_points)
     freqs = np.unique(np.concatenate([grid, f_sel]))
     curve = parametric_impedance(result, 2.0 * np.pi * freqs)
-    _write_csv(out / "bode.csv", "freq_hz,mag_ohm,phase_deg",
-               (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
-    _write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
-               (curve.z_ohm.real, -curve.z_ohm.imag))
+    write_csv(out / "bode.csv", "freq_hz,mag_ohm,phase_deg",
+              (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
+    write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
+              (curve.z_ohm.real, -curve.z_ohm.imag))
     _say(args, f"estimated over {result.bins.size} bins "
                f"(weighted cost {result.weighted_cost:.6g}, "
                f"{result.iterations_run} weighted iterations) -> {out / 'estimate.json'}")
@@ -302,8 +297,8 @@ def cmd_eis(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
-               (curve.freq_hz, curve.z_ohm.real, curve.z_ohm.imag))
+    write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
+              (curve.freq_hz, curve.z_ohm.real, curve.z_ohm.imag))
     _say(args, f"nonparametric impedance at {curve.freq_hz.size} bins -> {out / 'eis.csv'}")
     return 0
 
@@ -372,7 +367,7 @@ def cmd_compare(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "error.csv", "freq_hz,rel_error", (ref.freq_hz[keep], err[keep]))
+    write_csv(out / "error.csv", "freq_hz,rel_error", (ref.freq_hz[keep], err[keep]))
     _say(args, f"compared {int(keep.sum())} shared frequencies -> {out / 'error.csv'}")
     return 0
 

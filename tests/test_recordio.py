@@ -1,10 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracimp import SchemaError, read_record, write_record
-from fracimp.recordio import sidecar_path
+from fracimp import SchemaError, TimeRecord, read_record, write_record
+from fracimp.recordio import CSV_HEADER, _BLOCK_ROWS, _parse_rows, sidecar_path, write_csv
 
 from conftest import make_multisine_current, simulate_pair
 
@@ -42,6 +45,15 @@ def test_row_count_mismatch_errors(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(SchemaError, match="rows"):
         read_record(path)
+
+
+def test_header_only_record_errors_without_a_parser_warning(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    path.write_text(CSV_HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="0 data rows, metadata implies 200"):
+            read_record(path)
 
 
 def test_bad_header_errors(tmp_path):
@@ -101,6 +113,15 @@ def test_rows_after_a_blank_line_are_named_by_file_line(tmp_path, column, value,
         read_record(path)
 
 
+def test_row_with_trailing_comment_is_rejected(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    lines[5] += " # note"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="row 6 is not numeric"):
+        read_record(path)
+
+
 def test_metadata_must_be_valid_json(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     sidecar_path(path).write_text("{not json")
@@ -115,3 +136,91 @@ def test_current_only_record_writes_zero_voltage(tmp_path):
     assert np.all(voltage.samples == 0.0)
     assert "ocv_v" not in meta
     assert json.loads(sidecar_path(path).read_text())["schema_version"] == "1"
+
+
+def _savetxt_bytes(path, header, table):
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header, comments="",
+               newline="\n")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("paired", [True, False])
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 1])
+def test_writer_bytes_equal_savetxt(tmp_path, rows, paired):
+    rng = np.random.default_rng(rows)
+    samples = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-300, 300, (2, rows))
+    specials = np.array([-0.0, 5e-324, 1e300, -1e300])
+    k = min(rows, specials.size)
+    samples[0, :k] = specials[:k]
+    samples[1, :k] = specials[::-1][:k]
+    fs = 1000.0
+    current, voltage = (TimeRecord(samples=x, sample_rate_hz=fs, periods=1,
+                                   period_s=rows / fs, kind=kind)
+                        for x, kind in zip(samples, ("current", "voltage")))
+    volt = voltage.samples if paired else np.zeros(rows)
+    path = write_record(tmp_path / "rec.csv", current, voltage if paired else None)
+    reference = np.column_stack([np.arange(rows) / fs, current.samples, volt])
+    assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", CSV_HEADER, reference)
+
+    write_csv(tmp_path / "two.csv", "a,b", (current.samples, volt))
+    assert (tmp_path / "two.csv").read_bytes() == _savetxt_bytes(
+        tmp_path / "ref2.csv", "a,b", np.column_stack([current.samples, volt]))
+
+
+_FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                                          "\uff15\uff16\uff17\uff18\uff19")
+
+
+def _set_field(value, only=None):
+    def mutate(line, field):
+        parts = line.split(",")
+        field = field if only is None else only
+        parts[field] = value(parts[field])
+        return [",".join(parts)]
+    return mutate
+
+
+# each mutation maps (data line, field index) to the lines that replace it
+_MUTATIONS = {
+    "non-numeric": _set_field(lambda v: "abc"),
+    "underscore": _set_field(lambda v: "1_0"),
+    "full-width digit": _set_field(lambda v: v.translate(_FULL_WIDTH)),
+    "extra field": lambda line, field: [line + ",0"],
+    "missing field": lambda line, field: [line.rsplit(",", 1)[0]],
+    "trailing comma": lambda line, field: [line + ","],
+    "blank line": lambda line, field: ["", line],
+    "whitespace-only line": lambda line, field: [" \t ", line],
+    "crlf ending": lambda line, field: [line + "\r"],
+    "comment": lambda line, field: [line + " # note"],
+    "nan": _set_field(lambda v: "nan"),
+    "inf": _set_field(lambda v: "-inf"),
+    "time jitter within tolerance": _set_field(lambda v: repr(float(v) + 5e-10), only=0),
+    "time jitter": _set_field(lambda v: repr(float(v) + 2e-9), only=0),
+    "padding spaces": _set_field(lambda v: f"  {v} "),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_record(tmp_path_factory):
+    path, *_ = _write_pair(tmp_path_factory.mktemp("fuzz"), **_KW)
+    return path, path.read_text().splitlines()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_MUTATIONS)), lineno=st.integers(1, 200),
+       field=st.integers(0, 2))
+def test_fast_read_matches_row_loop_on_a_mutated_row(clean_record, name, lineno, field):
+    path, lines = clean_record
+    mutated = lines[:lineno] + _MUTATIONS[name](lines[lineno], field) + lines[lineno + 1:]
+    path.write_text("\n".join(mutated) + "\n")
+
+    try:
+        reference = _parse_rows(path, _KW["sample_rate_hz"], 200)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            read_record(path)
+        assert str(got.value) == str(exc)
+    else:
+        current, voltage, _ = read_record(path)
+        assert np.array_equal(current.samples, reference[:, 1])
+        assert np.array_equal(voltage.samples, reference[:, 2])
