@@ -12,11 +12,9 @@ from .errors import FracimpError, NumericsError, SchemaError
 from .estimator import (
     EstimateResult,
     EstimationConfig,
-    build_regressor,
     equation_error_sigma,
     parametric_impedance,
     relative_error_curve,
-    tls_solve,
     wtls_estimate,
 )
 from .excitation import (
@@ -58,7 +56,6 @@ __all__ = [
     "SpectralSet",
     "TimeRecord",
     "add_noise",
-    "build_regressor",
     "design_odd_quasilog",
     "dft",
     "equation_error_sigma",
@@ -77,7 +74,6 @@ __all__ = [
     "scale_to_rms",
     "simulate_response",
     "synthesize_multisine",
-    "tls_solve",
     "warburg_impedance",
     "write_record",
     "wtls_estimate",

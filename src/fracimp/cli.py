@@ -1,8 +1,9 @@
 """Command-line front end: design, simulate, estimate, eis, fit, compare.
 
-All commands read a JSON config (schema-validated, unknown keys rejected) and
-emit CSV/JSON files into --out.  Exit codes: 0 success, 1 usage or schema
-error, 2 numerical failure.
+All commands read a JSON config, checked against the schemas below by
+`schema.check` (unknown keys and non-finite numbers rejected, errors naming the
+key path), and emit CSV/JSON files into --out.  Exit codes: 0 success, 1 usage
+or schema error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .ecmfit import fit_randles
@@ -22,24 +22,24 @@ from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_no
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
 from .recordio import read_record, write_csv, write_record
+from .schema import POSITIVE_NUMBER, check
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
 
 SCHEMA_VERSION = "1"
 
-_POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _SEED = {"type": "integer", "minimum": 0}
 
 DESIGN_SCHEMA = {
     "type": "object",
     "properties": {
-        "period_s": _POS_NUMBER,
-        "f_min_hz": _POS_NUMBER,
-        "f_max_hz": _POS_NUMBER,
+        "period_s": POSITIVE_NUMBER,
+        "f_min_hz": POSITIVE_NUMBER,
+        "f_max_hz": POSITIVE_NUMBER,
         "points_per_decade": {"type": "integer", "minimum": 1},
         "seed": _SEED,
-        "rms_a": _POS_NUMBER,
-        "sample_rate_hz": _POS_NUMBER,
+        "rms_a": POSITIVE_NUMBER,
+        "sample_rate_hz": POSITIVE_NUMBER,
         "periods": {"type": "integer", "minimum": 1},
     },
     "required": ["period_s", "f_min_hz", "f_max_hz", "points_per_decade"],
@@ -49,10 +49,10 @@ DESIGN_SCHEMA = {
 RANDLES_SCHEMA = {
     "type": "object",
     "properties": {
-        "r_s_ohm": _POS_NUMBER,
-        "r_ct_ohm": _POS_NUMBER,
-        "c_dl_f": _POS_NUMBER,
-        "sigma_w_ohm_per_sqrt_s": _POS_NUMBER,
+        "r_s_ohm": POSITIVE_NUMBER,
+        "r_ct_ohm": POSITIVE_NUMBER,
+        "c_dl_f": POSITIVE_NUMBER,
+        "sigma_w_ohm_per_sqrt_s": POSITIVE_NUMBER,
         "ocv_v": {"type": "number"},
     },
     "required": ["r_s_ohm", "r_ct_ohm", "c_dl_f", "sigma_w_ohm_per_sqrt_s"],
@@ -67,19 +67,19 @@ SIMULATE_SCHEMA = {
             "properties": {
                 "type": {"enum": ["multisine", "noise"]},
                 "multisine_path": {"type": "string"},
-                "f_min_hz": _POS_NUMBER,
-                "f_max_hz": _POS_NUMBER,
+                "f_min_hz": POSITIVE_NUMBER,
+                "f_max_hz": POSITIVE_NUMBER,
                 "points_per_decade": {"type": "integer", "minimum": 1},
             },
             "required": ["type"],
             "additionalProperties": False,
         },
-        "period_s": _POS_NUMBER,
-        "sample_rate_hz": _POS_NUMBER,
+        "period_s": POSITIVE_NUMBER,
+        "sample_rate_hz": POSITIVE_NUMBER,
         "periods": {"type": "integer", "minimum": 1},
-        "rms_a": _POS_NUMBER,
+        "rms_a": POSITIVE_NUMBER,
         "randles": RANDLES_SCHEMA,
-        "snr": _POS_NUMBER,
+        "snr": POSITIVE_NUMBER,
         "seed": _SEED,
     },
     "required": ["excitation", "period_s", "sample_rate_hz", "periods", "rms_a", "randles"],
@@ -106,7 +106,7 @@ EIS_SCHEMA = {
     "type": "object",
     "properties": {
         "multisine_path": {"type": "string"},
-        "detection_factor": _POS_NUMBER,
+        "detection_factor": POSITIVE_NUMBER,
     },
     "additionalProperties": False,
 }
@@ -122,10 +122,7 @@ def _load_config(path: str | None, schema: dict) -> dict:
             raise SchemaError(f"config file not found: {path}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        raise SchemaError(f"config {path}: {exc.message}") from exc
+    check(cfg, schema, f"config {path}")
     return cfg
 
 

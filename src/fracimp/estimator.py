@@ -67,10 +67,6 @@ class EstimationConfig:
         if self.bin_mask is not None:
             object.__setattr__(self, "bin_mask", np.unique(np.asarray(self.bin_mask, dtype=int)))
 
-    @property
-    def n_columns(self) -> int:
-        return self.n_a + (self.n_b + 1) + (self.n_r + 1)
-
     def selected_bins(self, spectra: SpectralSet) -> np.ndarray:
         """Bins entering the regression: window intersected with the mask."""
         top = spectra.n_bins - 2  # exclude DC and the segment Nyquist bin
@@ -100,7 +96,7 @@ class EstimateResult:
     ``weighted_cost`` is sum_k |E(k)|^2 / sigma_E(k)^2 at the returned
     (a_1 = 1 normalized) parameters under the final weights; ``cost_history``
     records the same quantity after every solve so weight stabilization can
-    be checked.  ``sigma_e`` is None for unweighted solves.
+    be checked.  ``sigma_e`` is None when no weighted pass ran.
     """
 
     rational: HalfOrderRational
@@ -143,22 +139,17 @@ def _basis(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig) -> np.
 
 def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
                cfg: EstimationConfig) -> np.ndarray:
+    """Complex regressor, one row per selected bin.
+
+    Columns: [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} |
+    [(jw)^{r/2}]_{r=0..Nr}.
+    """
     cols = np.concatenate([
         basis[1: cfg.n_a + 1] * spectra.mean_voltage[bins],
         -basis[: cfg.n_b + 1] * spectra.mean_current[bins],
         basis[: cfg.n_r + 1],
     ])
     return cols.T.copy()
-
-
-def build_regressor(spectra: SpectralSet, cfg: EstimationConfig) -> np.ndarray:
-    """Complex regressor matrix, one row per selected bin.
-
-    Columns: [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} |
-    [(jw)^{r/2}]_{r=0..Nr}.
-    """
-    bins = cfg.selected_bins(spectra)
-    return _regressor(spectra, bins, _basis(spectra, bins, cfg), cfg)
 
 
 def _stacked_real(regressor: np.ndarray, row_weights: np.ndarray | None) -> np.ndarray:
@@ -234,31 +225,6 @@ def _split_theta(theta: np.ndarray, cfg: EstimationConfig):
     return a, b, c
 
 
-def tls_solve(regressor: np.ndarray, cfg: EstimationConfig) -> EstimateResult:
-    """Unweighted total-least-squares estimate from a (possibly pre-weighted) regressor.
-
-    Stacks real and imaginary parts, normalizes columns to unit Euclidean
-    norm (undone afterwards), and takes the right singular vector of the
-    smallest singular value, rescaled so a_1 = 1.
-    """
-    if regressor.shape[1] != cfg.n_columns:
-        raise ValueError(
-            f"regressor has {regressor.shape[1]} columns, config implies {cfg.n_columns}"
-        )
-    stacked = _stacked_real(regressor, None)
-    theta = _solve(stacked, _column_gram(stacked))
-    a, b, c = _split_theta(theta, cfg)
-    cost = _theta_cost(regressor, theta, None)
-    return EstimateResult(
-        rational=HalfOrderRational(a=a, b=b),
-        transient=c,
-        weighted_cost=cost,
-        iterations_run=0,
-        sigma_e=None,
-        cost_history=[cost],
-    )
-
-
 def _floor_sigma(sigma: np.ndarray) -> np.ndarray:
     med = float(np.median(sigma))
     if med > 0.0:
@@ -290,7 +256,8 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
     """
     if not spectra.has_covariances:
         raise ValueError(
-            "noise covariances unavailable (single period); use unweighted tls_solve"
+            "noise covariances unavailable (single period); only the unweighted "
+            "estimate (iterations=0) applies"
         )
     bins = cfg.selected_bins(spectra)
     return _sigma_e(theta.theta, _basis(spectra, bins, cfg), spectra, bins, cfg)
@@ -328,11 +295,11 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     Iteration 0 is the unweighted TLS; each of the cfg.iterations weighted
     passes recomputes sigma_E from the previous parameters, scales rows by
     1/sigma_E, and re-solves with the a/b columns whitened by their weighted
-    noise Gram.  Where the covariances are float rounding debris (noiseless
-    data), every pass is the plain TLS with unit row weights; where that Gram
-    is not positive definite, the pass re-solves the row-weighted regressor
-    as plain TLS instead.  Falls back to the unweighted estimate with a
-    warning when only one period is available.
+    noise Gram; where that Gram is not positive definite, the pass re-solves
+    the row-weighted regressor as plain TLS instead.  The unweighted estimate
+    is returned as it is (iterations_run 0, sigma_e None) when the covariances
+    are float rounding debris (noiseless data: unit weights would repeat the
+    same solve), and with a warning when only one period is available.
     """
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
@@ -342,7 +309,6 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     theta = _solve(stacked, _column_gram(stacked))
     history = [_theta_cost(regressor, theta, None)]
     sigma = None
-    iterations_run = 0
 
     if cfg.iterations > 0 and not spectra.has_covariances:
         warnings.warn(
@@ -350,23 +316,16 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             "unweighted total least squares",
             stacklevel=2,
         )
-    elif cfg.iterations > 0:
-        whiten = not _covariances_are_rounding_noise(spectra, bins)
+    elif cfg.iterations > 0 and not _covariances_are_rounding_noise(spectra, bins):
         for _ in range(cfg.iterations):
-            # rounding debris counts as zero covariance, which _floor_sigma
-            # turns into unit weights
-            sigma = _sigma_e(theta, basis, spectra, bins, cfg) if whiten else np.ones(bins.size)
+            sigma = _sigma_e(theta, basis, spectra, bins, cfg)
             weights = 1.0 / sigma
             stacked = _stacked_real(regressor, weights)
-            if whiten:
-                try:
-                    gram = _noise_gram(basis, spectra, bins, weights, cfg)
-                    theta = _solve(stacked, gram, _GRAM_RIDGE)
-                except np.linalg.LinAlgError:
-                    theta = _solve(stacked, _column_gram(stacked))
-            else:
+            try:
+                gram = _noise_gram(basis, spectra, bins, weights, cfg)
+                theta = _solve(stacked, gram, _GRAM_RIDGE)
+            except np.linalg.LinAlgError:
                 theta = _solve(stacked, _column_gram(stacked))
-            iterations_run += 1
             history.append(_theta_cost(regressor, theta, weights))
 
     a, b, c = _split_theta(theta, cfg)
@@ -374,7 +333,7 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
         rational=HalfOrderRational(a=a, b=b),
         transient=c,
         weighted_cost=history[-1],
-        iterations_run=iterations_run,
+        iterations_run=len(history) - 1,
         sigma_e=sigma,
         bins=bins,
         cost_history=history,

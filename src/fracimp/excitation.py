@@ -112,10 +112,6 @@ class TimeRecord:
         return self.samples.size
 
     @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
-    @property
     def samples_per_period(self) -> int:
         """Samples in one period; requires period_s*sample_rate_hz to be an integer."""
         m = self.period_s * self.sample_rate_hz

@@ -89,14 +89,6 @@ class HalfOrderRational:
         """Scale numerator and denominator so a_1 = 1 (the impedance is unchanged)."""
         return HalfOrderRational(a=self.a / self.a[0], b=self.b / self.a[0])
 
-    def to_dict(self) -> dict:
-        return {"a_denominator": self.a.tolist(), "b_numerator": self.b.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HalfOrderRational":
-        return cls(a=np.asarray(d["a_denominator"], dtype=float),
-                   b=np.asarray(d["b_numerator"], dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class ImpedanceCurve:

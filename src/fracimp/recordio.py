@@ -1,7 +1,8 @@
 """CSV record files: `time_s,current_a,voltage_v` rows plus a JSON metadata sidecar.
 
 The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries
-sample_rate_hz, periods, period_s and optional soc_percent / ocv_v.  Values
+sample_rate_hz, periods, period_s and an optional ocv_v; the first three are
+checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  Values
 are written with 17 significant digits so float64 samples round-trip exactly.
 
 Tables are written by a block writer (`write_csv`): one ``%`` format per block
@@ -21,10 +22,21 @@ import numpy as np
 
 from .errors import SchemaError
 from .excitation import TimeRecord
+from .schema import POSITIVE_NUMBER, check
 
 CSV_HEADER = "time_s,current_a,voltage_v"
 _TIME_TOL_S = 1e-9
 _BLOCK_ROWS = 8192
+
+SIDECAR_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "sample_rate_hz": POSITIVE_NUMBER,
+        "period_s": POSITIVE_NUMBER,
+        "periods": {"type": "integer", "minimum": 1},
+    },
+    "required": ["sample_rate_hz", "period_s", "periods"],
+}
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -52,7 +64,6 @@ def write_record(
     csv_path: str | Path,
     current: TimeRecord,
     voltage: TimeRecord | None = None,
-    soc_percent: float | None = None,
     ocv_v: float | None = None,
 ) -> Path:
     """Write a paired record CSV plus its metadata sidecar; returns the CSV path.
@@ -74,8 +85,6 @@ def write_record(
         "periods": current.periods,
         "period_s": current.period_s,
     }
-    if soc_percent is not None:
-        meta["soc_percent"] = soc_percent
     if ocv_v is not None:
         meta["ocv_v"] = ocv_v
     sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
@@ -92,11 +101,12 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         raise SchemaError(f"metadata sidecar not found: {meta_path}")
     try:
         meta = json.loads(meta_path.read_text())
-        fs = float(meta["sample_rate_hz"])
-        periods = int(meta["periods"])
-        period_s = float(meta["period_s"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
+    check(meta, SIDECAR_SCHEMA, f"invalid metadata sidecar {meta_path}")
+    fs = float(meta["sample_rate_hz"])
+    periods = int(meta["periods"])
+    period_s = float(meta["period_s"])
 
     expected = int(round(periods * period_s * fs))
     table = _parse_table(csv_path, fs, expected)

@@ -1,0 +1,61 @@
+"""Checker for the JSON Schema subset that the config and sidecar schemas use.
+
+Keywords: type, properties, required, additionalProperties (false only),
+minimum, exclusiveMinimum, enum and items.  Types follow Draft 2020-12: an
+integer-valued float such as 1.0 is an integer, and a boolean is neither an
+integer nor a number.  Unlike JSON Schema, every number must be finite, since
+Python's json module reads NaN and Infinity.
+"""
+
+from __future__ import annotations
+
+import math
+
+from .errors import SchemaError
+
+POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def check(value, schema: dict, context: str, key: str = "") -> None:
+    """Raise SchemaError naming `context` and the key path where `value` breaks `schema`."""
+    def fail(problem: str):
+        raise SchemaError(f"{context}: {key or 'top level'} {problem}")
+
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"must be a finite number, got {value}")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"must be of type {kind}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"must be one of {schema['enum']}, got {value!r}")
+    if _is_number(value) and value < schema.get("minimum", -math.inf):
+        fail(f"must be >= {schema['minimum']}, got {value!r}")
+    if _is_number(value) and value <= schema.get("exclusiveMinimum", -math.inf):
+        fail(f"must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            check(item, schema["items"], context, f"{key}[{i}]")
+    if isinstance(value, dict):
+        prefix = f"{key}." if key else ""
+        for name in schema.get("required", ()):
+            if name not in value:
+                raise SchemaError(f"{context}: missing required key {prefix}{name}")
+        properties = schema.get("properties", {})
+        for name, item in value.items():
+            if name in properties:
+                check(item, properties[name], context, prefix + name)
+            elif schema.get("additionalProperties") is False:
+                raise SchemaError(f"{context}: unknown key {prefix}{name}")

@@ -62,25 +62,6 @@ class SpectralSet:
     def n_bins(self) -> int:
         return self.freq_hz.size
 
-    def to_dict(self) -> dict:
-        d = {
-            "mean_current": [
-                {"freq_hz": float(f), "re": float(z.real), "im": float(z.imag)}
-                for f, z in zip(self.freq_hz, self.mean_current)
-            ],
-            "mean_voltage": [
-                {"freq_hz": float(f), "re": float(z.real), "im": float(z.imag)}
-                for f, z in zip(self.freq_hz, self.mean_voltage)
-            ],
-            "periods": self.periods,
-        }
-        if self.has_covariances:
-            d["var_current"] = self.var_current.tolist()
-            d["var_voltage"] = self.var_voltage.tolist()
-            d["covar_vi_re"] = self.covar_vi.real.tolist()
-            d["covar_vi_im"] = self.covar_vi.imag.tolist()
-        return d
-
 
 def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     """Split both records into periods, DFT each, and estimate noise covariances.

@@ -190,6 +190,39 @@ def test_schema_violation_exit_1(tmp_path):
     assert main(["simulate", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
 
 
+def test_infinite_snr_is_rejected_naming_the_key(tmp_path, capsys):
+    # Python's json reads Infinity; it used to write a silently noiseless record
+    config = _json(tmp_path, "inf.json", {**SIM_CONFIG, "snr": float("inf")})
+    assert "Infinity" in (tmp_path / "inf.json").read_text()
+    out = tmp_path / "inf"
+    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert "snr must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_frequency_is_rejected_naming_the_key(tmp_path, capsys):
+    config = _json(tmp_path, "nan.json", {
+        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": float("nan"), "points_per_decade": 8})
+    assert main(["design", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
+    assert "f_max_hz must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,problem", [
+    ("period_s", float("inf"), "must be a finite number"),
+    ("periods", 2.5, "must be of type integer"),
+    ("sample_rate_hz", float("nan"), "must be a finite number"),
+])
+def test_bad_sidecar_value_exit_1_naming_sidecar_and_key(tmp_path, capsys, key, value, problem):
+    out = _run_simulate(tmp_path)
+    meta_path = out / "record.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, key: value}))
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid metadata sidecar {meta_path}: {key} {problem}" in err
+
+
 def test_design_nyquist_violation_exit_1(tmp_path):
     config = _json(tmp_path, "design.json", {
         "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,

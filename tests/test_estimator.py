@@ -11,7 +11,6 @@ from fracimp import (
     NumericsError,
     SpectralSet,
     TimeRecord,
-    build_regressor,
     equation_error_sigma,
     eval_rational,
     parametric_impedance,
@@ -20,9 +19,10 @@ from fracimp import (
     randles_to_rational,
     relative_error_curve,
     simulate_response,
-    tls_solve,
     wtls_estimate,
 )
+from fracimp import estimator
+from fracimp.estimator import _basis, _column_gram, _regressor, _solve
 from fracimp.model import ImpedanceCurve
 
 from conftest import SIM_PARAMS, make_multisine_current, simulate_pair
@@ -55,29 +55,40 @@ _PIPE_KW = dict(period_s=200.0, f_min_hz=0.005, f_max_hz=5.0, points_per_decade=
                 sample_rate_hz=50.0, periods=5)
 
 
+def _build_regressor(spectra, cfg):
+    bins = cfg.selected_bins(spectra)
+    return _regressor(spectra, bins, _basis(spectra, bins, cfg), cfg)
+
+
+def _tls(regressor):
+    """Plain TLS estimate of a complex regressor, a_1-normalized."""
+    stacked = np.vstack([regressor.real, regressor.imag])
+    return _solve(stacked, _column_gram(stacked))
+
+
 # ---------------------------------------------------------------- regressor
 
 
-def test_build_regressor_smallest_row():
+def test_regressor_smallest_row():
     i_val, v_val = 0.3 - 0.1j, 0.2 + 0.5j
     spectra = _spectral_set(2.0, [0, i_val, 0], [0, v_val, 0])
     cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, bin_window=(1, 1), iterations=0)
-    row = build_regressor(spectra, cfg)
+    row = _build_regressor(spectra, cfg)
     assert row.shape == (1, 3)
     q = np.sqrt(2 * np.pi * 0.5) * Q45
     assert row[0] == pytest.approx([q * v_val, -i_val, 1.0], rel=1e-14)
 
 
-def test_build_regressor_column_count():
+def test_regressor_column_count():
     spectra = _spectral_set(1.0, np.ones(12), np.ones(12))
     cfg = EstimationConfig(n_a=3, n_b=2, n_r=1, bin_window=(1, 10), iterations=0)
-    assert build_regressor(spectra, cfg).shape == (10, 3 + 3 + 2)
+    assert _build_regressor(spectra, cfg).shape == (10, 3 + 3 + 2)
 
 
 def test_regressor_annihilates_true_parameters():
     spec, spectra = _noiseless_spectra(**_PIPE_KW)
     cfg = EstimationConfig(bin_mask=spec.harmonics)
-    regressor = build_regressor(spectra, cfg)
+    regressor = _build_regressor(spectra, cfg)
     truth = randles_to_rational(SIM_PARAMS)
     theta = np.concatenate([truth.a, truth.b, [0.0, 0.0]])
     residual = np.abs(regressor @ theta)
@@ -89,10 +100,13 @@ def test_empty_bin_selection_errors():
     spectra = _spectral_set(1.0, np.ones(8), np.ones(8))
     cfg = EstimationConfig(bin_window=(1, 6), bin_mask=[7], iterations=0)
     with pytest.raises(ValueError, match="empty"):
-        build_regressor(spectra, cfg)
+        _build_regressor(spectra, cfg)
 
 
 # ---------------------------------------------------------------- TLS solve
+
+
+N_COLUMNS = 2 + 3 + 2  # n_a = 2, n_b = 2, n_r = 1
 
 
 def _null_space_matrix(rng, n_rows, null_vector):
@@ -103,49 +117,45 @@ def _null_space_matrix(rng, n_rows, null_vector):
 
 def test_tls_recovers_exact_null_space():
     rng = np.random.default_rng(21)
-    cfg = EstimationConfig(n_a=2, n_b=2, n_r=1, iterations=0)
-    v = rng.normal(size=cfg.n_columns)
+    v = rng.normal(size=N_COLUMNS)
     v[0] = 1.3
     regressor = _null_space_matrix(rng, 12, v).astype(complex)
-    result = tls_solve(regressor, cfg)
-    assert result.theta == pytest.approx(v / v[0], rel=1e-10)
-    assert result.weighted_cost < 1e-20
+    theta = _tls(regressor)
+    assert theta == pytest.approx(v / v[0], rel=1e-10)
+    assert np.sum(np.abs(regressor @ theta) ** 2) < 1e-20
 
 
 def test_tls_invariant_under_row_duplication():
     rng = np.random.default_rng(22)
-    cfg = EstimationConfig(n_a=2, n_b=2, n_r=1, iterations=0)
-    regressor = (rng.normal(size=(20, cfg.n_columns))
-                 + 1j * rng.normal(size=(20, cfg.n_columns)))
-    single = tls_solve(regressor, cfg)
-    doubled = tls_solve(np.vstack([regressor, regressor]), cfg)
-    assert doubled.theta == pytest.approx(single.theta, rel=1e-12)
+    regressor = (rng.normal(size=(20, N_COLUMNS))
+                 + 1j * rng.normal(size=(20, N_COLUMNS)))
+    single = _tls(regressor)
+    doubled = _tls(np.vstack([regressor, regressor]))
+    assert doubled == pytest.approx(single, rel=1e-12)
 
 
 def test_tls_normalization_error_when_a1_vanishes():
     rng = np.random.default_rng(23)
-    cfg = EstimationConfig(n_a=2, n_b=2, n_r=1, iterations=0)
-    v = rng.normal(size=cfg.n_columns)
+    v = rng.normal(size=N_COLUMNS)
     v[0] = 0.0
     regressor = _null_space_matrix(rng, 12, v).astype(complex)
     with pytest.raises(NumericsError, match="a_1"):
-        tls_solve(regressor, cfg)
+        _tls(regressor)
 
 
 def test_tls_ambiguity_warning_on_two_dim_null_space():
     rng = np.random.default_rng(24)
-    cfg = EstimationConfig(n_a=2, n_b=2, n_r=1, iterations=0)
-    null_basis, _ = np.linalg.qr(rng.normal(size=(cfg.n_columns, 2)))
-    basis = rng.normal(size=(12, cfg.n_columns))
+    null_basis, _ = np.linalg.qr(rng.normal(size=(N_COLUMNS, 2)))
+    basis = rng.normal(size=(12, N_COLUMNS))
     basis = basis - (basis @ null_basis) @ null_basis.T
     with pytest.warns(UserWarning, match="ambiguous"):
-        tls_solve(basis.astype(complex), cfg)
+        _tls(basis.astype(complex))
 
 
 def test_tls_requires_enough_rows():
-    cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, iterations=0)
+    # n_a = 1, n_b = 0, n_r = 0: three columns, one bin gives two stacked rows
     with pytest.raises(ValueError, match="rows"):
-        tls_solve(np.ones((1, 3), dtype=complex), cfg)
+        _tls(np.ones((1, 3), dtype=complex))
 
 
 def test_noiseless_pipeline_recovers_generator_coefficients():
@@ -161,7 +171,7 @@ def test_noiseless_pipeline_recovers_generator_coefficients():
 def test_noiseless_smallest_singular_value_is_negligible():
     spec, spectra = _noiseless_spectra(**_PIPE_KW)
     cfg = EstimationConfig(bin_mask=spec.harmonics)
-    regressor = build_regressor(spectra, cfg)
+    regressor = _build_regressor(spectra, cfg)
     stacked = np.vstack([regressor.real, regressor.imag])
     stacked /= np.linalg.norm(stacked, axis=0)
     s = np.linalg.svd(stacked, compute_uv=False)
@@ -244,9 +254,18 @@ def test_wtls_with_uniform_weights_equals_unweighted_tls():
     )
     cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=7)
     weighted = wtls_estimate(zeroed, cfg)
-    plain = tls_solve(build_regressor(zeroed, cfg), cfg)
-    assert weighted.theta == pytest.approx(plain.theta, rel=1e-13)
-    assert weighted.iterations_run == 7
+    plain = _tls(_build_regressor(zeroed, cfg))
+    assert weighted.theta == pytest.approx(plain, rel=1e-13)
+    assert weighted.iterations_run == 0
+    assert weighted.sigma_e is None
+
+
+def _tiled_noiseless_spectra(seed, periods):
+    spec, one_period = make_multisine_current(periods=1, seed=seed)
+    current = TimeRecord(samples=np.tile(one_period.samples, periods),
+                         sample_rate_hz=one_period.sample_rate_hz, periods=periods,
+                         period_s=one_period.period_s, kind="current")
+    return spec, per_period_spectra(current, simulate_response(SIM_PARAMS, current))
 
 
 @pytest.mark.parametrize("periods", [2, 5, 6])
@@ -255,18 +274,48 @@ def test_noiseless_tiled_record_is_solved_with_unit_weights(seed, periods):
     # bitwise identical periods leave only rounding debris in the sample
     # covariances (exact zeros at P = 2, not at P = 6); weighting rows by
     # that debris degrades recovery to about 1e-6
-    spec, one_period = make_multisine_current(periods=1, seed=seed)
-    current = TimeRecord(samples=np.tile(one_period.samples, periods),
-                         sample_rate_hz=one_period.sample_rate_hz, periods=periods,
-                         period_s=one_period.period_s, kind="current")
-    spectra = per_period_spectra(current, simulate_response(SIM_PARAMS, current))
+    spec, spectra = _tiled_noiseless_spectra(seed, periods)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="two smallest singular values")
         result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
     truth = randles_to_rational(SIM_PARAMS)
-    assert result.iterations_run == 10
+    assert result.iterations_run == 0
+    assert result.sigma_e is None
     assert result.rational.a == pytest.approx(truth.a, rel=1e-10)
     assert result.rational.b == pytest.approx(truth.b, rel=1e-10)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = estimator._solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_solve", counting)
+    return calls
+
+
+def test_noiseless_record_is_solved_once(monkeypatch):
+    spec, spectra = _tiled_noiseless_spectra(3, 6)
+    unweighted = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=0))
+    calls = _count_solves(monkeypatch)
+    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=10))
+    assert len(calls) == 1
+    assert np.array_equal(result.theta, unweighted.theta)
+    assert result.weighted_cost == unweighted.weighted_cost
+    assert result.cost_history == unweighted.cost_history
+
+
+def test_noisy_record_is_solved_once_per_pass(monkeypatch):
+    spec, spectra = _noisy_spectra(34, period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
+                                   points_per_decade=8, sample_rate_hz=20.0, periods=4)
+    calls = _count_solves(monkeypatch)
+    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=10))
+    assert len(calls) == 11
+    assert result.iterations_run == 10
+    assert result.sigma_e.shape == result.bins.shape
 
 
 def test_wtls_single_period_falls_back_with_warning():
@@ -341,7 +390,7 @@ def test_final_iteration_does_not_increase_weighted_cost():
     last = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=4))
     cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=4)
     w2 = 1.0 / equation_error_sigma(spectra, prev, cfg) ** 2
-    weighted = build_regressor(spectra, cfg) * np.sqrt(w2)[:, None]
+    weighted = _build_regressor(spectra, cfg) * np.sqrt(w2)[:, None]
 
     # weighted noise Gram of the a/b columns [q^n V]_{n=1..3} | [-q^n I]_{n=0..3}
     bins = prev.bins

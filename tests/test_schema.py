@@ -1,0 +1,175 @@
+"""The config checker against a frozen table of jsonschema 4.26 verdicts.
+
+Each row is (schema, config, verdict), where the verdict is what
+``jsonschema.validate`` (Draft 2020-12, the default without ``$schema``)
+returned for that config.  The checker must agree on every row, except that
+it also rejects non-finite numbers, which Python's ``json`` reads from
+``NaN`` and ``Infinity`` and jsonschema accepts.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fracimp
+from fracimp import cli
+from fracimp.errors import SchemaError
+from fracimp.schema import check
+
+NAN, INF = float("nan"), float("inf")
+
+SCHEMAS = {
+    "design": cli.DESIGN_SCHEMA,
+    "randles": cli.RANDLES_SCHEMA,
+    "simulate": cli.SIMULATE_SCHEMA,
+    "estimate": cli.ESTIMATE_SCHEMA,
+    "eis": cli.EIS_SCHEMA,
+}
+
+D = {"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8}
+R = {"r_s_ohm": 0.551, "r_ct_ohm": 0.119, "c_dl_f": 1.464, "sigma_w_ohm_per_sqrt_s": 0.0346}
+X = {"type": "multisine", "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8}
+S = {"excitation": X, "period_s": 20.0, "sample_rate_hz": 20.0, "periods": 3, "rms_a": 0.5,
+     "randles": R}
+
+JSONSCHEMA_VERDICTS = [
+    ("design", D, True),
+    ("design", {**D, "seed": 0, "rms_a": 0.5, "sample_rate_hz": 20.0, "periods": 2}, True),
+    ("design", {**D, "points_per_decade": 8.0}, True),
+    ("design", {**D, "points_per_decade": 8.5}, False),
+    ("design", {**D, "points_per_decade": True}, False),
+    ("design", {**D, "points_per_decade": 0}, False),
+    ("design", {**D, "period_s": 0}, False),
+    ("design", {**D, "period_s": -1.0}, False),
+    ("design", {**D, "period_s": 1e-300}, True),
+    ("design", {**D, "period_s": "20"}, False),
+    ("design", {**D, "period_s": True}, False),
+    ("design", {**D, "period_s": None}, False),
+    ("design", {"period_s": 20.0, "f_min_hz": 0.05, "points_per_decade": 8}, False),
+    ("design", {**D, "seed": -1}, False),
+    ("design", {**D, "seed": 3.0}, True),
+    ("design", {**D, "seed": 10**30}, True),
+    ("design", {**D, "colour": "red"}, False),
+    ("design", [D], False),
+    ("design", "design", False),
+    ("design", {**D, "f_max_hz": NAN}, True),
+    ("design", {**D, "period_s": INF}, True),
+    ("randles", R, True),
+    ("randles", {**R, "ocv_v": -3.6}, True),
+    ("randles", {**R, "ocv_v": 0}, True),
+    ("randles", {**R, "ocv_v": True}, False),
+    ("randles", {**R, "r_s_ohm": 0}, False),
+    ("randles", {**R, "r_s_ohm": 0.0}, False),
+    ("randles", {"r_s_ohm": 0.551, "r_ct_ohm": 0.119, "sigma_w_ohm_per_sqrt_s": 0.0346}, False),
+    ("randles", {**R, "r_l_ohm": 1.0}, False),
+    ("randles", {**R, "ocv_v": -INF}, True),
+    ("randles", {**R, "c_dl_f": NAN}, True),
+    ("simulate", S, True),
+    ("simulate", {**S, "snr": 50.0, "seed": 1}, True),
+    ("simulate", {**S, "periods": 3.0}, True),
+    ("simulate", {**S, "periods": 0}, False),
+    ("simulate", {**S, "snr": 0}, False),
+    ("simulate", {**S, "excitation": {"type": "noise"}}, True),
+    ("simulate", {**S, "excitation": {"type": "sine"}}, False),
+    ("simulate", {**S, "excitation": {"type": None}}, False),
+    ("simulate", {**S, "excitation": {"f_min_hz": 0.05, "f_max_hz": 2.0,
+                                      "points_per_decade": 8}}, False),
+    ("simulate", {**S, "excitation": {**X, "phase": 0.0}}, False),
+    ("simulate", {**S, "excitation": {**X, "multisine_path": 5}}, False),
+    ("simulate", {**S, "excitation": {"type": "multisine", "multisine_path": "ms.json"}}, True),
+    ("simulate", {**S, "randles": {**R, "extra": 1}}, False),
+    ("simulate", {**S, "randles": {**R, "r_ct_ohm": -0.1}}, False),
+    ("simulate", {k: v for k, v in S.items() if k != "randles"}, False),
+    ("simulate", {**S, "excitation": "multisine"}, False),
+    ("simulate", {**S, "snr": INF}, True),
+    ("simulate", {**S, "rms_a": NAN}, True),
+    ("estimate", {}, True),
+    ("estimate", {"n_a": 3, "n_b": 3, "n_r": 1, "iterations": 10, "grid_points": 200}, True),
+    ("estimate", {"excited_bins": [1, 3, 5]}, True),
+    ("estimate", {"excited_bins": []}, True),
+    ("estimate", {"excited_bins": [0]}, False),
+    ("estimate", {"excited_bins": [1.0, 3]}, True),
+    ("estimate", {"excited_bins": [1, 2.5]}, False),
+    ("estimate", {"excited_bins": [True]}, False),
+    ("estimate", {"excited_bins": "1,3"}, False),
+    ("estimate", {"n_a": 0}, False),
+    ("estimate", {"n_b": 0}, True),
+    ("estimate", {"iterations": 0}, True),
+    ("estimate", {"iterations": -1}, False),
+    ("estimate", {"k_min": 0}, False),
+    ("estimate", {"grid_points": 1}, False),
+    ("estimate", {"column_scaling": True}, False),
+    ("estimate", {"noise_whitening": False}, False),
+    ("estimate", {"multisine_path": None}, False),
+    ("estimate", {"k_max": INF}, False),
+    ("eis", {}, True),
+    ("eis", {"detection_factor": 100.0}, True),
+    ("eis", {"detection_factor": 0}, False),
+    ("eis", {"detection_factor": 1e-9}, True),
+    ("eis", {"detection_factor": "100"}, False),
+    ("eis", {"multisine_path": "ms.json"}, True),
+    ("eis", {"multisine_path": None}, False),
+    ("eis", {"threshold": 3}, False),
+    ("eis", {"detection_factor": NAN}, True),
+    ("eis", [], False),
+]
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_all_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def _accepts(name, config) -> bool:
+    try:
+        check(config, SCHEMAS[name], "config")
+    except SchemaError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name,config,verdict", JSONSCHEMA_VERDICTS)
+def test_checker_matches_frozen_jsonschema_verdicts(name, config, verdict):
+    assert _accepts(name, config) == (verdict and _all_finite(config))
+
+
+def test_frozen_table_covers_both_verdicts_and_every_schema():
+    assert len(JSONSCHEMA_VERDICTS) >= 40
+    assert {name for name, _, _ in JSONSCHEMA_VERDICTS} == set(SCHEMAS)
+    assert {verdict for _, _, verdict in JSONSCHEMA_VERDICTS} == {True, False}
+    assert sum(not _all_finite(c) for _, c, v in JSONSCHEMA_VERDICTS if v) >= 5
+
+
+@pytest.mark.parametrize("config,message", [
+    ({**S, "randles": {**R, "r_s_ohm": 0}}, "randles.r_s_ohm must be > 0"),
+    ({**S, "excitation": {**X, "phase": 0.0}}, "unknown key excitation.phase"),
+    ({**S, "excitation": {"f_min_hz": 0.05}}, "missing required key excitation.type"),
+    ({**S, "excitation": {"type": "sine"}}, "excitation.type must be one of"),
+    ({**S, "periods": 2.5}, "periods must be of type integer, got 2.5"),
+    ({**S, "snr": INF}, "snr must be a finite number"),
+    ([S], "top level must be of type object"),
+])
+def test_errors_name_the_key_path(config, message):
+    with pytest.raises(SchemaError, match="^config x.json: " + message.replace(".", r"\.")):
+        check(config, cli.SIMULATE_SCHEMA, "config x.json")
+
+
+def test_array_items_are_named_by_index():
+    with pytest.raises(SchemaError, match=r"excited_bins\[1\] must be >= 1, got 0"):
+        check({"excited_bins": [3, 0]}, cli.ESTIMATE_SCHEMA, "config")
+
+
+def test_cli_import_loads_no_jsonschema_or_scipy():
+    code = ("import sys, fracimp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('jsonschema', 'scipy')))")
+    src = str(Path(fracimp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -231,17 +231,6 @@ def _doctor_weak_bin(spectra, bin_index):
     )
 
 
-def test_spectral_set_json_export():
-    current = generate_periodic_noise(1.0, 16.0, 2, seed=11)
-    voltage = current.with_samples(0.5 * current.samples, kind="voltage")
-    spectra = per_period_spectra(current, voltage)
-    d = spectra.to_dict()
-    assert len(d["mean_current"]) == spectra.n_bins
-    assert {"freq_hz", "re", "im"} <= set(d["mean_current"][0])
-    assert len(d["var_current"]) == spectra.n_bins
-    assert d["periods"] == 2
-
-
 def test_nonparametric_rejects_dc_bin():
     current = generate_periodic_noise(1.0, 32.0, 2, seed=10)
     voltage = current.with_samples(current.samples, kind="voltage")
