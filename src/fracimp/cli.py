@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -327,16 +328,34 @@ def cmd_fit(args) -> int:
 
 
 def _read_csv_columns(path: str, expected_header: str) -> np.ndarray:
+    """Data rows of a CSV with the given header: one finite column per header field.
+
+    ``comments=None`` keeps ``#`` text in a field, so ``0.005,1,3 # x`` is
+    malformed rather than silently truncated.
+    """
+    names = expected_header.split(",")
     try:
         with open(path) as fh:
             header = fh.readline().strip()
             if header != expected_header:
                 raise SchemaError(f"{path}: expected header '{expected_header}', got '{header}'")
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except FileNotFoundError as exc:
         raise SchemaError(f"file not found: {path}") from exc
     except ValueError as exc:
         raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
+    if len(table) == 0:
+        raise SchemaError(f"{path}: no data rows")
+    if table.shape[1] != len(names):
+        raise SchemaError(f"{path}: {table.shape[1]} columns, expected {len(names)} "
+                          f"({expected_header})")
+    bad_row, bad_col = np.nonzero(~np.isfinite(table))
+    if bad_row.size:
+        raise SchemaError(f"{path}: data row {bad_row[0] + 1} has a non-finite "
+                          f"{names[bad_col[0]]} value")
+    return table
 
 
 def cmd_compare(args) -> int:

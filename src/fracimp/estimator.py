@@ -8,11 +8,13 @@ The equation error at segment bin k,
 
 is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr].  Every estimate is
 one generalized total-least-squares problem, min ||K theta|| subject to
-theta_n^T G theta_n = 1, solved on the real/imaginary-stacked regressor via
-the SVD: plain TLS takes G as the squared column norms, and the weighted
-passes scale rows by the inverse equation-error standard deviation and take G
-as the noise Gram of the a/b columns, which yields the consistent estimate.
-All half powers use the principal branch of sqrt(j*w).
+theta_n^T G theta_n = 1.  Each solve first reduces the real/imaginary-stacked
+regressor K (two rows per bin) to its square triangular QR factor R, which has
+the same Gram K^T K and so the same solution, and then solves on R via the SVD:
+plain TLS takes G as the squared column norms, and the weighted passes scale
+rows by the inverse equation-error standard deviation and take G as the noise
+Gram of the a/b columns, which yields the consistent estimate.  All half
+powers use the principal branch of sqrt(j*w).
 """
 
 from __future__ import annotations
@@ -173,11 +175,14 @@ def _column_gram(stacked: np.ndarray) -> np.ndarray:
 def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     """min ||K theta|| subject to theta_n^T (G + ridge diag G) theta_n = 1, a_1-normalized.
 
-    theta_n are the coefficients of the first G.shape[0] columns of the
-    stacked regressor K, the ones carrying noise; the remaining columns are
-    noise free, so they are projected out first and back-substituted
-    afterwards.  The projected columns are scaled by sqrt(diag G) and
-    whitened by the Cholesky factor of the ridged correlation before the SVD.
+    K is first reduced to its triangular QR factor R (columns x columns):
+    every later step sees K only through K^T K = R^T R, so it gives the same
+    solution on R at a cost independent of the number of bins.  theta_n are
+    the coefficients of the first G.shape[0] columns of K, the ones carrying
+    noise; the remaining columns are noise free, so they are projected out
+    first and back-substituted afterwards.  The projected columns are scaled
+    by sqrt(diag G) and whitened by the Cholesky factor of the ridged
+    correlation before the SVD.
     Plain TLS is the case G = _column_gram(K), where a ridge would only
     rescale G; the weighted passes give the noise Gram of the a/b columns
     and _GRAM_RIDGE.
@@ -187,8 +192,9 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndar
             f"{stacked.shape[0]} stacked rows < {stacked.shape[1]} columns; "
             "select more bins or reduce model orders"
         )
+    r = np.linalg.qr(stacked, mode="r")
     n = gram.shape[0]
-    k_n, k_f = stacked[:, :n], stacked[:, n:]  # k_f, q_f, theta_f are empty for plain TLS
+    k_n, k_f = r[:, :n], r[:, n:]  # k_f, q_f, theta_f are empty for plain TLS
     q_f, _ = np.linalg.qr(k_f)
     k_proj = k_n - q_f @ (q_f.T @ k_n)
 
@@ -274,9 +280,9 @@ def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
     svi = spectra.covar_vi[bins] * w2
     n_ab = cfg.n_a + cfg.n_b + 1
     gram = np.zeros((n_ab, n_ab))
-    gram[: cfg.n_a, : cfg.n_a] = np.einsum("mk,nk,k->mn", qv, qv.conj(), sv).real
-    gram[cfg.n_a:, cfg.n_a:] = np.einsum("mk,nk,k->mn", qi, qi.conj(), si).real
-    cross = -np.einsum("mk,nk,k->mn", qv, qi.conj(), svi).real
+    gram[: cfg.n_a, : cfg.n_a] = ((qv * sv) @ qv.conj().T).real
+    gram[cfg.n_a:, cfg.n_a:] = ((qi * si) @ qi.conj().T).real
+    cross = -((qv * svi) @ qi.conj().T).real
     gram[: cfg.n_a, cfg.n_a:] = cross
     gram[cfg.n_a:, : cfg.n_a] = cross.T
     return gram

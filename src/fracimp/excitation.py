@@ -75,6 +75,20 @@ class MultisineSpec:
         )
 
 
+def record_length(periods: int, period_s: float, sample_rate_hz: float) -> int:
+    """Samples in a record: periods*period_s*sample_rate_hz, rounded.
+
+    Raises ValueError when the product is not a finite number (it overflows,
+    or an integer operand is beyond the float range).
+    """
+    try:
+        return int(round(periods * period_s * sample_rate_hz))
+    except (OverflowError, ValueError):
+        raise ValueError("periods*period_s*sample_rate_hz is not a finite sample count "
+                         f"(periods={periods}, period_s={period_s}, "
+                         f"sample_rate_hz={sample_rate_hz})") from None
+
+
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
     """Uniformly sampled current or voltage record spanning `periods` periods."""
@@ -100,7 +114,7 @@ class TimeRecord:
         bad = np.flatnonzero(~np.isfinite(self.samples))
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite ({self.samples[bad[0]]})")
-        expected = int(round(self.periods * self.period_s * self.sample_rate_hz))
+        expected = record_length(self.periods, self.period_s, self.sample_rate_hz)
         if self.samples.size != expected:
             raise ValueError(
                 f"record length {self.samples.size} != periods*period_s*sample_rate_hz "

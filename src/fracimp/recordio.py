@@ -9,7 +9,8 @@ Tables are written by a block writer (`write_csv`): one ``%`` format per block
 of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``.  A record
 is read by one C parse of its data rows (``np.loadtxt``) and checked as a
 whole; only when the parse or a check fails is the file read again row by row
-in Python, to name the offending file line and column.
+in Python, to name the offending file line and column.  The row loop accepts
+no file that the bulk parse rejects.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .excitation import TimeRecord
+from .excitation import TimeRecord, record_length
 from .schema import POSITIVE_NUMBER, check
 
 CSV_HEADER = "time_s,current_a,voltage_v"
@@ -104,11 +105,13 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
     check(meta, SIDECAR_SCHEMA, f"invalid metadata sidecar {meta_path}")
-    fs = float(meta["sample_rate_hz"])
-    periods = int(meta["periods"])
-    period_s = float(meta["period_s"])
-
-    expected = int(round(periods * period_s * fs))
+    try:
+        fs = float(meta["sample_rate_hz"])
+        periods = int(meta["periods"])
+        period_s = float(meta["period_s"])
+        expected = record_length(periods, period_s, fs)
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
     table = _parse_table(csv_path, fs, expected)
     current = TimeRecord(samples=table[:, 1], sample_rate_hz=fs, periods=periods,
                          period_s=period_s, kind="current")
@@ -131,7 +134,7 @@ def _parse_table(csv_path: Path, fs: float, expected: int) -> np.ndarray:
     ``comments=None`` keeps ``#`` text in a field, so a row such as
     ``0.2,1.0,0.0 # note`` fails the parse as it fails ``float()``.  Any parse
     error or failed check hands over to `_parse_rows`, which raises the
-    row-naming error (or accepts what only ``float()`` reads, such as ``1_0``).
+    row-naming error.
     """
     with open(csv_path) as fh:
         _read_header(csv_path, fh)
@@ -151,19 +154,33 @@ def _parse_table(csv_path: Path, fs: float, expected: int) -> np.ndarray:
 
 
 def _parse_rows(csv_path: Path, fs: float, expected: int) -> np.ndarray:
-    """Row-by-row reference parse; its errors name the file line and column."""
+    """Row-by-row reference parse; its errors name the file line and column.
+
+    It accepts no more than ``np.loadtxt`` does: fields with digit separators
+    (``1_0``) or non-ASCII digits, which ``float()`` would read, and
+    whitespace-only lines are rejected by name.  Only empty lines are skipped.
+    """
+    names = CSV_HEADER.split(",")
     with open(csv_path) as fh:
         _read_header(csv_path, fh)
         rows = []
         blanks = []  # data rows read before each skipped blank line
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
+            line = line.rstrip("\n")
             if not line:
                 blanks.append(len(rows))
                 continue
+            if not line.strip():
+                raise SchemaError(f"{csv_path}: row {lineno} holds only whitespace")
             parts = line.split(",")
             if len(parts) != 3:
                 raise SchemaError(f"{csv_path}: row {lineno} has {len(parts)} fields")
+            for name, v in zip(names, parts):
+                if "_" in v or not v.isascii():
+                    raise SchemaError(
+                        f"{csv_path}: row {lineno} {name} field {v.strip()!r} is not a "
+                        "plain ASCII number"
+                    )
             try:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:

@@ -144,6 +144,23 @@ def test_compare_disjoint_grids_exit_1(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("par_rows, problem", [
+    ("0.005,1.0\n", "2 columns, expected 3"),
+    ("0.005,1,3 # x\n", "malformed CSV"),
+    ("0.005,nan,3.0\n", "data row 1 has a non-finite mag_ohm value"),
+    ("", "no data rows"),
+])
+def test_compare_rejects_bad_csv_naming_the_file(tmp_path, capsys, par_rows, problem):
+    nonpar = tmp_path / "eis.csv"
+    nonpar.write_text("freq_hz,re_ohm,im_ohm\n0.005,1.0,0.0\n")
+    par = tmp_path / "bode.csv"
+    par.write_text("freq_hz,mag_ohm,phase_deg\n" + par_rows)
+    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
+    assert f"error: {par}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "cmp" / "error.csv").exists()
+
+
 def test_single_period_estimate_falls_back(tmp_path):
     out = _run_simulate(tmp_path, extra={"periods": 1})
     with pytest.warns(UserWarning, match="unweighted"):
@@ -221,6 +238,18 @@ def test_bad_sidecar_value_exit_1_naming_sidecar_and_key(tmp_path, capsys, key, 
                  "--out", str(tmp_path / "est"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert f"invalid metadata sidecar {meta_path}: {key} {problem}" in err
+
+
+def test_overflowing_sidecar_exit_1_naming_sidecar(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    meta_path = out / "record.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "sample_rate_hz": 1e200, "period_s": 1e200}))
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid metadata sidecar {meta_path}: " in err
+    assert "not a finite sample count" in err
 
 
 def test_design_nyquist_violation_exit_1(tmp_path):

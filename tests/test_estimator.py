@@ -13,16 +13,18 @@ from fracimp import (
     TimeRecord,
     equation_error_sigma,
     eval_rational,
+    generate_periodic_noise,
     parametric_impedance,
     per_period_spectra,
     randles_impedance,
     randles_to_rational,
     relative_error_curve,
+    scale_to_rms,
     simulate_response,
     wtls_estimate,
 )
 from fracimp import estimator
-from fracimp.estimator import _basis, _column_gram, _regressor, _solve
+from fracimp.estimator import _basis, _column_gram, _noise_gram, _regressor, _solve
 from fracimp.model import ImpedanceCurve
 
 from conftest import SIM_PARAMS, make_multisine_current, simulate_pair
@@ -156,6 +158,93 @@ def test_tls_requires_enough_rows():
     # n_a = 1, n_b = 0, n_r = 0: three columns, one bin gives two stacked rows
     with pytest.raises(ValueError, match="rows"):
         _tls(np.ones((1, 3), dtype=complex))
+
+
+def _full_row_solve(stacked, gram, ridge=0.0):
+    """Reference solve on all rows of K: projection, whitening and SVD, no QR reduction."""
+    n = gram.shape[0]
+    k_n, k_f = stacked[:, :n], stacked[:, n:]
+    q_f, _ = np.linalg.qr(k_f)
+    k_proj = k_n - q_f @ (q_f.T @ k_n)
+    diag = np.sqrt(np.diag(gram))
+    chol = np.linalg.cholesky(gram / np.outer(diag, diag) + ridge * np.eye(n))
+    whitened = np.linalg.solve(chol, (k_proj / diag).T).T
+    vt = np.linalg.svd(whitened, full_matrices=False)[2]
+    theta_n = np.linalg.solve(chol.T, vt[-1]) / diag
+    theta_f = -np.linalg.lstsq(k_f, k_n @ theta_n, rcond=None)[0]
+    theta = np.concatenate([theta_n, theta_f])
+    return theta / theta[0]
+
+
+def _noise_excited_spectra(seed):
+    """Protocol-point record (200 s, 200 Hz, 5 periods, SNR 50) on periodic-noise excitation."""
+    current = scale_to_rms(generate_periodic_noise(200.0, 200.0, 5, seed=seed), 0.5)
+    voltage = simulate_response(SIM_PARAMS, current)
+    rng = np.random.default_rng(seed)
+    snr = 50.0
+    ac = voltage.samples - voltage.samples.mean()
+    return per_period_spectra(
+        current.with_samples(current.samples + rng.normal(0, current.rms() / snr,
+                                                          current.n_samples)),
+        voltage.with_samples(voltage.samples + rng.normal(0, np.sqrt(np.mean(ac**2)) / snr,
+                                                          voltage.n_samples)))
+
+
+def _weighted_pass(spectra, cfg):
+    """Stacked regressor and noise Gram of the first weighted pass."""
+    bins = cfg.selected_bins(spectra)
+    basis = _basis(spectra, bins, cfg)
+    regressor = _regressor(spectra, bins, basis, cfg)
+    weights = 1.0 / estimator._sigma_e(_tls(regressor), basis, spectra, bins, cfg)
+    return (estimator._stacked_real(regressor, weights),
+            _noise_gram(basis, spectra, bins, weights, cfg))
+
+
+@pytest.fixture(scope="module")
+def noise_spectra():
+    return _noise_excited_spectra(34)
+
+
+@pytest.fixture(scope="module")
+def solve_cases(noise_spectra):
+    window = EstimationConfig(bin_window=(1, 2000), n_r=1)
+    spec, masked = _noisy_spectra(34)
+    mask = EstimationConfig(bin_mask=spec.harmonics, n_r=1)
+    plain = _build_regressor(noise_spectra, window)
+    stacked = np.vstack([plain.real, plain.imag])
+    return {
+        "noise_window": (*_weighted_pass(noise_spectra, window), estimator._GRAM_RIDGE),
+        "protocol_mask": (*_weighted_pass(masked, mask), estimator._GRAM_RIDGE),
+        "plain_tls": (stacked, _column_gram(stacked), 0.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["noise_window", "protocol_mask", "plain_tls"])
+def test_solve_on_qr_factor_matches_full_row_solve(solve_cases, case):
+    stacked, gram, ridge = solve_cases[case]
+    theta = _solve(stacked, gram, ridge)
+    reference = _full_row_solve(stacked, gram, ridge)
+    assert theta[:7] == pytest.approx(reference[:7], rel=1e-10)
+
+
+def test_noise_gram_matches_per_bin_sum(noise_spectra):
+    spectra = noise_spectra
+    cfg = EstimationConfig(bin_window=(1, 2000), n_r=1)
+    bins = cfg.selected_bins(spectra)
+    weights = np.random.default_rng(36).uniform(0.5, 2.0, bins.size)
+    gram = _noise_gram(_basis(spectra, bins, cfg), spectra, bins, weights, cfg)
+
+    reference = np.zeros((7, 7))
+    for k, w in zip(bins, weights):
+        q = np.sqrt(2 * np.pi * spectra.freq_hz[k]) * Q45
+        mixing = np.zeros((7, 2), dtype=complex)
+        mixing[:3, 0] = q ** np.arange(1, 4)       # (jw)^{n/2} V, n = 1..3
+        mixing[3:, 1] = -(q ** np.arange(0, 4))    # -(jw)^{n/2} I, n = 0..3
+        cov = np.array([[spectra.var_voltage[k], spectra.covar_vi[k]],
+                        [np.conj(spectra.covar_vi[k]), spectra.var_current[k]]])
+        reference += w**2 * (mixing @ cov @ mixing.conj().T).real
+    scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+    assert np.all(np.abs(gram - reference) <= 1e-13 * scale)
 
 
 def test_noiseless_pipeline_recovers_generator_coefficients():

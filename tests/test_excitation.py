@@ -227,6 +227,12 @@ def test_time_record_length_invariant():
                    period_s=1.0, kind="current")
 
 
+def test_time_record_rejects_an_overflowing_length():
+    with pytest.raises(ValueError, match="not a finite sample count"):
+        TimeRecord(samples=np.zeros(1), sample_rate_hz=1e200, periods=1,
+                   period_s=1e200, kind="current")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_time_record_rejects_non_finite_sample(bad):
     samples = np.zeros(8)

@@ -1,12 +1,13 @@
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracimp import SchemaError, TimeRecord, read_record, write_record
+from fracimp import SchemaError, TimeRecord, read_record, recordio, write_record
 from fracimp.recordio import CSV_HEADER, _BLOCK_ROWS, _parse_rows, sidecar_path, write_csv
 
 from conftest import make_multisine_current, simulate_pair
@@ -122,6 +123,39 @@ def test_row_with_trailing_comment_is_rejected(tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("column, value, name", [
+    (1, "1_0", "current_a"),
+    (2, "\uff11.5", "voltage_v"),
+])
+def test_field_only_float_reads_is_rejected_naming_row_and_column(tmp_path, column, value, name):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[column] = value
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=f"row 6 {name} field .* is not a plain ASCII number"):
+        read_record(path)
+
+
+def test_whitespace_only_line_is_rejected_naming_the_row(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    lines.insert(3, " \t ")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="row 4 holds only whitespace"):
+        read_record(path)
+
+
+def test_overflowing_sidecar_is_rejected_naming_the_sidecar(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    meta = json.loads(sidecar_path(path).read_text())
+    sidecar_path(path).write_text(json.dumps({**meta, "sample_rate_hz": 1e200,
+                                              "period_s": 1e200}))
+    with pytest.raises(SchemaError, match="invalid metadata sidecar .*not a finite sample count"):
+        read_record(path)
+
+
 def test_metadata_must_be_valid_json(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     sidecar_path(path).write_text("{not json")
@@ -224,3 +258,6 @@ def test_fast_read_matches_row_loop_on_a_mutated_row(clean_record, name, lineno,
         current, voltage, _ = read_record(path)
         assert np.array_equal(current.samples, reference[:, 1])
         assert np.array_equal(voltage.samples, reference[:, 2])
+        # no mutated file loads through the row loop alone
+        with mock.patch.object(recordio, "_parse_rows", side_effect=AssertionError("row loop")):
+            read_record(path)
