@@ -279,7 +279,10 @@ def _detect_excited_bins(spectra, factor: float) -> np.ndarray:
     median = np.median(mag)
     bins = 1 + np.nonzero(mag > factor * median)[0]
     if bins.size == 0:
-        raise SchemaError("no excited bins detected in the current spectrum")
+        raise SchemaError(
+            f"no bin exceeds detection_factor {factor:g} x the median current magnitude; "
+            "broadband excitation excites every bin: set detection_factor below 1 "
+            "or give multisine_path")
     return bins
 
 

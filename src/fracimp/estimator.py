@@ -13,8 +13,9 @@ regressor K (two rows per bin) to its square triangular QR factor R, which has
 the same Gram K^T K and so the same solution, and then solves on R via the SVD:
 plain TLS takes G as the squared column norms, and the weighted passes scale
 rows by the inverse equation-error standard deviation and take G as the noise
-Gram of the a/b columns, which yields the consistent estimate.  All half
-powers use the principal branch of sqrt(j*w).
+Gram of the columns, which yields the consistent estimate; columns without
+noise (the transient, a noise-free channel) are solved exactly outside the
+constraint.  All half powers use the principal branch of sqrt(j*w).
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .errors import NumericsError
 from .model import HalfOrderRational, ImpedanceCurve, eval_rational
 from .spectra import SpectralSet
 
-# per-bin current SNR above which sample covariances are treated as float
-# rounding debris (noiseless data) rather than measurement noise
-_NOISELESS_SNR_GUARD = 1e8
 # relative diagonal load that keeps a near-singular noise Gram factorizable
 _GRAM_RIDGE = 1e-10
 
@@ -173,18 +171,18 @@ def _column_gram(stacked: np.ndarray) -> np.ndarray:
 
 
 def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """min ||K theta|| subject to theta_n^T (G + ridge diag G) theta_n = 1, a_1-normalized.
+    """min ||K theta|| subject to theta^T (G + ridge diag G) theta = 1, a_1-normalized.
 
     K is first reduced to its triangular QR factor R (columns x columns):
     every later step sees K only through K^T K = R^T R, so it gives the same
-    solution on R at a cost independent of the number of bins.  theta_n are
-    the coefficients of the first G.shape[0] columns of K, the ones carrying
-    noise; the remaining columns are noise free, so they are projected out
-    first and back-substituted afterwards.  The projected columns are scaled
-    by sqrt(diag G) and whitened by the Cholesky factor of the ridged
-    correlation before the SVD.
-    Plain TLS is the case G = _column_gram(K), where a ridge would only
-    rescale G; the weighted passes give the noise Gram of the a/b columns
+    solution on R at a cost independent of the number of bins.  Columns with
+    a zero diagonal in G carry no noise: they are projected out first and
+    back-substituted afterwards, an exact least-squares fit (Golub, Hoffman &
+    Stewart 1987).  The projected noisy columns are scaled by sqrt(diag G)
+    and whitened by the Cholesky factor of the ridged correlation before the
+    SVD.
+    Plain TLS is the case G = _column_gram(K), where every column is noisy
+    and a ridge would only rescale G; the weighted passes give the noise Gram
     and _GRAM_RIDGE.
     """
     if stacked.shape[0] < stacked.shape[1]:
@@ -193,27 +191,27 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndar
             "select more bins or reduce model orders"
         )
     r = np.linalg.qr(stacked, mode="r")
-    n = gram.shape[0]
-    k_n, k_f = r[:, :n], r[:, n:]  # k_f, q_f, theta_f are empty for plain TLS
+    noisy = np.diag(gram) > 0
+    k_n, k_f = r[:, noisy], r[:, ~noisy]  # k_f and q_f are empty for plain TLS
     q_f, _ = np.linalg.qr(k_f)
     k_proj = k_n - q_f @ (q_f.T @ k_n)
 
-    diag = np.sqrt(np.diag(gram))
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise np.linalg.LinAlgError("constraint Gram has a non-positive diagonal")
-    chol = np.linalg.cholesky(gram / np.outer(diag, diag) + ridge * np.eye(n))
+    diag = np.sqrt(np.diag(gram)[noisy])
+    chol = np.linalg.cholesky(gram[np.ix_(noisy, noisy)] / np.outer(diag, diag)
+                              + ridge * np.eye(diag.size))
     whitened = np.linalg.solve(chol, (k_proj / diag).T).T
 
     _, s, vt = np.linalg.svd(whitened, full_matrices=False)
-    if s[-2] - s[-1] <= 1e-8 * max(s[0], np.finfo(float).tiny):
+    if s.size > 1 and s[-2] - s[-1] <= 1e-8 * max(s[0], np.finfo(float).tiny):
         warnings.warn(
             "two smallest singular values nearly coincide; the solution "
             "direction is ambiguous",
             stacklevel=3,
         )
-    theta_n = np.linalg.solve(chol.T, vt[-1]) / diag
-    theta_f = -np.linalg.lstsq(k_f, k_n @ theta_n, rcond=None)[0]
-    return _normalize_a1(np.concatenate([theta_n, theta_f]))
+    theta = np.empty(gram.shape[0])
+    theta[noisy] = np.linalg.solve(chol.T, vt[-1]) / diag
+    theta[~noisy] = -np.linalg.lstsq(k_f, k_n @ theta[noisy], rcond=None)[0]
+    return _normalize_a1(theta)
 
 
 def _theta_cost(regressor: np.ndarray, theta: np.ndarray,
@@ -271,7 +269,7 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
 
 def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
                 weights: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-    """Column-space covariance of the row-weighted regressor noise (a/b block)."""
+    """Column-space covariance of the row-weighted regressor noise (zero c block)."""
     qv = basis[1: cfg.n_a + 1]
     qi = basis[: cfg.n_b + 1]
     w2 = weights**2
@@ -279,20 +277,13 @@ def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
     si = spectra.var_current[bins] * w2
     svi = spectra.covar_vi[bins] * w2
     n_ab = cfg.n_a + cfg.n_b + 1
-    gram = np.zeros((n_ab, n_ab))
+    gram = np.zeros((n_ab + cfg.n_r + 1,) * 2)
     gram[: cfg.n_a, : cfg.n_a] = ((qv * sv) @ qv.conj().T).real
-    gram[cfg.n_a:, cfg.n_a:] = ((qi * si) @ qi.conj().T).real
+    gram[cfg.n_a: n_ab, cfg.n_a: n_ab] = ((qi * si) @ qi.conj().T).real
     cross = -((qv * svi) @ qi.conj().T).real
-    gram[: cfg.n_a, cfg.n_a:] = cross
-    gram[cfg.n_a:, : cfg.n_a] = cross.T
+    gram[: cfg.n_a, cfg.n_a: n_ab] = cross
+    gram[cfg.n_a: n_ab, : cfg.n_a] = cross.T
     return gram
-
-
-def _covariances_are_rounding_noise(spectra: SpectralSet, bins: np.ndarray) -> bool:
-    mag = np.abs(spectra.mean_current[bins])
-    noise = np.sqrt(np.maximum(spectra.var_current[bins], 0.0)) + np.finfo(float).tiny
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.median(mag / noise)) > _NOISELESS_SNR_GUARD
 
 
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:
@@ -300,12 +291,11 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
 
     Iteration 0 is the unweighted TLS; each of the cfg.iterations weighted
     passes recomputes sigma_E from the previous parameters, scales rows by
-    1/sigma_E, and re-solves with the a/b columns whitened by their weighted
-    noise Gram; where that Gram is not positive definite, the pass re-solves
-    the row-weighted regressor as plain TLS instead.  The unweighted estimate
-    is returned as it is (iterations_run 0, sigma_e None) when the covariances
-    are float rounding debris (noiseless data: unit weights would repeat the
-    same solve), and with a warning when only one period is available.
+    1/sigma_E, and re-solves under the weighted noise Gram, so a channel
+    without measured noise enters exactly.  The unweighted estimate is
+    returned as it is (iterations_run 0, sigma_e None) when no selected bin
+    has measured noise (unit weights would repeat the same solve), and with
+    a warning when only one period is available.
     """
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
@@ -322,16 +312,13 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             "unweighted total least squares",
             stacklevel=2,
         )
-    elif cfg.iterations > 0 and not _covariances_are_rounding_noise(spectra, bins):
+    elif cfg.iterations > 0 and (spectra.var_current[bins].any()
+                                 or spectra.var_voltage[bins].any()):
         for _ in range(cfg.iterations):
             sigma = _sigma_e(theta, basis, spectra, bins, cfg)
             weights = 1.0 / sigma
-            stacked = _stacked_real(regressor, weights)
-            try:
-                gram = _noise_gram(basis, spectra, bins, weights, cfg)
-                theta = _solve(stacked, gram, _GRAM_RIDGE)
-            except np.linalg.LinAlgError:
-                theta = _solve(stacked, _column_gram(stacked))
+            theta = _solve(_stacked_real(regressor, weights),
+                           _noise_gram(basis, spectra, bins, weights, cfg), _GRAM_RIDGE)
             history.append(_theta_cost(regressor, theta, weights))
 
     a, b, c = _split_theta(theta, cfg)

@@ -70,8 +70,8 @@ class HalfOrderRational:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
         if self.a.ndim != 1 or self.a.size < 1:
             raise ValueError("need at least denominator coefficient a_1")
-        if self.b.ndim != 1 or self.b.size < 2:
-            raise ValueError("need numerator coefficients b_0..b_Nb with Nb >= 1")
+        if self.b.ndim != 1 or self.b.size < 1:
+            raise ValueError("need numerator coefficient b_0")
         if not (np.isfinite(self.a).all() and np.isfinite(self.b).all()):
             raise ValueError("coefficients must be finite")
         if self.a[0] == 0.0:

@@ -31,7 +31,7 @@ class SpectralSet:
 
     Arrays are indexed by segment bin k = 0..M/2 (M samples per period);
     freq_hz[k] = k/period_s.  Covariance fields are None when only one period
-    was measured.
+    was measured, and exactly 0 for a channel with bitwise identical periods.
     """
 
     freq_hz: np.ndarray
@@ -89,11 +89,13 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     freq_hz = np.arange(mean_cur.size) / current.period_s
 
     if p >= 2:
-        d_cur = cur - mean_cur
-        d_vol = vol - mean_vol
-        var_cur = np.sum(np.abs(d_cur) ** 2, axis=0) / (p - 1)
-        var_vol = np.sum(np.abs(d_vol) ** 2, axis=0) / (p - 1)
-        covar_vi = np.sum(d_vol * np.conj(d_cur), axis=0) / (p - 1)
+        # deviations from the first period are exactly 0 on bitwise identical
+        # periods, where X - mean leaves rounding debris; the sums s correct the mean
+        d_cur, d_vol = cur[1:] - cur[0], vol[1:] - vol[0]
+        s_cur, s_vol = d_cur.sum(axis=0), d_vol.sum(axis=0)
+        var_cur = (np.sum(np.abs(d_cur) ** 2, axis=0) - np.abs(s_cur) ** 2 / p) / (p - 1)
+        var_vol = (np.sum(np.abs(d_vol) ** 2, axis=0) - np.abs(s_vol) ** 2 / p) / (p - 1)
+        covar_vi = (np.sum(d_vol * np.conj(d_cur), axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
     else:
         var_cur = var_vol = covar_vi = None
 

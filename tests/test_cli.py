@@ -349,3 +349,51 @@ def test_fit_prints_parameter_table(tmp_path, capsys):
     assert main(["fit", "--estimate", str(est), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "R_CT" in out and "omega_res" in out
+
+
+def _run_noise_simulate(tmp_path):
+    return _run_simulate(tmp_path, out="noise", extra={"excitation": {"type": "noise"},
+                                                       "snr": 50.0})
+
+
+def test_eis_on_noise_excitation_names_detection_factor(tmp_path, capsys):
+    out = _run_noise_simulate(tmp_path)
+    assert main(["eis", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "eis"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "detection_factor 100 x the median" in err
+    assert "below 1" in err and "multisine_path" in err
+
+
+def test_eis_and_compare_on_noise_excitation_with_low_detection_factor(tmp_path):
+    out = _run_noise_simulate(tmp_path)
+    record = str(out / "record.csv")
+    eis_cfg = _json(tmp_path, "eis.json", {"detection_factor": 0.01})
+    assert main(["eis", "--record", record, "--config", eis_cfg,
+                 "--out", str(tmp_path / "eis"), "--quiet"]) == 0
+    # 20 s at 20 Hz: bins 1..200 (the last one Nyquist)
+    table = np.loadtxt(tmp_path / "eis" / "eis.csv", delimiter=",", skiprows=1)
+    assert table.shape[0] == 200
+    est_cfg = _json(tmp_path, "est.json", {"k_min": 1, "k_max": 199})
+    assert main(["estimate", "--record", record, "--config", est_cfg,
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 0
+    assert main(["compare", "--nonpar", str(tmp_path / "eis" / "eis.csv"),
+                 "--par", str(tmp_path / "est" / "bode.csv"),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+    err = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1)
+    assert err.shape[0] == 199
+    assert np.median(err[:, 1]) < 0.05  # 1.6 % at seed 77
+
+
+def test_estimate_with_zero_numerator_order(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    est_cfg = _json(tmp_path, "est.json", {"n_a": 2, "n_b": 0})
+    est_out = tmp_path / "est"
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--config", est_cfg, "--out", str(est_out), "--quiet"]) == 0
+    estimate = json.loads((est_out / "estimate.json").read_text())
+    assert len(estimate["a"]) == 2 and len(estimate["b"]) == 1
+    # the circuit fit still needs the (3, 3) structure
+    assert main(["fit", "--estimate", str(est_out / "estimate.json"),
+                 "--out", str(tmp_path / "fit"), "--quiet"]) == 1
+    assert "(3, 3)" in capsys.readouterr().err

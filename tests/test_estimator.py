@@ -162,32 +162,36 @@ def test_tls_requires_enough_rows():
 
 def _full_row_solve(stacked, gram, ridge=0.0):
     """Reference solve on all rows of K: projection, whitening and SVD, no QR reduction."""
-    n = gram.shape[0]
-    k_n, k_f = stacked[:, :n], stacked[:, n:]
+    noisy = np.diag(gram) > 0
+    k_n, k_f = stacked[:, noisy], stacked[:, ~noisy]
     q_f, _ = np.linalg.qr(k_f)
     k_proj = k_n - q_f @ (q_f.T @ k_n)
-    diag = np.sqrt(np.diag(gram))
-    chol = np.linalg.cholesky(gram / np.outer(diag, diag) + ridge * np.eye(n))
+    diag = np.sqrt(np.diag(gram)[noisy])
+    chol = np.linalg.cholesky(gram[np.ix_(noisy, noisy)] / np.outer(diag, diag)
+                              + ridge * np.eye(diag.size))
     whitened = np.linalg.solve(chol, (k_proj / diag).T).T
     vt = np.linalg.svd(whitened, full_matrices=False)[2]
-    theta_n = np.linalg.solve(chol.T, vt[-1]) / diag
-    theta_f = -np.linalg.lstsq(k_f, k_n @ theta_n, rcond=None)[0]
-    theta = np.concatenate([theta_n, theta_f])
+    theta = np.empty(noisy.size)
+    theta[noisy] = np.linalg.solve(chol.T, vt[-1]) / diag
+    theta[~noisy] = -np.linalg.lstsq(k_f, k_n @ theta[noisy], rcond=None)[0]
     return theta / theta[0]
 
 
-def _noise_excited_spectra(seed):
-    """Protocol-point record (200 s, 200 Hz, 5 periods, SNR 50) on periodic-noise excitation."""
+def _noise_excited_spectra(seed, noisy=("current", "voltage")):
+    """Protocol-point record (200 s, 200 Hz, 5 periods, SNR 50) on periodic-noise excitation.
+
+    Only the channels named in `noisy` get measurement noise; the other stays exact.
+    """
     current = scale_to_rms(generate_periodic_noise(200.0, 200.0, 5, seed=seed), 0.5)
     voltage = simulate_response(SIM_PARAMS, current)
     rng = np.random.default_rng(seed)
     snr = 50.0
     ac = voltage.samples - voltage.samples.mean()
+    i_std = current.rms() / snr * ("current" in noisy)
+    v_std = np.sqrt(np.mean(ac**2)) / snr * ("voltage" in noisy)
     return per_period_spectra(
-        current.with_samples(current.samples + rng.normal(0, current.rms() / snr,
-                                                          current.n_samples)),
-        voltage.with_samples(voltage.samples + rng.normal(0, np.sqrt(np.mean(ac**2)) / snr,
-                                                          voltage.n_samples)))
+        current.with_samples(current.samples + rng.normal(0, i_std, current.n_samples)),
+        voltage.with_samples(voltage.samples + rng.normal(0, v_std, voltage.n_samples)))
 
 
 def _weighted_pass(spectra, cfg):
@@ -212,14 +216,18 @@ def solve_cases(noise_spectra):
     mask = EstimationConfig(bin_mask=spec.harmonics, n_r=1)
     plain = _build_regressor(noise_spectra, window)
     stacked = np.vstack([plain.real, plain.imag])
+    # exact voltage: the leading a columns carry no noise, like the transient
+    exact_voltage = _noise_excited_spectra(34, noisy=("current",))
     return {
         "noise_window": (*_weighted_pass(noise_spectra, window), estimator._GRAM_RIDGE),
         "protocol_mask": (*_weighted_pass(masked, mask), estimator._GRAM_RIDGE),
         "plain_tls": (stacked, _column_gram(stacked), 0.0),
+        "exact_voltage": (*_weighted_pass(exact_voltage, window), estimator._GRAM_RIDGE),
     }
 
 
-@pytest.mark.parametrize("case", ["noise_window", "protocol_mask", "plain_tls"])
+@pytest.mark.parametrize("case", ["noise_window", "protocol_mask", "plain_tls",
+                                  "exact_voltage"])
 def test_solve_on_qr_factor_matches_full_row_solve(solve_cases, case):
     stacked, gram, ridge = solve_cases[case]
     theta = _solve(stacked, gram, ridge)
@@ -234,12 +242,12 @@ def test_noise_gram_matches_per_bin_sum(noise_spectra):
     weights = np.random.default_rng(36).uniform(0.5, 2.0, bins.size)
     gram = _noise_gram(_basis(spectra, bins, cfg), spectra, bins, weights, cfg)
 
-    reference = np.zeros((7, 7))
+    reference = np.zeros((9, 9))  # the transient columns (7, 8) carry no noise
     for k, w in zip(bins, weights):
         q = np.sqrt(2 * np.pi * spectra.freq_hz[k]) * Q45
-        mixing = np.zeros((7, 2), dtype=complex)
+        mixing = np.zeros((9, 2), dtype=complex)
         mixing[:3, 0] = q ** np.arange(1, 4)       # (jw)^{n/2} V, n = 1..3
-        mixing[3:, 1] = -(q ** np.arange(0, 4))    # -(jw)^{n/2} I, n = 0..3
+        mixing[3:7, 1] = -(q ** np.arange(0, 4))   # -(jw)^{n/2} I, n = 0..3
         cov = np.array([[spectra.var_voltage[k], spectra.covar_vi[k]],
                         [np.conj(spectra.covar_vi[k]), spectra.var_current[k]]])
         reference += w**2 * (mixing @ cov @ mixing.conj().T).real
@@ -360,9 +368,8 @@ def _tiled_noiseless_spectra(seed, periods):
 @pytest.mark.parametrize("periods", [2, 5, 6])
 @pytest.mark.parametrize("seed", [0, 3])
 def test_noiseless_tiled_record_is_solved_with_unit_weights(seed, periods):
-    # bitwise identical periods leave only rounding debris in the sample
-    # covariances (exact zeros at P = 2, not at P = 6); weighting rows by
-    # that debris degrades recovery to about 1e-6
+    # bitwise identical periods give exactly zero sample covariances, so no
+    # weighted pass runs
     spec, spectra = _tiled_noiseless_spectra(seed, periods)
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="two smallest singular values")
@@ -419,15 +426,94 @@ def test_wtls_single_period_falls_back_with_warning():
     assert result.sigma_e is None
 
 
-def _noisy_spectra(seed, snr=20.0, **kwargs):
+def _noisy_spectra(seed, snr=20.0, noisy=("current", "voltage"), **kwargs):
     spec, current, voltage = simulate_pair(make_multisine_current(**kwargs))
     rng = np.random.default_rng(seed)
-    i = current.with_samples(
-        current.samples + rng.normal(0, current.rms() / snr, current.n_samples))
+    i = current.with_samples(current.samples + rng.normal(
+        0, current.rms() / snr * ("current" in noisy), current.n_samples))
     ac = voltage.samples - voltage.samples.mean()
-    v = voltage.with_samples(
-        voltage.samples + rng.normal(0, np.sqrt(np.mean(ac**2)) / snr, voltage.n_samples))
+    v = voltage.with_samples(voltage.samples + rng.normal(
+        0, np.sqrt(np.mean(ac**2)) / snr * ("voltage" in noisy), voltage.n_samples))
     return spec, per_period_spectra(i, v)
+
+
+# ---------------------------------------------------------------- one noisy channel
+
+BAND_HZ = np.logspace(np.log10(0.005), np.log10(10.0), 200)  # the protocol band
+
+
+def _band_max_error(result):
+    omega = 2 * np.pi * BAND_HZ
+    reference = ImpedanceCurve(freq_hz=BAND_HZ, z_ohm=randles_impedance(SIM_PARAMS, omega))
+    return float(relative_error_curve(reference, parametric_impedance(result, omega)).max())
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_exact_current_noise_excitation_is_weighted(seed):
+    # output-error data: exact current, noisy voltage.  Unweighted TLS is
+    # biased by tens of percent here; the weighted passes solve the b and c
+    # columns exactly and stay within criterion 3's limit
+    spectra = _noise_excited_spectra(seed, noisy=("voltage",))
+    assert not spectra.var_current.any()
+    result = wtls_estimate(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
+    assert result.iterations_run == 10
+    assert _band_max_error(result) < 0.045
+
+
+@pytest.mark.parametrize("seed", [53, 54])
+def test_exact_current_multisine_is_weighted(seed):
+    spec, spectra = _noisy_spectra(seed, snr=50.0, noisy=("voltage",))
+    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
+    assert result.iterations_run == 10
+    assert _band_max_error(result) < 0.005
+
+
+def test_exact_voltage_solves_without_ambiguity_warning():
+    spec, spectra = _noisy_spectra(55, snr=50.0, noisy=("current",))
+    assert not spectra.var_voltage.any()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="two smallest singular values")
+        result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
+    assert result.iterations_run == 10
+    assert _band_max_error(result) < 0.005
+
+
+def test_single_noisy_column_is_weighted_least_squares():
+    # n_a = 1 with an exact current: a_1 V q is the only noisy column, so the
+    # weighted pass is the least-squares fit of the others to it
+    spec, spectra = _noisy_spectra(56, snr=50.0, noisy=("voltage",))
+    cfg = EstimationConfig(n_a=1, bin_mask=spec.harmonics)
+    result = wtls_estimate(spectra, cfg)
+    assert result.iterations_run == 10
+    assert result.rational.a[0] == 1.0
+    weighted = _build_regressor(spectra, cfg) / result.sigma_e[:, None]
+    stacked = np.vstack([weighted.real, weighted.imag])
+    rest = -np.linalg.lstsq(stacked[:, 1:], stacked[:, 0], rcond=None)[0]
+    assert result.theta[1:] == pytest.approx(rest, rel=1e-10)
+
+
+def test_noiseless_direct_sum_record_recovers_coefficients():
+    # a sum of sines evaluated over the whole record is periodic only up to
+    # rounding, so its covariances are debris, not zero; the weighted passes
+    # still recover the generating coefficients
+    spec = make_multisine_current(period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
+                                  points_per_decade=8, sample_rate_hz=20.0, periods=1)[0]
+    periods, fs = 5, 20.0
+    t = np.arange(int(periods * spec.period_s * fs)) / fs
+    omega = 2 * np.pi * spec.freqs_hz
+    z = randles_impedance(SIM_PARAMS, omega)
+    arg = np.outer(t, omega) + spec.phases
+    i = np.sin(arg) @ spec.amplitudes
+    v = SIM_PARAMS.ocv + np.sin(arg + np.angle(z)) @ (spec.amplitudes * np.abs(z))
+    records = [TimeRecord(samples=x, sample_rate_hz=fs, periods=periods,
+                          period_s=spec.period_s, kind=kind)
+               for x, kind in ((i, "current"), (v, "voltage"))]
+    spectra = per_period_spectra(*records)
+    assert spectra.var_current[spec.harmonics].any()
+    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
+    truth = randles_to_rational(SIM_PARAMS)
+    assert result.rational.a == pytest.approx(truth.a, rel=1e-9)
+    assert result.rational.b == pytest.approx(truth.b, rel=1e-9)
 
 
 def test_scaling_both_channels_leaves_impedance_coefficients_unchanged():

@@ -70,11 +70,14 @@ def test_dft_empty_errors():
 
 
 def test_noiseless_periodic_signals_have_zero_variance():
-    current = generate_periodic_noise(2.0, 50.0, periods=4, seed=1)
-    voltage = current.with_samples(2.0 * current.samples, kind="voltage")
-    spectra = per_period_spectra(current, voltage)
-    assert spectra.var_current.max() < 1e-28
-    assert spectra.var_voltage.max() < 1e-28
+    # bitwise identical periods: exactly zero, not rounding debris, at any P
+    for periods in (2, 3, 5, 16):
+        current = generate_periodic_noise(2.0, 50.0, periods=periods, seed=1)
+        voltage = current.with_samples(2.0 * current.samples, kind="voltage")
+        spectra = per_period_spectra(current, voltage)
+        assert np.all(spectra.var_current == 0)
+        assert np.all(spectra.var_voltage == 0)
+        assert np.all(spectra.covar_vi == 0)
 
 
 def test_voltage_equal_current_gives_self_covariance():
