@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .estimator import EstimationConfig, parametric_impedance, relative_error_cu
 from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
-from .recordio import read_record, write_csv, write_record
+from .recordio import read_csv, read_record, write_csv, write_record
 from .schema import POSITIVE_NUMBER, check
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
@@ -238,14 +237,8 @@ def _estimation_config(cfg: dict) -> tuple[EstimationConfig, int]:
         if not ("k_min" in cfg and "k_max" in cfg):
             raise SchemaError("k_min and k_max must be given together")
         window = (cfg["k_min"], cfg["k_max"])
-    est = EstimationConfig(
-        n_a=cfg.get("n_a", 3),
-        n_b=cfg.get("n_b", 3),
-        n_r=cfg.get("n_r", 1),
-        bin_window=window,
-        bin_mask=mask,
-        iterations=cfg.get("iterations", 10),
-    )
+    given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
+    est = EstimationConfig(bin_window=window, bin_mask=mask, **given)
     return est, cfg.get("grid_points", 200)
 
 
@@ -314,7 +307,7 @@ def cmd_fit(args) -> int:
     except (json.JSONDecodeError, KeyError, ValueError) as exc:
         raise SchemaError(f"invalid estimate file {args.estimate}: {exc}") from exc
 
-    result = fit_randles(rational, max_iter=args.max_iter, tol=args.tol)
+    result = fit_randles(rational)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "fit.json", result.to_dict())
@@ -330,40 +323,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _read_csv_columns(path: str, expected_header: str) -> np.ndarray:
-    """Data rows of a CSV with the given header: one finite column per header field.
-
-    ``comments=None`` keeps ``#`` text in a field, so ``0.005,1,3 # x`` is
-    malformed rather than silently truncated.
-    """
-    names = expected_header.split(",")
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != expected_header:
-                raise SchemaError(f"{path}: expected header '{expected_header}', got '{header}'")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"file not found: {path}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
-    if len(table) == 0:
-        raise SchemaError(f"{path}: no data rows")
-    if table.shape[1] != len(names):
-        raise SchemaError(f"{path}: {table.shape[1]} columns, expected {len(names)} "
-                          f"({expected_header})")
-    bad_row, bad_col = np.nonzero(~np.isfinite(table))
-    if bad_row.size:
-        raise SchemaError(f"{path}: data row {bad_row[0] + 1} has a non-finite "
-                          f"{names[bad_col[0]]} value")
-    return table
-
-
 def cmd_compare(args) -> int:
-    nonpar = _read_csv_columns(args.nonpar, "freq_hz,re_ohm,im_ohm")
-    par = _read_csv_columns(args.par, "freq_hz,mag_ohm,phase_deg")
+    nonpar = read_csv(args.nonpar, "freq_hz,re_ohm,im_ohm")
+    par = read_csv(args.par, "freq_hz,mag_ohm,phase_deg")
 
     f_np = nonpar[:, 0]
     z_np = nonpar[:, 1] + 1j * nonpar[:, 2]
@@ -427,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", parents=[common],
                        help="recover Randles circuit values from an estimate JSON")
     p.add_argument("--estimate", required=True)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("compare", parents=[common],

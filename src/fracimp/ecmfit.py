@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .model import SQRT2, HalfOrderRational, RandlesParams
+from .model import SQRT2, HalfOrderRational, RandlesParams, randles_coefficients
 
 _RESIDUAL_FLOOR = 1e-12
 
@@ -39,27 +39,14 @@ def _randles_targets(r: HalfOrderRational) -> np.ndarray:
     if r.n_a != 3 or r.n_b != 3:
         raise ValueError("Randles recovery needs the (N_a, N_b) = (3, 3) structure")
     r = r.normalized()
-    # targets: [a_2, a_3, b_0, b_1, b_2, b_3]
+    # targets: [a_2, a_3, b_0, b_1, b_2, b_3], the order of `randles_coefficients`
     return np.array([r.a[1], r.a[2], r.b[0], r.b[1], r.b[2], r.b[3]])
-
-
-def _coefficients_of(x: np.ndarray) -> np.ndarray:
-    r_s, r_ct, c_dl, sig = x
-    sw2 = sig * SQRT2
-    return np.array([
-        sw2 * c_dl,
-        r_ct * c_dl,
-        sw2,
-        r_s + r_ct,
-        r_s * sw2 * c_dl,
-        r_s * r_ct * c_dl,
-    ])
 
 
 def _jacobian_log(x: np.ndarray) -> np.ndarray:
     """d(coefficients)/d(log params); params ordered [r_s, r_ct, c_dl, sigma_w]."""
     r_s, r_ct, c_dl, sig = x
-    m = _coefficients_of(x)
+    m = randles_coefficients(*x)
     jac = np.zeros((6, 4))
     jac[0, [2, 3]] = m[0]
     jac[1, [1, 2]] = m[1]
@@ -106,7 +93,7 @@ def fit_randles(
     x = np.array([start.r_s, start.r_ct, start.c_dl, start.sigma_w])
 
     def residual(vals: np.ndarray) -> np.ndarray:
-        return (_coefficients_of(vals) - targets) / denom
+        return (randles_coefficients(*vals) - targets) / denom
 
     res = residual(x)
     cost = float(res @ res)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericsError
-from .model import HalfOrderRational, ImpedanceCurve, eval_rational
+from .model import HalfOrderRational, ImpedanceCurve, _sqrt_j_omega, eval_rational
 from .spectra import SpectralSet
 
 # relative diagonal load that keeps a near-singular noise Gram factorizable
@@ -127,7 +127,7 @@ class EstimateResult:
 
 def _half_powers(omega: np.ndarray, orders) -> np.ndarray:
     """(j*omega)^{n/2} for each n in orders, shape (len(orders), len(omega))."""
-    q = np.sqrt(omega) * np.exp(1j * np.pi / 4)
+    q = _sqrt_j_omega(omega)
     return np.stack([q**n for n in orders])
 
 

@@ -1,7 +1,9 @@
 """Excitation design and synthesis: odd random-phase multisines and periodic noise.
 
-All excitations are built to be exactly periodic over an integer number of
-periods so that downstream period-averaged spectra are leakage free.
+A `TimeRecord` is whole periods by construction: `samples_per_period` is the
+one rule that period_s*sample_rate_hz is a positive integer M, and a record
+holds exactly periods*M samples.  Every excitation is built on that grid and
+is exactly periodic, so downstream period-averaged spectra are leakage free.
 """
 
 from __future__ import annotations
@@ -75,18 +77,23 @@ class MultisineSpec:
         )
 
 
-def record_length(periods: int, period_s: float, sample_rate_hz: float) -> int:
-    """Samples in a record: periods*period_s*sample_rate_hz, rounded.
+def samples_per_period(period_s: float, sample_rate_hz: float) -> int:
+    """Samples in one period, period_s*sample_rate_hz, as an int.
 
-    Raises ValueError when the product is not a finite number (it overflows,
-    or an integer operand is beyond the float range).
+    Raises ValueError when the product is not finite, is below 1, or is more
+    than 1e-9 from an integer: a record must split into whole periods.
     """
     try:
-        return int(round(periods * period_s * sample_rate_hz))
-    except (OverflowError, ValueError):
-        raise ValueError("periods*period_s*sample_rate_hz is not a finite sample count "
-                         f"(periods={periods}, period_s={period_s}, "
-                         f"sample_rate_hz={sample_rate_hz})") from None
+        m = float(period_s) * float(sample_rate_hz)
+    except OverflowError:  # an integer operand beyond the float range
+        m = float("inf")
+    if not (np.isfinite(m) and round(m) >= 1 and abs(m - round(m)) <= 1e-9):
+        raise ValueError(
+            f"period_s*sample_rate_hz = {m!r} is not a finite sample count per period "
+            "that is a positive integer, so no record length is whole periods "
+            f"(period_s={period_s}, sample_rate_hz={sample_rate_hz})"
+        )
+    return int(round(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +121,7 @@ class TimeRecord:
         bad = np.flatnonzero(~np.isfinite(self.samples))
         if bad.size:
             raise ValueError(f"sample {bad[0]} is not finite ({self.samples[bad[0]]})")
-        expected = record_length(self.periods, self.period_s, self.sample_rate_hz)
+        expected = self.periods * samples_per_period(self.period_s, self.sample_rate_hz)
         if self.samples.size != expected:
             raise ValueError(
                 f"record length {self.samples.size} != periods*period_s*sample_rate_hz "
@@ -127,12 +134,7 @@ class TimeRecord:
 
     @property
     def samples_per_period(self) -> int:
-        """Samples in one period; requires period_s*sample_rate_hz to be an integer."""
-        m = self.period_s * self.sample_rate_hz
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError("period_s*sample_rate_hz is not an integer; record cannot "
-                             "be split into whole periods")
-        return int(round(m))
+        return self.samples.size // self.periods
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate_hz
@@ -213,10 +215,11 @@ def design_odd_quasilog(
 def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: int) -> TimeRecord:
     """Sample the multisine sum of sines at sample_rate_hz over `periods` periods.
 
-    One period of M = period_s*sample_rate_hz samples (which must be an
-    integer) is the inverse real DFT of the line spectrum, harmonic k carrying
-    amplitude*M/2 at phase - pi/2 (a sine, not a cosine); it is tiled
-    `periods` times, so every period is bitwise identical.
+    One period of M = `samples_per_period(period_s, sample_rate_hz)` samples
+    (ValueError unless period_s*sample_rate_hz is a positive integer) is the
+    inverse real DFT of the line spectrum, harmonic k carrying amplitude*M/2
+    at phase - pi/2 (a sine, not a cosine); it is tiled `periods` times, so
+    every period is bitwise identical.
     """
     f_nyq_limit = 2.0 * spec.harmonics[-1] / spec.period_s
     if sample_rate_hz <= f_nyq_limit * (1 - 1e-12):
@@ -224,13 +227,7 @@ def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: in
             f"sample_rate_hz={sample_rate_hz} violates the Nyquist bound for harmonic "
             f"{int(spec.harmonics[-1])} ({spec.f_max_hz} Hz)"
         )
-    m = spec.period_s * sample_rate_hz
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError("period_s*sample_rate_hz must be an integer for exact periodicity")
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-
-    m = int(round(m))
+    m = samples_per_period(spec.period_s, sample_rate_hz)
     lines = np.zeros(m // 2 + 1, dtype=complex)
     # irfft counts a line on the Nyquist bin (allowed when fs is exactly twice
     # the top frequency) once instead of twice, and keeps only its real part
@@ -256,13 +253,8 @@ def generate_periodic_noise(
     The per-period sample mean is subtracted before tiling, so every period is
     exactly zero mean and the record is exactly periodic.
     """
-    m = period_s * sample_rate_hz
-    if m <= 0 or abs(m - round(m)) > 1e-9:
-        raise ValueError("period_s*sample_rate_hz must be a positive integer")
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
     rng = np.random.default_rng(seed)
-    one_period = rng.standard_normal(int(round(m)))
+    one_period = rng.standard_normal(samples_per_period(period_s, sample_rate_hz))
     one_period -= one_period.mean()
     return TimeRecord(
         samples=np.tile(one_period, periods),

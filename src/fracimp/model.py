@@ -135,12 +135,27 @@ def resonance_frequency(p: RandlesParams) -> float:
     return 1.0 / (p.r_ct * p.c_dl)
 
 
+def randles_coefficients(r_s: float, r_ct: float, c_dl: float, sigma_w: float) -> np.ndarray:
+    """The six free coefficients [a_2, a_3, b_0, b_1, b_2, b_3] of the Randles rational.
+
+    Plain arithmetic on the circuit values, with no positivity check, so a
+    fitter can evaluate trial points that `RandlesParams` would reject.
+    """
+    sw2 = sigma_w * SQRT2
+    return np.array([
+        sw2 * c_dl,
+        r_ct * c_dl,
+        sw2,
+        r_s + r_ct,
+        r_s * sw2 * c_dl,
+        r_s * r_ct * c_dl,
+    ])
+
+
 def randles_to_rational(p: RandlesParams) -> HalfOrderRational:
     """Exact coefficient map from circuit values to the (3, 3) rational in sqrt(s)."""
-    sw2 = p.sigma_w * SQRT2
-    a = np.array([1.0, sw2 * p.c_dl, p.r_ct * p.c_dl])
-    b = np.array([sw2, p.r_s + p.r_ct, p.r_s * sw2 * p.c_dl, p.r_s * p.r_ct * p.c_dl])
-    return HalfOrderRational(a=a, b=b)
+    coef = randles_coefficients(p.r_s, p.r_ct, p.c_dl, p.sigma_w)
+    return HalfOrderRational(a=np.concatenate(([1.0], coef[:2])), b=coef[2:])
 
 
 def eval_rational(r: HalfOrderRational, omega):

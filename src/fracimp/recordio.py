@@ -6,11 +6,11 @@ checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  Values
 are written with 17 significant digits so float64 samples round-trip exactly.
 
 Tables are written by a block writer (`write_csv`): one ``%`` format per block
-of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``.  A record
-is read by one C parse of its data rows (``np.loadtxt``) and checked as a
-whole; only when the parse or a check fails is the file read again row by row
-in Python, to name the offending file line and column.  The row loop accepts
-no file that the bulk parse rejects.
+of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``, and read
+by `read_csv`: one C parse of the data rows (``np.loadtxt``), checked as a
+whole.  Only when a record fails that parse or its checks is the file read
+again row by row in Python, to name the offending file line and column.  The
+row loop accepts no file that the bulk parse rejects.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .excitation import TimeRecord, record_length
+from .excitation import TimeRecord, samples_per_period
 from .schema import POSITIVE_NUMBER, check
 
 CSV_HEADER = "time_s,current_a,voltage_v"
@@ -109,10 +109,14 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         fs = float(meta["sample_rate_hz"])
         periods = int(meta["periods"])
         period_s = float(meta["period_s"])
-        expected = record_length(periods, period_s, fs)
+        expected = periods * samples_per_period(period_s, fs)
     except (OverflowError, ValueError) as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
-    table = _parse_table(csv_path, fs, expected)
+    try:
+        table = read_csv(csv_path, CSV_HEADER)
+        _check_table(csv_path, table, fs, expected, lambda i: i + 2)
+    except SchemaError:
+        table = _parse_rows(csv_path, fs, expected)
     current = TimeRecord(samples=table[:, 1], sample_rate_hz=fs, periods=periods,
                          period_s=period_s, kind="current")
     voltage = TimeRecord(samples=table[:, 2], sample_rate_hz=fs, periods=periods,
@@ -120,37 +124,41 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     return current, voltage, meta
 
 
-def _read_header(csv_path: Path, fh) -> None:
-    header = fh.readline().strip()
-    if header != CSV_HEADER:
-        raise SchemaError(
-            f"{csv_path}: expected header '{CSV_HEADER}', got '{header}'"
-        )
+def _read_header(path: str | Path, fh, header: str) -> None:
+    found = fh.readline().strip()
+    if found != header:
+        raise SchemaError(f"{path}: expected header '{header}', got '{found}'")
 
 
-def _parse_table(csv_path: Path, fs: float, expected: int) -> np.ndarray:
-    """The (expected, 3) data table, parsed in one C call when the file is clean.
+def read_csv(path: str | Path, header: str) -> np.ndarray:
+    """Data rows of a CSV with the given header: one finite column per header field.
 
-    ``comments=None`` keeps ``#`` text in a field, so a row such as
-    ``0.2,1.0,0.0 # note`` fails the parse as it fails ``float()``.  Any parse
-    error or failed check hands over to `_parse_rows`, which raises the
-    row-naming error.
+    The data rows are parsed in one C call.  ``comments=None`` keeps ``#``
+    text in a field, so a row such as ``0.2,1.0,0.0 # note`` is malformed
+    rather than silently truncated.  Every failure is a SchemaError naming
+    the file.
     """
-    with open(csv_path) as fh:
-        _read_header(csv_path, fh)
-        try:
+    names = header.split(",")
+    try:
+        with open(path) as fh:
+            _read_header(path, fh, header)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            table = None
-    if table is not None and table.shape[1] == 3:
-        try:
-            _check_table(csv_path, table, fs, expected, lambda i: i + 2)
-            return table
-        except SchemaError:
-            pass
-    return _parse_rows(csv_path, fs, expected)
+    except FileNotFoundError as exc:
+        raise SchemaError(f"file not found: {path}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
+    if len(table) == 0:
+        raise SchemaError(f"{path}: no data rows")
+    if table.shape[1] != len(names):
+        raise SchemaError(f"{path}: {table.shape[1]} columns, expected {len(names)} "
+                          f"({header})")
+    bad_row, bad_col = np.nonzero(~np.isfinite(table))
+    if bad_row.size:
+        raise SchemaError(f"{path}: data row {bad_row[0] + 1} has a non-finite "
+                          f"{names[bad_col[0]]} value")
+    return table
 
 
 def _parse_rows(csv_path: Path, fs: float, expected: int) -> np.ndarray:
@@ -162,7 +170,7 @@ def _parse_rows(csv_path: Path, fs: float, expected: int) -> np.ndarray:
     """
     names = CSV_HEADER.split(",")
     with open(csv_path) as fh:
-        _read_header(csv_path, fh)
+        _read_header(csv_path, fh, CSV_HEADER)
         rows = []
         blanks = []  # data rows read before each skipped blank line
         for lineno, line in enumerate(fh, start=2):

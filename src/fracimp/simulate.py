@@ -40,14 +40,7 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     """
     if current.kind != "current":
         raise ValueError("simulate_response expects a current record")
-    m = current.period_s * current.sample_rate_hz
-    if abs(m - round(m)) > 1e-9:
-        raise ValueError(
-            "current record is not exactly periodic (period_s*sample_rate_hz is "
-            "not an integer); this simulator is steady-state only"
-        )
-
-    m = int(round(m))
+    m = current.samples_per_period
     per_period = current.samples.reshape(current.periods, m)
     for row in range(1, current.periods):
         differs = per_period[row] != per_period[0]

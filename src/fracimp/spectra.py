@@ -79,8 +79,6 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     m = current.samples_per_period
     if m < 2:
         raise ValueError("need at least 2 samples per period")
-    if current.n_samples != p * m:
-        raise ValueError("record length is not periods * samples_per_period")
 
     cur = np.fft.rfft(current.samples.reshape(p, m), axis=1) / m
     vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1) / m

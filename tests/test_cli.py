@@ -5,6 +5,7 @@ import pytest
 
 from fracimp import cli
 from fracimp.cli import main
+from fracimp.recordio import write_csv
 
 from conftest import SIM_PARAMS
 
@@ -250,6 +251,19 @@ def test_overflowing_sidecar_exit_1_naming_sidecar(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"invalid metadata sidecar {meta_path}: " in err
     assert "not a finite sample count" in err
+
+
+@pytest.mark.parametrize("command", ["estimate", "eis"])
+def test_fractional_period_sidecar_exit_1_naming_sidecar(tmp_path, capsys, command):
+    # 9 rows = 2 periods of 4.5 samples: the row count agrees, the period split cannot
+    csv = tmp_path / "rec.csv"
+    write_csv(csv, "time_s,current_a,voltage_v", (np.arange(9) / 3.0, np.ones(9), np.ones(9)))
+    meta_path = tmp_path / "rec.meta.json"
+    meta_path.write_text(json.dumps({"sample_rate_hz": 3.0, "periods": 2, "period_s": 1.5}))
+    assert main([command, "--record", str(csv), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"invalid metadata sidecar {meta_path}: period_s*sample_rate_hz = 4.5 is not" in err
 
 
 def test_design_nyquist_violation_exit_1(tmp_path):

@@ -1,14 +1,23 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracimp import (
     MultisineSpec,
+    SchemaError,
     TimeRecord,
     design_odd_quasilog,
     generate_periodic_noise,
+    read_record,
     scale_to_rms,
     synthesize_multisine,
+    write_record,
 )
+from fracimp.recordio import CSV_HEADER, sidecar_path, write_csv
 
 
 def _nearest_in_band_odd(x, k_lo, k_hi):
@@ -231,6 +240,59 @@ def test_time_record_rejects_an_overflowing_length():
     with pytest.raises(ValueError, match="not a finite sample count"):
         TimeRecord(samples=np.zeros(1), sample_rate_hz=1e200, periods=1,
                    period_s=1e200, kind="current")
+
+
+_WHOLE_PERIODS = "not a finite sample count per period that is a positive integer"
+
+
+@pytest.fixture(scope="module")
+def grid_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("grids")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(whole=st.integers(0, 40),
+       fraction=st.one_of(st.just(0.0), st.sampled_from([1e-6, 0.25, 0.5, 0.999])),
+       fs=st.floats(0.25, 1e4), periods=st.integers(1, 5))
+def test_whole_period_grids_build_and_fractional_ones_are_rejected(grid_dir, whole, fraction,
+                                                                   fs, periods):
+    """period_s*fs = whole + fraction samples per period, off by float rounding only."""
+    m = whole + fraction
+    assume(m > 0)
+    period_s = m / fs
+    path = grid_dir / "rec.csv"
+    tone = MultisineSpec(period_s=period_s, harmonics=[1], amplitudes=[1.0], phases=[0.0])
+    if fraction == 0.0:
+        record = TimeRecord(samples=np.zeros(periods * whole), sample_rate_hz=fs,
+                            periods=periods, period_s=period_s, kind="current")
+        assert record.samples_per_period == whole
+        noise = generate_periodic_noise(period_s, fs, periods, seed=whole)
+        assert noise.n_samples == periods * whole
+        if whole > 2:  # a tone at 1/period_s needs more than 2 samples per period
+            assert synthesize_multisine(tone, fs, periods).n_samples == periods * whole
+        write_record(path, noise)
+        current, voltage, _ = read_record(path)
+        assert np.array_equal(current.samples, noise.samples)
+        assert not voltage.samples.any()
+        assert (current.sample_rate_hz, current.period_s, current.periods) == (fs, period_s,
+                                                                              periods)
+        return
+
+    n = int(periods * m)
+    with pytest.raises(ValueError, match=_WHOLE_PERIODS):
+        TimeRecord(samples=np.zeros(n), sample_rate_hz=fs, periods=periods,
+                   period_s=period_s, kind="current")
+    with pytest.raises(ValueError, match=_WHOLE_PERIODS):
+        generate_periodic_noise(period_s, fs, periods, seed=0)
+    if m > 2:
+        with pytest.raises(ValueError, match=_WHOLE_PERIODS):
+            synthesize_multisine(tone, fs, periods)
+    write_csv(path, CSV_HEADER, (np.arange(n) / fs, np.zeros(n), np.zeros(n)))
+    meta = {"sample_rate_hz": fs, "periods": periods, "period_s": period_s}
+    sidecar_path(path).write_text(json.dumps(meta))
+    named = re.escape(f"invalid metadata sidecar {sidecar_path(path)}: period_s*sample_rate_hz")
+    with pytest.raises(SchemaError, match=f"{named} = .* {_WHOLE_PERIODS}"):
+        read_record(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -90,11 +90,10 @@ def test_voltage_spectrum_supported_on_dc_plus_excited_bins(sim_params):
     assert np.abs(spectrum[mask]).max() < 1e-12 * np.abs(spectrum).max()
 
 
-def test_fractional_period_record_is_rejected(sim_params):
-    record = TimeRecord(samples=np.zeros(9), sample_rate_hz=3.0, periods=2,
-                        period_s=1.5, kind="current")
-    with pytest.raises(ValueError, match="steady-state"):
-        simulate_response(sim_params, record)
+def test_fractional_period_record_is_rejected():
+    with pytest.raises(ValueError, match="positive integer"):
+        TimeRecord(samples=np.zeros(9), sample_rate_hz=3.0, periods=2,
+                   period_s=1.5, kind="current")
 
 
 def test_noisy_current_is_rejected_as_not_steady_state(sim_params):

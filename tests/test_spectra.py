@@ -210,7 +210,7 @@ def test_nonparametric_skips_weak_bins_with_warning():
     # bin 30 is fine, but ask also for a bin where the current is zeroed
     doctored = per_period_spectra(
         current.with_samples(current.samples - current.samples), voltage)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError), pytest.warns(UserWarning, match="vanishing"):
         nonparametric_impedance(doctored, [1])
     with pytest.warns(UserWarning, match="vanishing"):
         curve = nonparametric_impedance(
