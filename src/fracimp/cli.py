@@ -1,9 +1,10 @@
 """Command-line front end: design, simulate, estimate, eis, fit, compare.
 
-All commands read a JSON config, checked against the schemas below by
-`schema.check` (unknown keys and non-finite numbers rejected, errors naming the
-key path), and emit CSV/JSON files into --out.  Exit codes: 0 success, 1 usage
-or schema error, 2 numerical failure.
+Every JSON input (config, multisine spec, estimate) is read by `schema.load`
+and checked against its schema below (non-finite numbers rejected, unknown
+config keys rejected, errors naming the file and the key path); commands emit
+CSV/JSON files into --out.  Exit codes: 0 success, 1 usage or schema error,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_no
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
-from .schema import POSITIVE_NUMBER, check
+from .schema import POSITIVE_NUMBER, SCHEMA_VERSION, load
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
 
-SCHEMA_VERSION = "1"
+_BODE_GRID_POINTS = 200
 
 _SEED = {"type": "integer", "minimum": 0}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
 
 DESIGN_SCHEMA = {
     "type": "object",
@@ -43,6 +45,8 @@ DESIGN_SCHEMA = {
         "periods": {"type": "integer", "minimum": 1},
     },
     "required": ["period_s", "f_min_hz", "f_max_hz", "points_per_decade"],
+    "dependentRequired": {"sample_rate_hz": ["periods"], "periods": ["sample_rate_hz"],
+                          "rms_a": ["sample_rate_hz", "periods"]},
     "additionalProperties": False,
 }
 
@@ -97,8 +101,8 @@ ESTIMATE_SCHEMA = {
         "k_max": {"type": "integer", "minimum": 1},
         "excited_bins": {"type": "array", "items": {"type": "integer", "minimum": 1}},
         "multisine_path": {"type": "string"},
-        "grid_points": {"type": "integer", "minimum": 2},
     },
+    "dependentRequired": {"k_min": ["k_max"], "k_max": ["k_min"]},
     "additionalProperties": False,
 }
 
@@ -111,19 +115,27 @@ EIS_SCHEMA = {
     "additionalProperties": False,
 }
 
+# files one command writes and another reads: extra keys such as schema_version pass
+MULTISINE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "period_s": {"type": "number"},
+        "harmonics": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "amplitudes": _NUMBERS,
+        "phases": _NUMBERS,
+    },
+    "required": ["period_s", "harmonics", "amplitudes", "phases"],
+}
+
+RATIONAL_SCHEMA = {
+    "type": "object",
+    "properties": {"a": _NUMBERS, "b": _NUMBERS},
+    "required": ["a", "b"],
+}
+
 
 def _load_config(path: str | None, schema: dict) -> dict:
-    if path is None:
-        cfg = {}
-    else:
-        try:
-            cfg = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise SchemaError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
-    check(cfg, schema, f"config {path}")
-    return cfg
+    return {} if path is None else load(path, schema, "config")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -133,10 +145,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _load_multisine(path: str) -> MultisineSpec:
     try:
-        return MultisineSpec.from_dict(json.loads(Path(path).read_text()))
-    except FileNotFoundError as exc:
-        raise SchemaError(f"multisine spec not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        return MultisineSpec.from_dict(load(path, MULTISINE_SCHEMA, "multisine spec"))
+    except ValueError as exc:
         raise SchemaError(f"invalid multisine spec {path}: {exc}") from exc
 
 
@@ -224,7 +234,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _estimation_config(cfg: dict) -> tuple[EstimationConfig, int]:
+def _estimation_config(cfg: dict) -> EstimationConfig:
     mask = None
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError("give excited_bins or multisine_path, not both")
@@ -232,19 +242,14 @@ def _estimation_config(cfg: dict) -> tuple[EstimationConfig, int]:
         mask = np.asarray(cfg["excited_bins"], dtype=int)
     elif "multisine_path" in cfg:
         mask = _load_multisine(cfg["multisine_path"]).harmonics
-    window = None
-    if "k_min" in cfg or "k_max" in cfg:
-        if not ("k_min" in cfg and "k_max" in cfg):
-            raise SchemaError("k_min and k_max must be given together")
-        window = (cfg["k_min"], cfg["k_max"])
+    window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
-    est = EstimationConfig(bin_window=window, bin_mask=mask, **given)
-    return est, cfg.get("grid_points", 200)
+    return EstimationConfig(bin_window=window, bin_mask=mask, **given)
 
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args.config, ESTIMATE_SCHEMA)
-    est_cfg, grid_points = _estimation_config(cfg)
+    est_cfg = _estimation_config(cfg)
     current, voltage, _ = read_record(args.record)
     spectra = per_period_spectra(current, voltage)
     result = wtls_estimate(spectra, est_cfg)
@@ -254,7 +259,7 @@ def cmd_estimate(args) -> int:
     _write_json(out / "estimate.json", result.to_dict())
 
     f_sel = spectra.freq_hz[result.bins]
-    grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), grid_points)
+    grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), _BODE_GRID_POINTS)
     freqs = np.unique(np.concatenate([grid, f_sel]))
     curve = parametric_impedance(result, 2.0 * np.pi * freqs)
     write_csv(out / "bode.csv", "freq_hz,mag_ohm,phase_deg",
@@ -298,13 +303,10 @@ def cmd_eis(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    payload = load(args.estimate, RATIONAL_SCHEMA, "estimate file")
     try:
-        payload = json.loads(Path(args.estimate).read_text())
-        rational = HalfOrderRational(a=np.asarray(payload["a"], dtype=float),
-                                     b=np.asarray(payload["b"], dtype=float))
-    except FileNotFoundError as exc:
-        raise SchemaError(f"estimate file not found: {args.estimate}") from exc
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        rational = HalfOrderRational(a=payload["a"], b=payload["b"])
+    except ValueError as exc:
         raise SchemaError(f"invalid estimate file {args.estimate}: {exc}") from exc
 
     result = fit_randles(rational)
@@ -356,8 +358,9 @@ def cmd_compare(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="fracimp",
@@ -365,11 +368,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("design", parents=[common], help="design an odd quasi-log multisine")
+    p = sub.add_parser("design", parents=[seeded], help="design an odd quasi-log multisine")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate", parents=[seeded],
                        help="simulate a battery voltage response record")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_simulate)
@@ -410,7 +413,7 @@ def main(argv=None) -> int:
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,17 @@ from .errors import NumericsError
 from .model import SQRT2, HalfOrderRational, RandlesParams, randles_coefficients
 
 _RESIDUAL_FLOOR = 1e-12
+_MAX_ITER = 50
+_STEP_TOL = 1e-12  # stop once the accepted log-step norm is below this
+# exponent of each of [r_s, r_ct, c_dl, sigma_w] in each coefficient monomial
+_EXPONENTS = np.array([
+    [0, 0, 1, 1],  # a_2 = sqrt2 sigma_w c_dl
+    [0, 1, 1, 0],  # a_3 = r_ct c_dl
+    [0, 0, 0, 1],  # b_0 = sqrt2 sigma_w
+    [0, 0, 0, 0],  # b_1 = r_s + r_ct is no monomial: set in `_jacobian_log`
+    [1, 0, 1, 1],  # b_2 = sqrt2 r_s sigma_w c_dl
+    [1, 1, 1, 0],  # b_3 = r_s r_ct c_dl
+])
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,17 +55,9 @@ def _randles_targets(r: HalfOrderRational) -> np.ndarray:
 
 
 def _jacobian_log(x: np.ndarray) -> np.ndarray:
-    """d(coefficients)/d(log params); params ordered [r_s, r_ct, c_dl, sigma_w]."""
-    r_s, r_ct, c_dl, sig = x
-    m = randles_coefficients(*x)
-    jac = np.zeros((6, 4))
-    jac[0, [2, 3]] = m[0]
-    jac[1, [1, 2]] = m[1]
-    jac[2, 3] = m[2]
-    jac[3, 0] = r_s
-    jac[3, 1] = r_ct
-    jac[4, [0, 2, 3]] = m[4]
-    jac[5, [0, 1, 2]] = m[5]
+    """d(coefficients)/d(log params): for a monomial, itself times each exponent."""
+    jac = randles_coefficients(*x)[:, None] * _EXPONENTS
+    jac[3, :2] = x[:2]
     return jac
 
 
@@ -72,18 +75,14 @@ def init_from_coefficients(r: HalfOrderRational) -> RandlesParams:
     return RandlesParams(r_s=r_s, r_ct=r_ct, c_dl=c_dl, sigma_w=sigma_w)
 
 
-def fit_randles(
-    r: HalfOrderRational,
-    max_iter: int = 50,
-    tol: float = 1e-12,
-    start: RandlesParams | None = None,
-) -> EcmFitResult:
+def fit_randles(r: HalfOrderRational, *, start: RandlesParams | None = None) -> EcmFitResult:
     """Damped Gauss-Newton fit of the six coefficient equations in four unknowns.
 
     Residuals are relative (each divided by the target coefficient magnitude,
     floored), the unknowns are log-parameterized so positivity holds by
     construction, and steps are halved (up to 30 times) until the cost does
-    not increase.  Stops when the accepted step norm drops below `tol`.
+    not increase.  Stops when the accepted step norm drops below 1e-12 or
+    after 50 iterations.
     """
     targets = _randles_targets(r)
     denom = np.maximum(np.abs(targets), _RESIDUAL_FLOOR)
@@ -99,9 +98,8 @@ def fit_randles(
     cost = float(res @ res)
     history = [cost]
     converged = False
-    iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         jac = _jacobian_log(x) / denom[:, None]
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         alpha = 1.0
@@ -119,14 +117,9 @@ def fit_randles(
             break
         x, res, cost = x_new, res_new, cost_new
         history.append(cost)
-        if np.linalg.norm(alpha * step) < tol:
+        if np.linalg.norm(alpha * step) < _STEP_TOL:
             converged = True
             break
-    else:
-        iterations = max_iter
-
-    if max_iter == 0:
-        iterations = 0
 
     params = RandlesParams(r_s=x[0], r_ct=x[1], c_dl=x[2], sigma_w=x[3])
     return EcmFitResult(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .excitation import TimeRecord, samples_per_period
-from .schema import POSITIVE_NUMBER, check
+from .schema import POSITIVE_NUMBER, SCHEMA_VERSION, load
 
 CSV_HEADER = "time_s,current_a,voltage_v"
 _TIME_TOL_S = 1e-9
@@ -81,7 +81,7 @@ def write_record(
     write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt))
 
     meta = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "sample_rate_hz": current.sample_rate_hz,
         "periods": current.periods,
         "period_s": current.period_s,
@@ -98,13 +98,7 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     meta_path = sidecar_path(csv_path)
     if not csv_path.exists():
         raise SchemaError(f"record file not found: {csv_path}")
-    if not meta_path.exists():
-        raise SchemaError(f"metadata sidecar not found: {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
-    check(meta, SIDECAR_SCHEMA, f"invalid metadata sidecar {meta_path}")
+    meta = load(meta_path, SIDECAR_SCHEMA, "metadata sidecar")
     try:
         fs = float(meta["sample_rate_hz"])
         periods = int(meta["periods"])

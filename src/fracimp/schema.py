@@ -1,18 +1,21 @@
-"""Checker for the JSON Schema subset that the config and sidecar schemas use.
+"""`load`, the one reader of JSON input files, and `check`, its JSON Schema subset.
 
-Keywords: type, properties, required, additionalProperties (false only),
-minimum, exclusiveMinimum, enum and items.  Types follow Draft 2020-12: an
-integer-valued float such as 1.0 is an integer, and a boolean is neither an
-integer nor a number.  Unlike JSON Schema, every number must be finite, since
-Python's json module reads NaN and Infinity.
+Keywords: type, properties, required, dependentRequired, additionalProperties
+(false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
+2020-12: an integer-valued float such as 1.0 is an integer, and a boolean is
+neither an integer nor a number.  Unlike JSON Schema, every number must be
+finite, since Python's json module reads NaN and Infinity.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 from .errors import SchemaError
 
+SCHEMA_VERSION = "1"  # written into every JSON output file
 POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 
 
@@ -27,6 +30,19 @@ _TYPES = {
     "number": _is_number,
     "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
 }
+
+
+def load(path: str | Path, schema: dict, what: str):
+    """The JSON value in `path`, checked; a SchemaError reads "invalid <what> <path>: ..."."""
+    context = f"invalid {what} {path}"
+    try:
+        value = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"{context}: {exc.strerror}") from exc
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise SchemaError(f"{context}: not valid JSON: {exc}") from exc
+    check(value, schema, context)
+    return value
 
 
 def check(value, schema: dict, context: str, key: str = "") -> None:
@@ -53,6 +69,11 @@ def check(value, schema: dict, context: str, key: str = "") -> None:
         for name in schema.get("required", ()):
             if name not in value:
                 raise SchemaError(f"{context}: missing required key {prefix}{name}")
+        for name, needed in schema.get("dependentRequired", {}).items():
+            for other in needed:
+                if name in value and other not in value:
+                    raise SchemaError(f"{context}: missing key {prefix}{other}, "
+                                      f"required with {prefix}{name}")
         properties = schema.get("properties", {})
         for name, item in value.items():
             if name in properties:

@@ -108,6 +108,87 @@ def test_seed_flag_overrides_config(tmp_path):
     assert (out1 / "record.csv").read_bytes() != (out2 / "record.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("estimate", ["--record", "r.csv"]),
+    ("eis", ["--record", "r.csv"]),
+    ("fit", ["--estimate", "e.json"]),
+    ("compare", ["--nonpar", "n.csv", "--par", "p.csv"]),
+])
+def test_seed_flag_is_a_usage_error_where_no_rng_runs(capsys, command, extra):
+    assert main([command, *extra, "--seed", "3", "--quiet"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given,missing", [
+    ({"sample_rate_hz": 20.0}, "periods"),
+    ({"periods": 2}, "sample_rate_hz"),
+    ({"rms_a": 0.5}, "sample_rate_hz"),
+    ({"rms_a": 0.5, "sample_rate_hz": 20.0}, "periods"),
+])
+def test_design_synthesis_keys_come_together(tmp_path, capsys, given, missing):
+    config = _json(tmp_path, "design.json", {
+        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8,
+        **given})
+    out = tmp_path / "design"
+    assert main(["design", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert f"invalid config {config}: missing key {missing}, required with" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def _spec_mutations(spec):
+    """Bad specs and the problem each must name; all but the last pass an int()/float() cast."""
+    h, amp = spec["harmonics"], spec["amplitudes"]
+    return [
+        ({"harmonics": [h[0] + 0.5, *h[1:]]}, "harmonics[0] must be of type integer"),
+        ({"harmonics": [True, *h[1:]]}, "harmonics[0] must be of type integer"),
+        ({"period_s": str(spec["period_s"])}, "period_s must be of type number"),
+        ({"amplitudes": [str(a) for a in amp]}, "amplitudes[0] must be of type number"),
+        ({"harmonics": h[::-1]}, "harmonics must be strictly increasing"),
+    ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "eis"])
+def test_bad_multisine_spec_exit_1_naming_file_and_key(tmp_path, capsys, command):
+    out = _run_simulate(tmp_path)
+    spec = json.loads((out / "multisine.json").read_text())
+    for i, (change, problem) in enumerate(_spec_mutations(spec)):
+        path = _json(tmp_path, f"ms{i}.json", {**spec, **change})
+        if command == "simulate":
+            config = _json(tmp_path, "c.json", {
+                **SIM_CONFIG, "excitation": {"type": "multisine", "multisine_path": path}})
+            argv = ["simulate", "--config", config]
+        else:
+            config = _json(tmp_path, "c.json", {"multisine_path": path})
+            argv = [command, "--record", str(out / "record.csv"), "--config", config]
+        assert main([*argv, "--out", str(tmp_path / f"o{i}"), "--quiet"]) == 1
+        assert f"error: invalid multisine spec {path}: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,bad,problem", [
+    ("a", lambda v: [str(x) for x in v], "a[0] must be of type number"),
+    ("a", lambda v: [True, *v[1:]], "a[0] must be of type number"),
+    ("b", lambda v: v[0], "b must be of type array"),
+])
+def test_bad_estimate_file_exit_1_naming_file_and_key(tmp_path, capsys, key, bad, problem):
+    from fracimp import randles_to_rational
+    truth = randles_to_rational(SIM_PARAMS)
+    good = {"a": truth.a.tolist(), "b": truth.b.tolist()}
+    est = _json(tmp_path, "estimate.json", {**good, key: bad(good[key])})
+    assert main(["fit", "--estimate", est, "--out", str(tmp_path / "fit"), "--quiet"]) == 1
+    assert f"error: invalid estimate file {est}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
+
+
+def test_estimate_rejects_retired_grid_points_key(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    est_cfg = _json(tmp_path, "est.json", {"grid_points": 50})
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+    assert f"error: invalid config {est_cfg}: unknown key grid_points" in \
+        capsys.readouterr().err
+
+
 def test_eis_detects_excited_bins_and_matches_model(tmp_path):
     out = _run_simulate(tmp_path)
     eis_out = tmp_path / "eis"

@@ -74,14 +74,6 @@ def test_fit_perturbed_coefficients_validated_against_grid_oracle():
     assert result.residual_norm**2 <= cost.min() * (1 + 1e-9)
 
 
-def test_fit_max_iter_zero_returns_initializer():
-    rational = randles_to_rational(SIM_PARAMS)
-    result = fit_randles(rational, max_iter=0)
-    assert not result.converged
-    assert result.iterations == 0
-    _params_close(result.params, init_from_coefficients(rational), rel=1e-15)
-
-
 def test_round_trip_over_random_parameter_draws():
     rng = np.random.default_rng(41)
     for _ in range(100):

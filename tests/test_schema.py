@@ -1,14 +1,15 @@
-"""The config checker against a frozen table of jsonschema 4.26 verdicts.
+"""The input checker against a frozen table of jsonschema 4.26 verdicts.
 
-Each row is (schema, config, verdict), where the verdict is what
+Each row is (schema, input, verdict), where the verdict is what
 ``jsonschema.validate`` (Draft 2020-12, the default without ``$schema``)
-returned for that config.  The checker must agree on every row, except that
+returned for that input.  The checker must agree on every row, except that
 it also rejects non-finite numbers, which Python's ``json`` reads from
 ``NaN`` and ``Infinity`` and jsonschema accepts.
 """
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ import pytest
 import fracimp
 from fracimp import cli
 from fracimp.errors import SchemaError
-from fracimp.schema import check
+from fracimp.schema import check, load
 
 NAN, INF = float("nan"), float("inf")
 
@@ -28,6 +29,8 @@ SCHEMAS = {
     "simulate": cli.SIMULATE_SCHEMA,
     "estimate": cli.ESTIMATE_SCHEMA,
     "eis": cli.EIS_SCHEMA,
+    "multisine": cli.MULTISINE_SCHEMA,
+    "rational": cli.RATIONAL_SCHEMA,
 }
 
 D = {"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8}
@@ -35,6 +38,8 @@ R = {"r_s_ohm": 0.551, "r_ct_ohm": 0.119, "c_dl_f": 1.464, "sigma_w_ohm_per_sqrt
 X = {"type": "multisine", "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8}
 S = {"excitation": X, "period_s": 20.0, "sample_rate_hz": 20.0, "periods": 3, "rms_a": 0.5,
      "randles": R}
+M = {"period_s": 20.0, "harmonics": [1, 3], "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0]}
+E = {"a": [1.0, 0.07, 0.17], "b": [0.05, 0.67, 0.04, 0.1]}
 
 JSONSCHEMA_VERDICTS = [
     ("design", D, True),
@@ -88,7 +93,7 @@ JSONSCHEMA_VERDICTS = [
     ("simulate", {**S, "snr": INF}, True),
     ("simulate", {**S, "rms_a": NAN}, True),
     ("estimate", {}, True),
-    ("estimate", {"n_a": 3, "n_b": 3, "n_r": 1, "iterations": 10, "grid_points": 200}, True),
+    ("estimate", {"n_a": 3, "n_b": 3, "n_r": 1, "iterations": 10}, True),
     ("estimate", {"excited_bins": [1, 3, 5]}, True),
     ("estimate", {"excited_bins": []}, True),
     ("estimate", {"excited_bins": [0]}, False),
@@ -116,6 +121,35 @@ JSONSCHEMA_VERDICTS = [
     ("eis", {"threshold": 3}, False),
     ("eis", {"detection_factor": NAN}, True),
     ("eis", [], False),
+    # new rows go at the end, so the ids (config<index>) of the rows above stay stable
+    ("design", {**D, "sample_rate_hz": 20.0, "periods": 2}, True),
+    ("design", {**D, "sample_rate_hz": 20.0}, False),
+    ("design", {**D, "periods": 2}, False),
+    ("design", {**D, "rms_a": 0.5}, False),
+    ("design", {**D, "rms_a": 0.5, "periods": 2}, False),
+    ("estimate", {"n_a": 3, "n_b": 3, "n_r": 1, "iterations": 10, "grid_points": 200}, False),
+    ("estimate", {"k_min": 1, "k_max": 2000}, True),
+    ("estimate", {"k_min": 1}, False),
+    ("estimate", {"k_max": 2000}, False),
+    ("multisine", M, True),
+    ("multisine", {**M, "schema_version": "1"}, True),
+    ("multisine", {**M, "harmonics": [1.0, 3]}, True),
+    ("multisine", {**M, "harmonics": [1.5, 3]}, False),
+    ("multisine", {**M, "harmonics": [True, 3]}, False),
+    ("multisine", {**M, "harmonics": [0, 3]}, False),
+    ("multisine", {**M, "period_s": "20"}, False),
+    ("multisine", {**M, "amplitudes": ["1.0", "0.5"]}, False),
+    ("multisine", {**M, "phases": 0.0}, False),
+    ("multisine", {k: v for k, v in M.items() if k != "phases"}, False),
+    ("multisine", {**M, "phases": [0.0, NAN]}, True),
+    ("rational", E, True),
+    ("rational", {**E, "schema_version": "1", "c": [0.0], "sigma_e": None}, True),
+    ("rational", {**E, "a": ["1", "0.07", "0.17"]}, False),
+    ("rational", {**E, "b": [True, 0.67]}, False),
+    ("rational", {**E, "a": 1.0}, False),
+    ("rational", {"a": [1.0]}, False),
+    ("rational", [E], False),
+    ("rational", {**E, "b": [INF]}, True),
 ]
 
 
@@ -159,6 +193,24 @@ def test_frozen_table_covers_both_verdicts_and_every_schema():
 def test_errors_name_the_key_path(config, message):
     with pytest.raises(SchemaError, match="^config x.json: " + message.replace(".", r"\.")):
         check(config, cli.SIMULATE_SCHEMA, "config x.json")
+
+
+def test_dependent_keys_are_named():
+    with pytest.raises(SchemaError, match="^config: missing key k_max, required with k_min$"):
+        check({"k_min": 1}, cli.ESTIMATE_SCHEMA, "config")
+
+
+@pytest.mark.parametrize("text,problem", [
+    (None, "No such file or directory"),
+    ("{", "not valid JSON: Expecting property name"),
+    ('{"snr": 50}', "missing required key excitation"),
+])
+def test_load_names_the_file_and_the_cause(tmp_path, text, problem):
+    path = tmp_path / "x.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SchemaError, match=f"^invalid config {re.escape(str(path))}: {problem}"):
+        load(path, cli.SIMULATE_SCHEMA, "config")
 
 
 def test_array_items_are_named_by_index():
