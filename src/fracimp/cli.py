@@ -2,15 +2,14 @@
 
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (non-finite numbers rejected, unknown
-config keys rejected, errors naming the file and the key path); commands emit
-CSV/JSON files into --out.  Exit codes: 0 success, 1 usage or schema error,
-2 numerical failure.
+config keys rejected, errors naming the file and the key path); commands write
+CSV files (`recordio.write_csv`) and JSON files (`schema.dump`) into --out.
+Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_no
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
-from .schema import POSITIVE_NUMBER, SCHEMA_VERSION, load
+from .schema import POSITIVE_NUMBER, dump, load
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
 
@@ -138,11 +137,6 @@ def _load_config(path: str | None, schema: dict) -> dict:
     return {} if path is None else load(path, schema, "config")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def _load_multisine(path: str) -> MultisineSpec:
     try:
         return MultisineSpec.from_dict(load(path, MULTISINE_SCHEMA, "multisine spec"))
@@ -167,7 +161,7 @@ def cmd_design(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "multisine.json", spec.to_dict())
+    dump(out / "multisine.json", spec.to_dict())
     _say(args, f"designed {spec.harmonics.size} odd harmonics in "
                f"[{spec.freqs_hz[0]:.6g}, {spec.freqs_hz[-1]:.6g}] Hz -> "
                f"{out / 'multisine.json'}")
@@ -185,7 +179,7 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _build_excitation(cfg: dict, seed: int):
+def _build_excitation(cfg: dict, seed: int, config_path: str):
     exc = cfg["excitation"]
     if exc["type"] == "noise":
         record = generate_periodic_noise(
@@ -195,7 +189,8 @@ def _build_excitation(cfg: dict, seed: int):
     if "multisine_path" in exc:
         spec = _load_multisine(exc["multisine_path"])
         if not np.isclose(spec.period_s, cfg["period_s"], rtol=1e-12):
-            raise SchemaError("multisine spec period_s disagrees with config period_s")
+            raise SchemaError(f"multisine spec {exc['multisine_path']} period_s {spec.period_s} "
+                              f"disagrees with config {config_path} period_s {cfg['period_s']}")
     else:
         for key in ("f_min_hz", "f_max_hz", "points_per_decade"):
             if key not in exc:
@@ -216,7 +211,7 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed")
     # independent child seeds for the excitation and the two noise channels
     children = np.random.SeedSequence(seed).spawn(3)
-    current, spec = _build_excitation(cfg, _child_seed(children[0]))
+    current, spec = _build_excitation(cfg, _child_seed(children[0]), args.config)
 
     randles = RandlesParams.from_dict({"ocv_v": 3.6, **cfg["randles"]})
     voltage = simulate_response(randles, current)
@@ -228,7 +223,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if spec is not None:
-        _write_json(out / "multisine.json", spec.to_dict())
+        dump(out / "multisine.json", spec.to_dict())
     write_record(out / "record.csv", current, voltage, ocv_v=randles.ocv)
     _say(args, f"simulated {current.n_samples} samples -> {out / 'record.csv'}")
     return 0
@@ -256,7 +251,7 @@ def cmd_estimate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "estimate.json", result.to_dict())
+    dump(out / "estimate.json", result.to_dict())
 
     f_sel = spectra.freq_hz[result.bins]
     grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), _BODE_GRID_POINTS)
@@ -312,7 +307,7 @@ def cmd_fit(args) -> int:
     result = fit_randles(rational)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "fit.json", result.to_dict())
+    dump(out / "fit.json", result.to_dict())
     p = result.params
     if not args.quiet:
         print(f"{'parameter':<12}{'value':>14}")
@@ -328,6 +323,9 @@ def cmd_fit(args) -> int:
 def cmd_compare(args) -> int:
     nonpar = read_csv(args.nonpar, "freq_hz,re_ohm,im_ohm")
     par = read_csv(args.par, "freq_hz,mag_ohm,phase_deg")
+    for path, table in ((args.nonpar, nonpar), (args.par, par)):
+        if not len(table):
+            raise SchemaError(f"{path}: no data rows")
 
     f_np = nonpar[:, 0]
     z_np = nonpar[:, 1] + 1j * nonpar[:, 2]

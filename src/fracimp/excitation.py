@@ -153,6 +153,17 @@ class TimeRecord:
         )
 
 
+def check_shared_grid(current: TimeRecord, voltage: TimeRecord) -> None:
+    """Raise ValueError unless the pair shares sample rate, periods and period.
+
+    Each is compared with ``np.isclose(..., rtol=1e-12)``; by the whole-periods
+    rule, records that pass also hold the same number of samples.
+    """
+    for attr in ("sample_rate_hz", "periods", "period_s"):
+        if not np.isclose(getattr(current, attr), getattr(voltage, attr), rtol=1e-12):
+            raise ValueError(f"current/voltage records disagree on {attr}")
+
+
 def _nearest_odd(x: np.ndarray) -> np.ndarray:
     # nearest odd integer, ties (even x) rounding up
     return (2 * np.floor(np.asarray(x, dtype=float) / 2.0) + 1).astype(np.int64)

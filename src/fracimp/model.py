@@ -126,7 +126,7 @@ def warburg_impedance(sigma_w: float, omega):
 def randles_impedance(p: RandlesParams, omega):
     """Randles-cell impedance at angular frequency omega (rad/s), s = j*omega."""
     q = _sqrt_j_omega(omega)
-    z_branch = p.r_ct + p.sigma_w * SQRT2 / q
+    z_branch = p.r_ct + warburg_impedance(p.sigma_w, omega)
     return p.r_s + 1.0 / (1.0 / z_branch + q * q * p.c_dl)
 
 

@@ -6,24 +6,25 @@ checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  Values
 are written with 17 significant digits so float64 samples round-trip exactly.
 
 Tables are written by a block writer (`write_csv`): one ``%`` format per block
-of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``, and read
-by `read_csv`: one C parse of the data rows (``np.loadtxt``), checked as a
-whole.  Only when a record fails that parse or its checks is the file read
-again row by row in Python, to name the offending file line and column.  The
-row loop accepts no file that the bulk parse rejects.
+of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``.  Every
+CSV table, a record or a `compare` input, is read by `read_csv`: one C parse
+of the data rows (``np.loadtxt``), checked as a whole.  Only a file that
+fails is read again, by the one row-by-row parse (`_parse_rows`), whose
+errors name the file line and column.  It accepts no file with data rows
+that the C parse rejects.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SchemaError
-from .excitation import TimeRecord, samples_per_period
-from .schema import POSITIVE_NUMBER, SCHEMA_VERSION, load
+from .excitation import TimeRecord, check_shared_grid, samples_per_period
+from .schema import POSITIVE_NUMBER, dump, load
 
 CSV_HEADER = "time_s,current_a,voltage_v"
 _TIME_TOL_S = 1e-9
@@ -73,22 +74,19 @@ def write_record(
     """
     csv_path = Path(csv_path)
     if voltage is not None:
-        for attr in ("sample_rate_hz", "periods", "period_s", "n_samples"):
-            if getattr(current, attr) != getattr(voltage, attr):
-                raise ValueError(f"current/voltage records disagree on {attr}")
+        check_shared_grid(current, voltage)
     time_s = current.times()
     volt = np.zeros_like(time_s) if voltage is None else voltage.samples
     write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt))
 
     meta = {
-        "schema_version": SCHEMA_VERSION,
         "sample_rate_hz": current.sample_rate_hz,
         "periods": current.periods,
         "period_s": current.period_s,
     }
     if ocv_v is not None:
         meta["ocv_v"] = ocv_v
-    sidecar_path(csv_path).write_text(json.dumps(meta, indent=2) + "\n")
+    dump(sidecar_path(csv_path), meta)
     return csv_path
 
 
@@ -106,11 +104,14 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         expected = periods * samples_per_period(period_s, fs)
     except (OverflowError, ValueError) as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
-    try:
-        table = read_csv(csv_path, CSV_HEADER)
-        _check_table(csv_path, table, fs, expected, lambda i: i + 2)
-    except SchemaError:
-        table = _parse_rows(csv_path, fs, expected)
+    table = read_csv(csv_path, CSV_HEADER)
+    if len(table) != expected:
+        raise SchemaError(f"{csv_path}: {len(table)} data rows, metadata implies {expected}")
+    bad = np.nonzero(np.abs(table[:, 0] - np.arange(expected) / fs) > _TIME_TOL_S)[0]
+    if bad.size:
+        line = _parse_rows(csv_path, CSV_HEADER)[1][bad[0]]
+        raise SchemaError(f"{csv_path}: non-uniform time column starting at row {line} "
+                          f"(expected step {1.0 / fs})")
     current = TimeRecord(samples=table[:, 1], sample_rate_hz=fs, periods=periods,
                          period_s=period_s, kind="current")
     voltage = TimeRecord(samples=table[:, 2], sample_rate_hz=fs, periods=periods,
@@ -129,89 +130,59 @@ def read_csv(path: str | Path, header: str) -> np.ndarray:
 
     The data rows are parsed in one C call.  ``comments=None`` keeps ``#``
     text in a field, so a row such as ``0.2,1.0,0.0 # note`` is malformed
-    rather than silently truncated.  Every failure is a SchemaError naming
-    the file.
+    rather than silently truncated.  A file that fails the parse or the
+    column and finiteness checks goes to `_parse_rows`, which raises a
+    SchemaError naming the file line; a header-only file gives an empty table.
     """
-    names = header.split(",")
     try:
         with open(path) as fh:
             _read_header(path, fh, header)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        if table.shape[1] == header.count(",") + 1 and np.isfinite(table).all():
+            return table
     except FileNotFoundError as exc:
         raise SchemaError(f"file not found: {path}") from exc
-    except ValueError as exc:
-        raise SchemaError(f"{path}: malformed CSV: {exc}") from exc
-    if len(table) == 0:
-        raise SchemaError(f"{path}: no data rows")
-    if table.shape[1] != len(names):
-        raise SchemaError(f"{path}: {table.shape[1]} columns, expected {len(names)} "
-                          f"({header})")
-    bad_row, bad_col = np.nonzero(~np.isfinite(table))
-    if bad_row.size:
-        raise SchemaError(f"{path}: data row {bad_row[0] + 1} has a non-finite "
-                          f"{names[bad_col[0]]} value")
-    return table
+    except ValueError:  # a malformed row, or undecodable bytes
+        pass
+    return _parse_rows(path, header)[0]
 
 
-def _parse_rows(csv_path: Path, fs: float, expected: int) -> np.ndarray:
-    """Row-by-row reference parse; its errors name the file line and column.
+def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
+    """The one row-by-row parse: the table and the file line of each row.
 
-    It accepts no more than ``np.loadtxt`` does: fields with digit separators
-    (``1_0``) or non-ASCII digits, which ``float()`` would read, and
-    whitespace-only lines are rejected by name.  Only empty lines are skipped.
+    Its SchemaErrors name the file line, and the column where there is one.
+    It accepts no data row that ``np.loadtxt`` rejects, so it rejects by name
+    what ``float()`` alone would read: digit separators (``1_0``), non-ASCII
+    digits and undecodable bytes (read as U+FFFD); and whitespace-only lines.
+    Only empty lines are skipped.
     """
-    names = CSV_HEADER.split(",")
-    with open(csv_path) as fh:
-        _read_header(csv_path, fh, CSV_HEADER)
-        rows = []
-        blanks = []  # data rows read before each skipped blank line
+    names = header.split(",")
+    rows, lines = [], []
+    with open(path, errors="replace") as fh:
+        _read_header(path, fh, header)
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
-                blanks.append(len(rows))
                 continue
+            where = f"{path}: row {lineno}"
             if not line.strip():
-                raise SchemaError(f"{csv_path}: row {lineno} holds only whitespace")
+                raise SchemaError(f"{where} holds only whitespace")
             parts = line.split(",")
-            if len(parts) != 3:
-                raise SchemaError(f"{csv_path}: row {lineno} has {len(parts)} fields")
+            if len(parts) != len(names):
+                raise SchemaError(f"{where} has {len(parts)} fields, expected {len(names)}")
             for name, v in zip(names, parts):
                 if "_" in v or not v.isascii():
-                    raise SchemaError(
-                        f"{csv_path}: row {lineno} {name} field {v.strip()!r} is not a "
-                        "plain ASCII number"
-                    )
+                    raise SchemaError(f"{where} {name} field {v.strip()!r} is not a plain "
+                                      "ASCII number")
             try:
-                rows.append([float(v) for v in parts])
+                values = [float(v) for v in parts]
             except ValueError as exc:
-                raise SchemaError(f"{csv_path}: row {lineno} is not numeric: {exc}") from exc
-
-    def file_row(i: int) -> int:
-        return i + 2 + int(np.searchsorted(blanks, i, side="right"))
-
-    table = np.asarray(rows, dtype=float).reshape(-1, 3)
-    _check_table(csv_path, table, fs, expected, file_row)
-    return table
-
-
-def _check_table(csv_path: Path, table: np.ndarray, fs: float, expected: int,
-                 file_row) -> None:
-    """Check row count, finiteness and uniform time; `file_row` maps index to line."""
-    if len(table) != expected:
-        raise SchemaError(
-            f"{csv_path}: {len(table)} data rows, metadata implies {expected}"
-        )
-    bad_row, bad_col = np.nonzero(~np.isfinite(table))
-    if bad_row.size:
-        raise SchemaError(
-            f"{csv_path}: row {file_row(bad_row[0])} has a non-finite "
-            f"{CSV_HEADER.split(',')[bad_col[0]]} value"
-        )
-    bad = np.nonzero(np.abs(table[:, 0] - np.arange(expected) / fs) > _TIME_TOL_S)[0]
-    if bad.size:
-        raise SchemaError(
-            f"{csv_path}: non-uniform time column starting at row {file_row(bad[0])} "
-            f"(expected step {1.0 / fs})"
-        )
+                raise SchemaError(f"{where} is not numeric: {exc}") from exc
+            for name, x in zip(names, values):
+                if not math.isfinite(x):
+                    raise SchemaError(f"{where} has a non-finite {name} value")
+            rows.append(values)
+            lines.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, len(names)), lines

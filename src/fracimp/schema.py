@@ -1,4 +1,4 @@
-"""`load`, the one reader of JSON input files, and `check`, its JSON Schema subset.
+"""`load` and `dump`, the one reader and writer of JSON files, and `check`, the schema subset.
 
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import SchemaError
 
-SCHEMA_VERSION = "1"  # written into every JSON output file
+SCHEMA_VERSION = "1"  # written by `dump` into every JSON output file
 POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 
 
@@ -43,6 +43,12 @@ def load(path: str | Path, schema: dict, what: str):
         raise SchemaError(f"{context}: not valid JSON: {exc}") from exc
     check(value, schema, context)
     return value
+
+
+def dump(path: str | Path, payload: dict) -> None:
+    """Write `payload` to `path` as indented JSON, led by ``schema_version``."""
+    text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2)
+    Path(path).write_text(text + "\n")
 
 
 def check(value, schema: dict, context: str, key: str = "") -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excitation import TimeRecord
+from .excitation import TimeRecord, check_shared_grid
 from .model import ImpedanceCurve
 
 
@@ -72,9 +72,7 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     """
     if current.kind != "current" or voltage.kind != "voltage":
         raise ValueError("per_period_spectra expects (current, voltage) records")
-    for attr in ("sample_rate_hz", "periods", "period_s"):
-        if not np.isclose(getattr(current, attr), getattr(voltage, attr), rtol=1e-12):
-            raise ValueError(f"current/voltage records disagree on {attr}")
+    check_shared_grid(current, voltage)
     p = current.periods
     m = current.samples_per_period
     if m < 2:

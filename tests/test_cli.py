@@ -165,10 +165,23 @@ def test_bad_multisine_spec_exit_1_naming_file_and_key(tmp_path, capsys, command
         assert f"error: invalid multisine spec {path}: {problem}" in capsys.readouterr().err
 
 
+def test_simulate_period_mismatch_names_spec_and_config(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    spec = str(out / "multisine.json")
+    config = _json(tmp_path, "c.json", {
+        **SIM_CONFIG, "period_s": 40.0,
+        "excitation": {"type": "multisine", "multisine_path": spec}})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    assert (f"error: multisine spec {spec} period_s 20.0 disagrees with config {config} "
+            "period_s 40.0") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,bad,problem", [
     ("a", lambda v: [str(x) for x in v], "a[0] must be of type number"),
     ("a", lambda v: [True, *v[1:]], "a[0] must be of type number"),
     ("b", lambda v: v[0], "b must be of type array"),
+    ("a", lambda v: [0.0, *v[1:]], "a_1 must be nonzero"),
 ])
 def test_bad_estimate_file_exit_1_naming_file_and_key(tmp_path, capsys, key, bad, problem):
     from fracimp import randles_to_rational
@@ -227,9 +240,9 @@ def test_compare_disjoint_grids_exit_1(tmp_path):
 
 
 @pytest.mark.parametrize("par_rows, problem", [
-    ("0.005,1.0\n", "2 columns, expected 3"),
-    ("0.005,1,3 # x\n", "malformed CSV"),
-    ("0.005,nan,3.0\n", "data row 1 has a non-finite mag_ohm value"),
+    ("0.005,1.0\n", "row 2 has 2 fields, expected 3"),
+    ("0.005,1,3 # x\n", "row 2 is not numeric"),
+    ("0.005,nan,3\n", "row 2 has a non-finite mag_ohm value"),
     ("", "no data rows"),
 ])
 def test_compare_rejects_bad_csv_naming_the_file(tmp_path, capsys, par_rows, problem):
@@ -241,6 +254,31 @@ def test_compare_rejects_bad_csv_naming_the_file(tmp_path, capsys, par_rows, pro
                  "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
     assert f"error: {par}: {problem}" in capsys.readouterr().err
     assert not (tmp_path / "cmp" / "error.csv").exists()
+
+
+@pytest.mark.parametrize("lines, problem", [
+    (["1.0,x,0.0", "2.0,1.0,0.0"], "row 2 is not numeric"),
+    (["1.0,1.0,0.0", "2.0,1.0,0.0", "3.0,1.0"], "row 4 has 2 fields, expected 3"),
+    (["1.0,1.0,0.0", "2.0,nan,0.0"], "row 3 has a non-finite re_ohm value"),
+    (["1.0,1.0,0.0", "", "2.0,nan,0.0"], "row 4 has a non-finite re_ohm value"),
+])
+def test_compare_names_the_file_line(tmp_path, capsys, lines, problem):
+    nonpar = tmp_path / "eis.csv"
+    nonpar.write_text("\n".join(["freq_hz,re_ohm,im_ohm", *lines]) + "\n")
+    par = tmp_path / "bode.csv"
+    par.write_text("freq_hz,mag_ohm,phase_deg\n1.0,1.0,0.0\n")
+    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
+    assert f"error: {nonpar}: {problem}" in capsys.readouterr().err
+
+
+def test_compare_missing_input_exit_1_naming_the_file(tmp_path, capsys):
+    par = tmp_path / "bode.csv"
+    par.write_text("freq_hz,mag_ohm,phase_deg\n1.0,1.0,0.0\n")
+    missing = tmp_path / "eis.csv"
+    assert main(["compare", "--nonpar", str(missing), "--par", str(par),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
+    assert f"error: file not found: {missing}" in capsys.readouterr().err
 
 
 def test_single_period_estimate_falls_back(tmp_path):

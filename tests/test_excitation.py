@@ -12,6 +12,7 @@ from fracimp import (
     TimeRecord,
     design_odd_quasilog,
     generate_periodic_noise,
+    per_period_spectra,
     read_record,
     scale_to_rms,
     synthesize_multisine,
@@ -318,3 +319,22 @@ def test_multisine_spec_json_roundtrip():
     clone = MultisineSpec.from_dict(spec.to_dict())
     assert np.array_equal(clone.harmonics, spec.harmonics)
     assert clone.phases == pytest.approx(spec.phases, rel=1e-15)
+
+
+@pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-9, False)])
+def test_shared_grid_rule_is_the_same_for_writer_and_spectra(tmp_path, rel, accepted):
+    """A voltage grid 1e-13 off the current's passes both callers; 1e-9 off fails both."""
+    fs, period_s, periods = 200.0, 0.05, 2
+    rng = np.random.default_rng(0)
+    current = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=fs,
+                         periods=periods, period_s=period_s, kind="current")
+    voltage = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=fs * (1 + rel),
+                         periods=periods, period_s=period_s / (1 + rel), kind="voltage")
+    callers = (lambda: write_record(tmp_path / "rec.csv", current, voltage),
+               lambda: per_period_spectra(current, voltage))
+    for call in callers:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="disagree on sample_rate_hz"):
+                call()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracimp import SchemaError, TimeRecord, read_record, recordio, write_record
-from fracimp.recordio import CSV_HEADER, _BLOCK_ROWS, _parse_rows, sidecar_path, write_csv
+from fracimp.recordio import CSV_HEADER, _BLOCK_ROWS, sidecar_path, write_csv
 
 from conftest import make_multisine_current, simulate_pair
 
@@ -147,6 +147,15 @@ def test_whitespace_only_line_is_rejected_naming_the_row(tmp_path):
         read_record(path)
 
 
+def test_undecodable_bytes_are_rejected_naming_row_and_column(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b",", b",\xff", 1)
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(SchemaError, match="row 6 current_a field .* is not a plain ASCII number"):
+        read_record(path)
+
+
 def test_overflowing_sidecar_is_rejected_naming_the_sidecar(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     meta = json.loads(sidecar_path(path).read_text())
@@ -234,6 +243,12 @@ _MUTATIONS = {
 }
 
 
+def _read_by_rows(path):
+    """`read_record` with the C parse failing, so every row goes through the row parse."""
+    with mock.patch.object(recordio.np, "loadtxt", side_effect=ValueError("forced")):
+        return read_record(path)
+
+
 @pytest.fixture(scope="module")
 def clean_record(tmp_path_factory):
     path, *_ = _write_pair(tmp_path_factory.mktemp("fuzz"), **_KW)
@@ -249,15 +264,15 @@ def test_fast_read_matches_row_loop_on_a_mutated_row(clean_record, name, lineno,
     path.write_text("\n".join(mutated) + "\n")
 
     try:
-        reference = _parse_rows(path, _KW["sample_rate_hz"], 200)
+        ref_current, ref_voltage, _ = _read_by_rows(path)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as got:
             read_record(path)
         assert str(got.value) == str(exc)
     else:
         current, voltage, _ = read_record(path)
-        assert np.array_equal(current.samples, reference[:, 1])
-        assert np.array_equal(voltage.samples, reference[:, 2])
+        assert np.array_equal(current.samples, ref_current.samples)
+        assert np.array_equal(voltage.samples, ref_voltage.samples)
         # no mutated file loads through the row loop alone
         with mock.patch.object(recordio, "_parse_rows", side_effect=AssertionError("row loop")):
             read_record(path)
