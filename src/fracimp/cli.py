@@ -188,7 +188,7 @@ def _build_excitation(cfg: dict, seed: int, config_path: str):
         return scale_to_rms(record, cfg["rms_a"]), None
     if "multisine_path" in exc:
         spec = _load_multisine(exc["multisine_path"])
-        if not np.isclose(spec.period_s, cfg["period_s"], rtol=1e-12):
+        if not np.isclose(spec.period_s, cfg["period_s"], rtol=1e-12, atol=0.0):
             raise SchemaError(f"multisine spec {exc['multisine_path']} period_s {spec.period_s} "
                               f"disagrees with config {config_path} period_s {cfg['period_s']}")
     else:
@@ -332,13 +332,24 @@ def cmd_compare(args) -> int:
     f_par = par[:, 0]
     z_par = par[:, 1] * np.exp(1j * np.radians(par[:, 2]))
 
-    idx_np, idx_par = [], []
-    for i, f in enumerate(f_np):
-        j = np.argmin(np.abs(f_par - f))
-        if abs(f_par[j] - f) <= 1e-9 * max(f, 1.0):
-            idx_np.append(i)
-            idx_par.append(j)
-    if not idx_np:
+    # nearest parametric row to each nonparametric frequency, the row argmin
+    # over |f_par - f| picks: the distance never grows towards f from either
+    # side, so the nearest value below f or the nearest at or above it holds
+    # the minimum; the stable sort keeps a run of equal values in file order,
+    # so its first entry is its first row, and a tie between the two sides
+    # goes to the earlier row
+    order = np.argsort(f_par, kind="stable")
+    f_sorted = f_par[order]
+    pos = np.searchsorted(f_sorted, f_np)
+    above = np.searchsorted(f_sorted, f_sorted[np.minimum(pos, f_sorted.size - 1)])
+    below = np.searchsorted(f_sorted, f_sorted[np.maximum(pos - 1, 0)])
+    d_above = np.abs(f_sorted[above] - f_np)
+    d_below = np.abs(f_sorted[below] - f_np)
+    take_below = (d_below < d_above) | ((d_below == d_above) & (order[below] < order[above]))
+    nearest = np.where(take_below, order[below], order[above])
+    idx_np = np.flatnonzero(np.abs(f_par[nearest] - f_np) <= 1e-9 * np.maximum(f_np, 1.0))
+    idx_par = nearest[idx_np]
+    if not idx_np.size:
         raise SchemaError("nonparametric and parametric grids share no frequencies")
 
     ref = ImpedanceCurve(freq_hz=f_np[idx_np], z_ohm=z_np[idx_np])

@@ -118,9 +118,9 @@ class TimeRecord:
             raise ValueError(f"kind must be 'current' or 'voltage', got {self.kind!r}")
         if self.samples.ndim != 1:
             raise ValueError("samples must be 1-D")
-        bad = np.flatnonzero(~np.isfinite(self.samples))
-        if bad.size:
-            raise ValueError(f"sample {bad[0]} is not finite ({self.samples[bad[0]]})")
+        if not np.isfinite(self.samples).all():
+            bad = int(np.argmin(np.isfinite(self.samples)))
+            raise ValueError(f"sample {bad} is not finite ({self.samples[bad]})")
         expected = self.periods * samples_per_period(self.period_s, self.sample_rate_hz)
         if self.samples.size != expected:
             raise ValueError(
@@ -156,11 +156,12 @@ class TimeRecord:
 def check_shared_grid(current: TimeRecord, voltage: TimeRecord) -> None:
     """Raise ValueError unless the pair shares sample rate, periods and period.
 
-    Each is compared with ``np.isclose(..., rtol=1e-12)``; by the whole-periods
-    rule, records that pass also hold the same number of samples.
+    Each is compared with ``np.isclose(..., rtol=1e-12, atol=0.0)``, purely
+    relative at any magnitude; by the whole-periods rule, records that pass
+    also hold the same number of samples.
     """
     for attr in ("sample_rate_hz", "periods", "period_s"):
-        if not np.isclose(getattr(current, attr), getattr(voltage, attr), rtol=1e-12):
+        if not np.isclose(getattr(current, attr), getattr(voltage, attr), rtol=1e-12, atol=0.0):
             raise ValueError(f"current/voltage records disagree on {attr}")
 
 

@@ -50,15 +50,15 @@ def write_csv(path: str | Path, header: str, columns) -> None:
     """Write equal-length float columns as a header line plus `%.17g` rows.
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",",
-    comments="", newline="\\n")``; rows are formatted a block at a time, so no
-    Python float list of the whole table is built.
+    comments="", newline="\\n")``; rows are stacked and formatted a block at a
+    time, so neither a copy of the whole table nor a Python float list of it
+    is built.
     """
-    table = np.column_stack(columns)
-    block_fmt = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    block_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start:start + _BLOCK_ROWS]
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
             fh.write(block_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
@@ -104,7 +104,15 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         expected = periods * samples_per_period(period_s, fs)
     except (OverflowError, ValueError) as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
-    table = read_csv(csv_path, CSV_HEADER)
+    # np.loadtxt allocates max_rows rows up front, so one row past the
+    # sidecar's count gives the table its final size in one allocation rather
+    # than a series of growing reallocations.  A file too short to hold the
+    # count (a data row takes at least 6 bytes) or longer than it is read
+    # whole, so a wrong sidecar neither sizes the table nor hides the true count.
+    fits = 6 * expected <= csv_path.stat().st_size
+    table = read_csv(csv_path, CSV_HEADER, max_rows=expected + 1 if fits else None)
+    if len(table) > expected:
+        table = read_csv(csv_path, CSV_HEADER)
     if len(table) != expected:
         raise SchemaError(f"{csv_path}: {len(table)} data rows, metadata implies {expected}")
     bad = np.nonzero(np.abs(table[:, 0] - np.arange(expected) / fs) > _TIME_TOL_S)[0]
@@ -125,7 +133,7 @@ def _read_header(path: str | Path, fh, header: str) -> None:
         raise SchemaError(f"{path}: expected header '{header}', got '{found}'")
 
 
-def read_csv(path: str | Path, header: str) -> np.ndarray:
+def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.ndarray:
     """Data rows of a CSV with the given header: one finite column per header field.
 
     The data rows are parsed in one C call.  ``comments=None`` keeps ``#``
@@ -133,13 +141,16 @@ def read_csv(path: str | Path, header: str) -> np.ndarray:
     rather than silently truncated.  A file that fails the parse or the
     column and finiteness checks goes to `_parse_rows`, which raises a
     SchemaError naming the file line; a header-only file gives an empty table.
+    With `max_rows`, the C parse reads and checks only the first `max_rows`
+    data rows, into a table allocated at that many rows.
     """
     try:
         with open(path) as fh:
             _read_header(path, fh, header)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                   max_rows=max_rows)
         if table.shape[1] == header.count(",") + 1 and np.isfinite(table).all():
             return table
     except FileNotFoundError as exc:

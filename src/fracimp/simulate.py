@@ -70,11 +70,20 @@ def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:
 
     The SNR is referenced to the AC part so a large DC level (OCV on the
     voltage channel) does not inflate the noise.
+
+    Memory: a call allocates one record-sized buffer, which becomes the
+    noisy record.  It holds the squared AC part, then the standard normal
+    draws, which are scaled by sigma and added to the samples in place: the
+    same draws and bitwise the same sum as
+    ``samples + rng.normal(0.0, sigma, n)``.
     """
-    ac = record.samples - record.samples.mean()
-    rms_ac = float(np.sqrt(np.mean(ac**2)))
+    buf = record.samples - record.samples.mean()
+    buf **= 2
+    rms_ac = float(np.sqrt(np.mean(buf)))
     if rms_ac == 0.0:
         raise ValueError("record has no AC content; SNR is undefined")
     sigma = rms_ac / spec.snr
-    rng = np.random.default_rng(spec.seed)
-    return record.with_samples(record.samples + rng.normal(0.0, sigma, record.n_samples))
+    np.random.default_rng(spec.seed).standard_normal(out=buf)
+    buf *= sigma
+    buf += record.samples
+    return record.with_samples(buf)

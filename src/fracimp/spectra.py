@@ -69,6 +69,17 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     The sample covariances use the 1/(P-1) convention over the per-period
     spectra; with P = 1 the covariance fields are left unavailable and only
     uniform-weight estimation is possible downstream.
+
+    Memory: besides the per-bin outputs, a call allocates the two complex
+    (P, M/2+1) `rfft` outputs, each about one input record in bytes, and one
+    real (P-1, M/2+1) buffer, half a record.  Normalization, the deviations
+    from the first period, |d|^2 of both channels and the cross term are all
+    computed inside those three arrays.  The cross term is formed as
+    conj(d_cur) *= d_vol, in that operand order: complex multiply is not
+    bitwise commutative under numpy's SIMD loops, and this is the order
+    numpy's temporary elision picks for ``d_vol * np.conj(d_cur)`` once the
+    deviations reach 256 KiB, as they do at the protocol record size.  The
+    other order differs in the last bit.
     """
     if current.kind != "current" or voltage.kind != "voltage":
         raise ValueError("per_period_spectra expects (current, voltage) records")
@@ -78,8 +89,10 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if m < 2:
         raise ValueError("need at least 2 samples per period")
 
-    cur = np.fft.rfft(current.samples.reshape(p, m), axis=1) / m
-    vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1) / m
+    cur = np.fft.rfft(current.samples.reshape(p, m), axis=1)
+    cur /= m
+    vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1)
+    vol /= m
     mean_cur = cur.mean(axis=0)
     mean_vol = vol.mean(axis=0)
     freq_hz = np.arange(mean_cur.size) / current.period_s
@@ -87,11 +100,20 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if p >= 2:
         # deviations from the first period are exactly 0 on bitwise identical
         # periods, where X - mean leaves rounding debris; the sums s correct the mean
-        d_cur, d_vol = cur[1:] - cur[0], vol[1:] - vol[0]
+        d_cur, d_vol = cur[1:], vol[1:]
+        d_cur -= cur[0]
+        d_vol -= vol[0]
         s_cur, s_vol = d_cur.sum(axis=0), d_vol.sum(axis=0)
-        var_cur = (np.sum(np.abs(d_cur) ** 2, axis=0) - np.abs(s_cur) ** 2 / p) / (p - 1)
-        var_vol = (np.sum(np.abs(d_vol) ** 2, axis=0) - np.abs(s_vol) ** 2 / p) / (p - 1)
-        covar_vi = (np.sum(d_vol * np.conj(d_cur), axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
+        sq = np.abs(d_cur)
+        sq **= 2
+        var_cur = (sq.sum(axis=0) - np.abs(s_cur) ** 2 / p) / (p - 1)
+        np.abs(d_vol, out=sq)
+        sq **= 2
+        var_vol = (sq.sum(axis=0) - np.abs(s_vol) ** 2 / p) / (p - 1)
+        del sq  # freed before the cross term and the SpectralSet checks
+        np.conjugate(d_cur, out=d_cur)
+        d_cur *= d_vol
+        covar_vi = (d_cur.sum(axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
     else:
         var_cur = var_vol = covar_vi = None
 

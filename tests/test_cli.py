@@ -177,6 +177,19 @@ def test_simulate_period_mismatch_names_spec_and_config(tmp_path, capsys):
             "period_s 40.0") in capsys.readouterr().err
 
 
+def test_simulate_period_check_is_relative(tmp_path, capsys):
+    # 1e-11 relative is 5e-11 s at a 5 s period: under numpy's default 1e-8
+    # absolute tolerance, yet a period the config does not have
+    spec = _json(tmp_path, "ms.json", {"period_s": 5.0 * (1 + 1e-11), "harmonics": [1, 3],
+                                       "amplitudes": [1.0, 1.0], "phases": [0.0, 1.0]})
+    config = _json(tmp_path, "c.json", {
+        **SIM_CONFIG, "period_s": 5.0, "sample_rate_hz": 2.0,
+        "excitation": {"type": "multisine", "multisine_path": spec}})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o"),
+                 "--quiet"]) == 1
+    assert f"disagrees with config {config} period_s 5.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key,bad,problem", [
     ("a", lambda v: [str(x) for x in v], "a[0] must be of type number"),
     ("a", lambda v: [True, *v[1:]], "a[0] must be of type number"),
@@ -279,6 +292,67 @@ def test_compare_missing_input_exit_1_naming_the_file(tmp_path, capsys):
     assert main(["compare", "--nonpar", str(missing), "--par", str(par),
                  "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
     assert f"error: file not found: {missing}" in capsys.readouterr().err
+
+
+def _compare_by_argmin(f_np, z_np, f_par, z_par):
+    """Reference matching: argmin over the whole parametric grid, row by row."""
+    from fracimp import ImpedanceCurve, relative_error_curve
+    idx_np, idx_par = [], []
+    for i, f in enumerate(f_np):
+        j = np.argmin(np.abs(f_par - f))
+        if abs(f_par[j] - f) <= 1e-9 * max(f, 1.0):
+            idx_np.append(i)
+            idx_par.append(j)
+    err = relative_error_curve(ImpedanceCurve(f_np[idx_np], z_np[idx_np]),
+                               ImpedanceCurve(f_par[idx_par], z_par[idx_par]))
+    return f_np[idx_np], err
+
+
+def _compare_files(tmp_path, f_np, z_np, f_par, mag, phase_deg):
+    nonpar, par, expected = tmp_path / "eis.csv", tmp_path / "bode.csv", tmp_path / "ref.csv"
+    write_csv(nonpar, "freq_hz,re_ohm,im_ohm", (f_np, z_np.real, z_np.imag))
+    write_csv(par, "freq_hz,mag_ohm,phase_deg", (f_par, mag, phase_deg))
+    # the reference reads the tables back, so it sees the values compare sees
+    f_np, re, im = np.loadtxt(nonpar, delimiter=",", skiprows=1, ndmin=2).T
+    f_par, mag, phase_deg = np.loadtxt(par, delimiter=",", skiprows=1, ndmin=2).T
+    write_csv(expected, "freq_hz,rel_error", _compare_by_argmin(
+        f_np, re + 1j * im, f_par, mag * np.exp(1j * np.radians(phase_deg))))
+    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+    return (tmp_path / "cmp" / "error.csv").read_bytes(), expected.read_bytes()
+
+
+def test_compare_matches_rows_as_argmin_does(tmp_path):
+    """Unsorted grid: duplicates go to their first row, exact ties to the earlier row."""
+    eps = 2.0**-40  # exact distances, well inside the 1e-9 tolerance
+    f_par = np.array([3.0, 1.0 + eps, 2.0, 1.0 - eps, 2.0, 7.0, 6.0 - 4 * eps, 0.5,
+                      6.0 + 4 * eps, 7.0, 5.0])
+    mag = 1.0 + np.arange(f_par.size)  # a distinct impedance per row shows which row matched
+    f_np = np.array([2.0, 1.0, 0.5 * (1 + 1e-12), 4.0, 7.0 * (1 + 1e-12), 6.0, 3.0,
+                     5.0 * (1 - 1e-12), 0.1, 9.0])
+    z_np = 2.0 + 0.5j
+    got, expected = _compare_files(tmp_path, f_np, np.full(f_np.size, z_np), f_par, mag,
+                                   np.zeros(f_par.size))
+    assert got == expected
+    # rows 2 (first 2.0), 1 (tie, above), 7, 5 (first 7.0, from below), 6 (tie, below),
+    # 0 and 10 matched; 4.0, 0.1 and 9.0 did not
+    rows = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1)
+    assert rows[:, 1] == pytest.approx(np.abs(z_np - mag[[2, 1, 7, 5, 6, 0, 10]]) / abs(z_np))
+
+
+def test_compare_matches_argmin_on_random_grids(tmp_path):
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        grid = 0.01 * rng.integers(1, 60, size=40) * (1 + rng.choice([0, 1e-12, -1e-12], 40))
+        f_par, f_np = rng.choice(grid, rng.integers(1, 30)), rng.choice(grid, rng.integers(1, 30))
+        z_np = rng.standard_normal(f_np.size) + 1j * rng.standard_normal(f_np.size)
+        out = tmp_path / str(trial)
+        out.mkdir()
+        if not _compare_by_argmin(f_np, z_np, f_par, np.ones(f_par.size))[0].size:
+            continue  # no shared frequency: exit 1, covered elsewhere
+        got, expected = _compare_files(out, f_np, z_np, f_par, 1.0 + rng.random(f_par.size),
+                                       rng.uniform(-90, 90, f_par.size))
+        assert got == expected
 
 
 def test_single_period_estimate_falls_back(tmp_path):

@@ -305,6 +305,14 @@ def test_time_record_rejects_non_finite_sample(bad):
                    period_s=1.0, kind="current")
 
 
+def test_time_record_names_the_first_non_finite_sample():
+    samples = np.zeros(8)
+    samples[[3, 6]] = np.inf, np.nan
+    with pytest.raises(ValueError, match=r"^sample 3 is not finite \(inf\)$"):
+        TimeRecord(samples=samples, sample_rate_hz=4.0, periods=2,
+                   period_s=1.0, kind="current")
+
+
 def test_multisine_spec_rejects_bad_fields():
     with pytest.raises(ValueError):
         MultisineSpec(period_s=1.0, harmonics=[2, 2], amplitudes=[1, 1], phases=[0, 0])
@@ -333,6 +341,23 @@ def test_shared_grid_rule_is_the_same_for_writer_and_spectra(tmp_path, rel, acce
     callers = (lambda: write_record(tmp_path / "rec.csv", current, voltage),
                lambda: per_period_spectra(current, voltage))
     for call in callers:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="disagree on sample_rate_hz"):
+                call()
+
+
+@pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-9, False)])
+def test_shared_grid_rule_is_relative_at_small_values(tmp_path, rel, accepted):
+    """At 2 Hz and 5 s a 1e-9 relative offset is far below 1e-8 absolute, and still fails."""
+    rng = np.random.default_rng(1)
+    current = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=2.0,
+                         periods=2, period_s=5.0, kind="current")
+    voltage = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=2.0 * (1 - rel),
+                         periods=2, period_s=5.0 * (1 + rel), kind="voltage")
+    for call in (lambda: write_record(tmp_path / "rec.csv", current, voltage),
+                 lambda: per_period_spectra(current, voltage)):
         if accepted:
             call()
         else:

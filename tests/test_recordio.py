@@ -48,6 +48,35 @@ def test_row_count_mismatch_errors(tmp_path):
         read_record(path)
 
 
+@pytest.mark.parametrize("extra", [1, 3])
+def test_longer_record_reports_its_true_row_count(tmp_path, extra):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    last = path.read_text().splitlines()[-1]
+    with open(path, "a") as fh:
+        fh.write((last + "\n") * extra)
+    with pytest.raises(SchemaError, match=f"{200 + extra} data rows, metadata implies 200"):
+        read_record(path)
+
+
+def test_sidecar_claiming_more_rows_than_the_file_holds_reports_the_count(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    meta = json.loads(sidecar_path(path).read_text())
+    sidecar_path(path).write_text(json.dumps({**meta, "periods": 10**12}))
+    with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        with pytest.raises(SchemaError, match="200 data rows, metadata implies 100000000000000"):
+            read_record(path)
+    assert loadtxt.call_args.kwargs["max_rows"] is None
+
+
+def test_record_table_is_read_at_its_final_size(tmp_path):
+    path, current, _ = _write_pair(tmp_path, **_KW)
+    with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        current2, _, _ = read_record(path)
+    assert loadtxt.call_count == 1
+    assert loadtxt.call_args.kwargs["max_rows"] == current.n_samples + 1
+    assert np.array_equal(current2.samples, current.samples)
+
+
 def test_header_only_record_errors_without_a_parser_warning(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     path.write_text(CSV_HEADER + "\n")
