@@ -1,9 +1,10 @@
 """Command-line front end: design, simulate, estimate, eis, fit, compare.
 
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
-and checked against its schema below (non-finite numbers rejected, unknown
-config keys rejected, errors naming the file and the key path); commands write
-CSV files (`recordio.write_csv`) and JSON files (`schema.dump`) into --out.
+and checked against its schema below (numbers outside the float range and
+unknown config keys rejected, errors naming the file and the key path);
+commands write CSV files (`recordio.write_csv`) and JSON files (`schema.dump`)
+into --out.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
 """
 
@@ -332,28 +333,23 @@ def cmd_compare(args) -> int:
     f_par = par[:, 0]
     z_par = par[:, 1] * np.exp(1j * np.radians(par[:, 2]))
 
-    # nearest parametric row to each nonparametric frequency, the row argmin
-    # over |f_par - f| picks: the distance never grows towards f from either
-    # side, so the nearest value below f or the nearest at or above it holds
-    # the minimum; the stable sort keeps a run of equal values in file order,
-    # so its first entry is its first row, and a tie between the two sides
-    # goes to the earlier row
-    order = np.argsort(f_par, kind="stable")
-    f_sorted = f_par[order]
-    pos = np.searchsorted(f_sorted, f_np)
-    above = np.searchsorted(f_sorted, f_sorted[np.minimum(pos, f_sorted.size - 1)])
-    below = np.searchsorted(f_sorted, f_sorted[np.maximum(pos - 1, 0)])
-    d_above = np.abs(f_sorted[above] - f_np)
-    d_below = np.abs(f_sorted[below] - f_np)
-    take_below = (d_below < d_above) | ((d_below == d_above) & (order[below] < order[above]))
-    nearest = np.where(take_below, order[below], order[above])
+    # nearest parametric row to each nonparametric frequency, as argmin over
+    # |f_par - f| picks it: the nearest distinct value below f or at or above
+    # it, each standing for its first row, and a tie goes to the earlier row
+    values, first = np.unique(f_par, return_index=True)
+    pos = np.searchsorted(values, f_np)
+    below, above = first[np.maximum(pos - 1, 0)], first[np.minimum(pos, values.size - 1)]
+    d_below, d_above = np.abs(f_par[below] - f_np), np.abs(f_par[above] - f_np)
+    take_below = (d_below < d_above) | ((d_below == d_above) & (below < above))
+    nearest = np.where(take_below, below, above)
     idx_np = np.flatnonzero(np.abs(f_par[nearest] - f_np) <= 1e-9 * np.maximum(f_np, 1.0))
-    idx_par = nearest[idx_np]
     if not idx_np.size:
         raise SchemaError("nonparametric and parametric grids share no frequencies")
 
+    # compared at the nonparametric frequency: below 1 Hz the match tolerance
+    # is absolute, looser than relative_error_curve's relative grid check
     ref = ImpedanceCurve(freq_hz=f_np[idx_np], z_ohm=z_np[idx_np])
-    est = ImpedanceCurve(freq_hz=f_par[idx_par], z_ohm=z_par[idx_par])
+    est = ImpedanceCurve(freq_hz=ref.freq_hz, z_ohm=z_par[nearest[idx_np]])
     err = relative_error_curve(ref, est)
     keep = ~np.isnan(err)
 

@@ -21,7 +21,7 @@ constraint.  All half powers use the principal branch of sqrt(j*w).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,9 +94,8 @@ class EstimateResult:
     """Estimated half-order rational plus transient coefficients and diagnostics.
 
     ``weighted_cost`` is sum_k |E(k)|^2 / sigma_E(k)^2 at the returned
-    (a_1 = 1 normalized) parameters under the final weights; ``cost_history``
-    records the same quantity after every solve so weight stabilization can
-    be checked.  ``sigma_e`` is None when no weighted pass ran.
+    (a_1 = 1 normalized) parameters under the final weights (unit weights
+    when no weighted pass ran, and then ``sigma_e`` is None).
     """
 
     rational: HalfOrderRational
@@ -105,7 +104,6 @@ class EstimateResult:
     iterations_run: int
     sigma_e: np.ndarray | None
     bins: np.ndarray | None = None
-    cost_history: list = field(default_factory=list)
 
     def __post_init__(self):
         object.__setattr__(self, "transient", np.asarray(self.transient, dtype=float))
@@ -303,8 +301,8 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
 
     stacked = _stacked_real(regressor, None)
     theta = _solve(stacked, _column_gram(stacked))
-    history = [_theta_cost(regressor, theta, None)]
-    sigma = None
+    sigma = weights = None
+    iterations_run = 0
 
     if cfg.iterations > 0 and not spectra.has_covariances:
         warnings.warn(
@@ -314,22 +312,20 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
         )
     elif cfg.iterations > 0 and (spectra.var_current[bins].any()
                                  or spectra.var_voltage[bins].any()):
-        for _ in range(cfg.iterations):
+        for iterations_run in range(1, cfg.iterations + 1):
             sigma = _sigma_e(theta, basis, spectra, bins, cfg)
             weights = 1.0 / sigma
             theta = _solve(_stacked_real(regressor, weights),
                            _noise_gram(basis, spectra, bins, weights, cfg), _GRAM_RIDGE)
-            history.append(_theta_cost(regressor, theta, weights))
 
     a, b, c = _split_theta(theta, cfg)
     return EstimateResult(
         rational=HalfOrderRational(a=a, b=b),
         transient=c,
-        weighted_cost=history[-1],
-        iterations_run=len(history) - 1,
+        weighted_cost=_theta_cost(regressor, theta, weights),
+        iterations_run=iterations_run,
         sigma_e=sigma,
         bins=bins,
-        cost_history=history,
     )
 
 

@@ -2,20 +2,18 @@
 
 A `TimeRecord` is whole periods by construction: `samples_per_period` is the
 one rule that period_s*sample_rate_hz is a positive integer M, and a record
-holds exactly periods*M samples.  Every excitation is built on that grid and
-is exactly periodic, so downstream period-averaged spectra are leakage free.
+holds a positive multiple of M samples; its `periods` is derived from that
+length, not given.  Every excitation is built on that grid and is exactly
+periodic, so downstream period-averaged spectra are leakage free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
-
-SignalKind = Literal["current", "voltage"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,35 +96,27 @@ def samples_per_period(period_s: float, sample_rate_hz: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
-    """Uniformly sampled current or voltage record spanning `periods` periods."""
+    """Uniformly sampled record of whole periods: `periods` follows from its length."""
 
     samples: np.ndarray
     sample_rate_hz: float
-    periods: int
     period_s: float
-    kind: SignalKind
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if self.periods < 1:
-            raise ValueError("periods must be a positive integer")
         if self.period_s <= 0:
             raise ValueError("period_s must be positive")
-        if self.kind not in ("current", "voltage"):
-            raise ValueError(f"kind must be 'current' or 'voltage', got {self.kind!r}")
         if self.samples.ndim != 1:
             raise ValueError("samples must be 1-D")
         if not np.isfinite(self.samples).all():
             bad = int(np.argmin(np.isfinite(self.samples)))
             raise ValueError(f"sample {bad} is not finite ({self.samples[bad]})")
-        expected = self.periods * samples_per_period(self.period_s, self.sample_rate_hz)
-        if self.samples.size != expected:
-            raise ValueError(
-                f"record length {self.samples.size} != periods*period_s*sample_rate_hz "
-                f"= {expected}"
-            )
+        m = samples_per_period(self.period_s, self.sample_rate_hz)
+        if self.samples.size == 0 or self.samples.size % m:
+            raise ValueError(f"record length {self.samples.size} is not a positive multiple "
+                             f"of period_s*sample_rate_hz = {m}")
 
     @property
     def n_samples(self) -> int:
@@ -134,7 +124,11 @@ class TimeRecord:
 
     @property
     def samples_per_period(self) -> int:
-        return self.samples.size // self.periods
+        return samples_per_period(self.period_s, self.sample_rate_hz)
+
+    @property
+    def periods(self) -> int:
+        return self.samples.size // self.samples_per_period
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate_hz
@@ -142,15 +136,9 @@ class TimeRecord:
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
 
-    def with_samples(self, samples: np.ndarray, kind: SignalKind | None = None) -> "TimeRecord":
-        """Copy of this record with new samples (and optionally a new kind)."""
-        return TimeRecord(
-            samples=samples,
-            sample_rate_hz=self.sample_rate_hz,
-            periods=self.periods,
-            period_s=self.period_s,
-            kind=self.kind if kind is None else kind,
-        )
+    def with_samples(self, samples: np.ndarray) -> "TimeRecord":
+        """Copy of this record with new samples on the same time grid."""
+        return TimeRecord(samples, self.sample_rate_hz, self.period_s)
 
 
 def check_shared_grid(current: TimeRecord, voltage: TimeRecord) -> None:
@@ -245,13 +233,7 @@ def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: in
     # the top frequency) once instead of twice, and keeps only its real part
     gain = np.where(2 * spec.harmonics == m, m, m / 2.0)
     lines[spec.harmonics] = spec.amplitudes * gain * np.exp(1j * (spec.phases - np.pi / 2))
-    return TimeRecord(
-        samples=np.tile(np.fft.irfft(lines, n=m), periods),
-        sample_rate_hz=sample_rate_hz,
-        periods=periods,
-        period_s=spec.period_s,
-        kind="current",
-    )
+    return TimeRecord(np.tile(np.fft.irfft(lines, n=m), periods), sample_rate_hz, spec.period_s)
 
 
 def generate_periodic_noise(
@@ -268,13 +250,7 @@ def generate_periodic_noise(
     rng = np.random.default_rng(seed)
     one_period = rng.standard_normal(samples_per_period(period_s, sample_rate_hz))
     one_period -= one_period.mean()
-    return TimeRecord(
-        samples=np.tile(one_period, periods),
-        sample_rate_hz=sample_rate_hz,
-        periods=periods,
-        period_s=period_s,
-        kind="current",
-    )
+    return TimeRecord(np.tile(one_period, periods), sample_rate_hz, period_s)
 
 
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:

@@ -102,7 +102,7 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         periods = int(meta["periods"])
         period_s = float(meta["period_s"])
         expected = periods * samples_per_period(period_s, fs)
-    except (OverflowError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
     # np.loadtxt allocates max_rows rows up front, so one row past the
     # sidecar's count gives the table its final size in one allocation rather
@@ -120,11 +120,7 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         line = _parse_rows(csv_path, CSV_HEADER)[1][bad[0]]
         raise SchemaError(f"{csv_path}: non-uniform time column starting at row {line} "
                           f"(expected step {1.0 / fs})")
-    current = TimeRecord(samples=table[:, 1], sample_rate_hz=fs, periods=periods,
-                         period_s=period_s, kind="current")
-    voltage = TimeRecord(samples=table[:, 2], sample_rate_hz=fs, periods=periods,
-                         period_s=period_s, kind="voltage")
-    return current, voltage, meta
+    return TimeRecord(table[:, 1], fs, period_s), TimeRecord(table[:, 2], fs, period_s), meta
 
 
 def _read_header(path: str | Path, fh, header: str) -> None:

@@ -3,14 +3,16 @@
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
 2020-12: an integer-valued float such as 1.0 is an integer, and a boolean is
-neither an integer nor a number.  Unlike JSON Schema, every number must be
-finite, since Python's json module reads NaN and Infinity.
+neither an integer nor a number.  Unlike JSON Schema, every number must lie
+in the float range, |value| <= sys.float_info.max: Python's json module reads
+NaN, Infinity and integers of any size.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 from .errors import SchemaError
@@ -56,11 +58,11 @@ def check(value, schema: dict, context: str, key: str = "") -> None:
     def fail(problem: str):
         raise SchemaError(f"{context}: {key or 'top level'} {problem}")
 
-    if isinstance(value, float) and not math.isfinite(value):
-        fail(f"must be a finite number, got {value}")
-    kind = schema.get("type")
-    if kind is not None and not _TYPES[kind](value):
-        fail(f"must be of type {kind}, got {value!r}")
+    if _is_number(value) and not abs(value) <= sys.float_info.max:  # also NaN
+        fail("must be a finite number")
+    expected = schema.get("type")
+    if expected is not None and not _TYPES[expected](value):
+        fail(f"must be of type {expected}, got {value!r}")
     if "enum" in schema and value not in schema["enum"]:
         fail(f"must be one of {schema['enum']}, got {value!r}")
     if _is_number(value) and value < schema.get("minimum", -math.inf):

@@ -38,8 +38,6 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     present) is scaled by Re(Z) so that the sampled response of a real
     sinusoid at Nyquist comes out correctly real.
     """
-    if current.kind != "current":
-        raise ValueError("simulate_response expects a current record")
     m = current.samples_per_period
     per_period = current.samples.reshape(current.periods, m)
     for row in range(1, current.periods):
@@ -61,8 +59,7 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     out = np.empty_like(spec)
     out[0] = p.ocv * m  # unnormalized rfft convention: DC bin = M * mean
     out[1:] = spec[1:] * z
-    return current.with_samples(np.tile(np.fft.irfft(out, n=m), current.periods),
-                                kind="voltage")
+    return current.with_samples(np.tile(np.fft.irfft(out, n=m), current.periods))
 
 
 def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:

@@ -40,7 +40,6 @@ class SpectralSet:
     var_current: np.ndarray | None
     var_voltage: np.ndarray | None
     covar_vi: np.ndarray | None
-    periods: int
 
     def __post_init__(self):
         n = self.freq_hz.size
@@ -81,8 +80,6 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     deviations reach 256 KiB, as they do at the protocol record size.  The
     other order differs in the last bit.
     """
-    if current.kind != "current" or voltage.kind != "voltage":
-        raise ValueError("per_period_spectra expects (current, voltage) records")
     check_shared_grid(current, voltage)
     p = current.periods
     m = current.samples_per_period
@@ -124,7 +121,6 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
         var_current=var_cur,
         var_voltage=var_vol,
         covar_vi=covar_vi,
-        periods=p,
     )
 
 

@@ -604,3 +604,103 @@ def test_estimate_with_zero_numerator_order(tmp_path, capsys):
     assert main(["fit", "--estimate", str(est_out / "estimate.json"),
                  "--out", str(tmp_path / "fit"), "--quiet"]) == 1
     assert "(3, 3)" in capsys.readouterr().err
+
+
+_HUGE = 10**400  # json reads an integer of any size; no float holds this one
+_DESIGN_CONFIG = {"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8,
+                  "seed": 5, "rms_a": 0.5, "sample_rate_hz": 20.0, "periods": 2}
+
+
+@pytest.mark.parametrize("command,key", [
+    *(("design", key) for key in _DESIGN_CONFIG),
+    *(("simulate", key) for key in ("period_s", "snr", "seed", "randles.r_s_ohm",
+                                    "randles.ocv_v", "excitation.f_max_hz")),
+])
+def test_number_beyond_the_float_range_exit_1_naming_the_key(tmp_path, capsys, command, key):
+    cfg = json.loads(json.dumps(_DESIGN_CONFIG if command == "design" else SIM_CONFIG))
+    *parents, name = key.split(".")
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    node[name] = _HUGE
+    config, out = _json(tmp_path, "c.json", cfg), tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: invalid config {config}: {key} must be a finite number\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["sample_rate_hz", "periods"])
+def test_sidecar_number_beyond_the_float_range_exit_1_naming_the_key(tmp_path, capsys, key):
+    out = _run_simulate(tmp_path)
+    meta_path = out / "record.meta.json"
+    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), key: _HUGE}))
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: invalid metadata sidecar {meta_path}: {key} must be a finite number\n"
+
+
+def test_compare_matches_below_1_hz_within_1e_9_hz(tmp_path):
+    # 5e-10 Hz apart: 1e-7 relative, yet within the absolute 1e-9 Hz below 1 Hz
+    nonpar, par = tmp_path / "eis.csv", tmp_path / "bode.csv"
+    nonpar.write_text("freq_hz,re_ohm,im_ohm\n0.005,1.0,0.0\n")
+    par.write_text("freq_hz,mag_ohm,phase_deg\n0.0050000005,2.0,0.0\n")
+    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
+                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
+    rows = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows.tolist() == [[0.005, 1.0]]
+
+
+def _argv_and_message(tmp_path, case):
+    record = str(tmp_path / "sim" / "record.csv")
+    if case == "no band":
+        config = _json(tmp_path, "c.json", {
+            **SIM_CONFIG, "excitation": {"type": "multisine", "f_min_hz": 0.05}})
+        return (["simulate", "--config", config],
+                "multisine excitation needs either multisine_path or "
+                "f_min_hz/f_max_hz/points_per_decade")
+    if case == "no record":
+        missing = tmp_path / "none.csv"
+        return ["estimate", "--record", str(missing)], f"record file not found: {missing}"
+    if case.startswith("spec "):
+        change, problem = {
+            "spec period": ({"period_s": -20.0}, "period_s must be positive"),
+            "spec empty": ({"harmonics": [], "amplitudes": [], "phases": []},
+                           "harmonics must be a nonempty 1-D integer array"),
+            "spec lengths": ({"amplitudes": [1.0]},
+                             "amplitudes and phases must match harmonics in shape"),
+            "spec beyond": ({"harmonics": [1, 999]}, "excited bin 999 outside spectrum (max 200)"),
+        }[case]
+        path = _json(tmp_path, "ms.json", {"period_s": 20.0, "harmonics": [1, 3],
+                                           "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0],
+                                           **change})
+        config = _json(tmp_path, "eis.json", {"multisine_path": path})
+        prefix = "" if case == "spec beyond" else f"invalid multisine spec {path}: "
+        return ["eis", "--record", record, "--config", config], prefix + problem
+    coefficient, problem = {"no a": ("a", "need at least denominator coefficient a_1"),
+                            "no b": ("b", "need numerator coefficient b_0")}[case]
+    path = _json(tmp_path, "estimate.json", {"a": [1.0, 0.07, 0.17],
+                                             "b": [0.05, 0.67, 0.04, 0.1], coefficient: []})
+    return ["fit", "--estimate", path], f"invalid estimate file {path}: {problem}"
+
+
+@pytest.mark.parametrize("case", ["no band", "no record", "spec period", "spec empty",
+                                  "spec lengths", "spec beyond", "no a", "no b"])
+def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
+    _run_simulate(tmp_path)
+    argv, message = _argv_and_message(tmp_path, case)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_progress_line_without_quiet(tmp_path, capsys):
+    config = _json(tmp_path, "design.json", {**_DESIGN_CONFIG, "periods": 1})
+    out = tmp_path / "design"
+    assert main(["design", "--config", config, "--out", str(out)]) == 0
+    n = len(json.loads((out / "multisine.json").read_text())["harmonics"])
+    assert capsys.readouterr().out == (
+        f"designed {n} odd harmonics in [0.05, 1.95] Hz -> {out / 'multisine.json'}\n"
+        f"synthesized 400 samples -> {out / 'current.csv'}\n")

@@ -194,8 +194,7 @@ def test_periodic_noise_fractional_period_errors():
 
 
 def test_scale_to_rms_ratio():
-    record = TimeRecord(samples=np.full(8, 2.0), sample_rate_hz=8.0, periods=1,
-                        period_s=1.0, kind="current")
+    record = TimeRecord(samples=np.full(8, 2.0), sample_rate_hz=8.0, period_s=1.0)
     scaled = scale_to_rms(record, 0.5)
     assert np.allclose(scaled.samples, 0.5)
 
@@ -222,8 +221,7 @@ def test_scale_to_rms_idempotent():
 
 
 def test_scale_zero_record_errors():
-    record = TimeRecord(samples=np.zeros(4), sample_rate_hz=4.0, periods=1,
-                        period_s=1.0, kind="current")
+    record = TimeRecord(samples=np.zeros(4), sample_rate_hz=4.0, period_s=1.0)
     with pytest.raises(ValueError, match="zero"):
         scale_to_rms(record, 1.0)
 
@@ -233,14 +231,25 @@ def test_scale_zero_record_errors():
 
 def test_time_record_length_invariant():
     with pytest.raises(ValueError, match="length"):
-        TimeRecord(samples=np.zeros(7), sample_rate_hz=4.0, periods=2,
-                   period_s=1.0, kind="current")
+        TimeRecord(samples=np.zeros(7), sample_rate_hz=4.0, period_s=1.0)
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_time_record_length_is_a_positive_multiple_of_the_period(n):
+    with pytest.raises(ValueError, match=f"^record length {n} is not a positive multiple "
+                                         "of period_s\\*sample_rate_hz = 4$"):
+        TimeRecord(samples=np.zeros(n), sample_rate_hz=4.0, period_s=1.0)
+
+
+def test_time_record_derives_its_periods():
+    record = TimeRecord(samples=np.zeros(12), sample_rate_hz=4.0, period_s=1.0)
+    assert (record.periods, record.samples_per_period) == (3, 4)
+    assert record.with_samples(np.ones(8)).periods == 2
 
 
 def test_time_record_rejects_an_overflowing_length():
     with pytest.raises(ValueError, match="not a finite sample count"):
-        TimeRecord(samples=np.zeros(1), sample_rate_hz=1e200, periods=1,
-                   period_s=1e200, kind="current")
+        TimeRecord(samples=np.zeros(1), sample_rate_hz=1e200, period_s=1e200)
 
 
 _WHOLE_PERIODS = "not a finite sample count per period that is a positive integer"
@@ -265,7 +274,8 @@ def test_whole_period_grids_build_and_fractional_ones_are_rejected(grid_dir, who
     tone = MultisineSpec(period_s=period_s, harmonics=[1], amplitudes=[1.0], phases=[0.0])
     if fraction == 0.0:
         record = TimeRecord(samples=np.zeros(periods * whole), sample_rate_hz=fs,
-                            periods=periods, period_s=period_s, kind="current")
+                            period_s=period_s)
+        assert record.periods == periods
         assert record.samples_per_period == whole
         noise = generate_periodic_noise(period_s, fs, periods, seed=whole)
         assert noise.n_samples == periods * whole
@@ -281,8 +291,7 @@ def test_whole_period_grids_build_and_fractional_ones_are_rejected(grid_dir, who
 
     n = int(periods * m)
     with pytest.raises(ValueError, match=_WHOLE_PERIODS):
-        TimeRecord(samples=np.zeros(n), sample_rate_hz=fs, periods=periods,
-                   period_s=period_s, kind="current")
+        TimeRecord(samples=np.zeros(n), sample_rate_hz=fs, period_s=period_s)
     with pytest.raises(ValueError, match=_WHOLE_PERIODS):
         generate_periodic_noise(period_s, fs, periods, seed=0)
     if m > 2:
@@ -301,16 +310,14 @@ def test_time_record_rejects_non_finite_sample(bad):
     samples = np.zeros(8)
     samples[5] = bad
     with pytest.raises(ValueError, match="sample 5 is not finite"):
-        TimeRecord(samples=samples, sample_rate_hz=4.0, periods=2,
-                   period_s=1.0, kind="current")
+        TimeRecord(samples=samples, sample_rate_hz=4.0, period_s=1.0)
 
 
 def test_time_record_names_the_first_non_finite_sample():
     samples = np.zeros(8)
     samples[[3, 6]] = np.inf, np.nan
     with pytest.raises(ValueError, match=r"^sample 3 is not finite \(inf\)$"):
-        TimeRecord(samples=samples, sample_rate_hz=4.0, periods=2,
-                   period_s=1.0, kind="current")
+        TimeRecord(samples=samples, sample_rate_hz=4.0, period_s=1.0)
 
 
 def test_multisine_spec_rejects_bad_fields():
@@ -332,12 +339,10 @@ def test_multisine_spec_json_roundtrip():
 @pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-9, False)])
 def test_shared_grid_rule_is_the_same_for_writer_and_spectra(tmp_path, rel, accepted):
     """A voltage grid 1e-13 off the current's passes both callers; 1e-9 off fails both."""
-    fs, period_s, periods = 200.0, 0.05, 2
+    fs, period_s = 200.0, 0.05
     rng = np.random.default_rng(0)
-    current = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=fs,
-                         periods=periods, period_s=period_s, kind="current")
-    voltage = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=fs * (1 + rel),
-                         periods=periods, period_s=period_s / (1 + rel), kind="voltage")
+    current = TimeRecord(rng.standard_normal(20), fs, period_s)
+    voltage = TimeRecord(rng.standard_normal(20), fs * (1 + rel), period_s / (1 + rel))
     callers = (lambda: write_record(tmp_path / "rec.csv", current, voltage),
                lambda: per_period_spectra(current, voltage))
     for call in callers:
@@ -352,10 +357,8 @@ def test_shared_grid_rule_is_the_same_for_writer_and_spectra(tmp_path, rel, acce
 def test_shared_grid_rule_is_relative_at_small_values(tmp_path, rel, accepted):
     """At 2 Hz and 5 s a 1e-9 relative offset is far below 1e-8 absolute, and still fails."""
     rng = np.random.default_rng(1)
-    current = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=2.0,
-                         periods=2, period_s=5.0, kind="current")
-    voltage = TimeRecord(samples=rng.standard_normal(20), sample_rate_hz=2.0 * (1 - rel),
-                         periods=2, period_s=5.0 * (1 + rel), kind="voltage")
+    current = TimeRecord(rng.standard_normal(20), 2.0, 5.0)
+    voltage = TimeRecord(rng.standard_normal(20), 2.0 * (1 - rel), 5.0 * (1 + rel))
     for call in (lambda: write_record(tmp_path / "rec.csv", current, voltage),
                  lambda: per_period_spectra(current, voltage)):
         if accepted:

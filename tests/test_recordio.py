@@ -226,9 +226,7 @@ def test_writer_bytes_equal_savetxt(tmp_path, rows, paired):
     samples[0, :k] = specials[:k]
     samples[1, :k] = specials[::-1][:k]
     fs = 1000.0
-    current, voltage = (TimeRecord(samples=x, sample_rate_hz=fs, periods=1,
-                                   period_s=rows / fs, kind=kind)
-                        for x, kind in zip(samples, ("current", "voltage")))
+    current, voltage = (TimeRecord(x, fs, rows / fs) for x in samples)
     volt = voltage.samples if paired else np.zeros(rows)
     path = write_record(tmp_path / "rec.csv", current, voltage if paired else None)
     reference = np.column_stack([np.arange(rows) / fs, current.samples, volt])

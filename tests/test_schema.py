@@ -3,11 +3,12 @@
 Each row is (schema, input, verdict), where the verdict is what
 ``jsonschema.validate`` (Draft 2020-12, the default without ``$schema``)
 returned for that input.  The checker must agree on every row, except that
-it also rejects non-finite numbers, which Python's ``json`` reads from
-``NaN`` and ``Infinity`` and jsonschema accepts.
+it also rejects numbers outside the float range: NaN and infinities, which
+Python's ``json`` reads from ``NaN`` and ``Infinity``, and integers beyond
+``sys.float_info.max``, which it reads at any size; jsonschema accepts all of
+them.
 """
 
-import math
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from fracimp.errors import SchemaError
 from fracimp.schema import check, load
 
 NAN, INF = float("nan"), float("inf")
+HUGE, MAX = 10**400, int(sys.float_info.max)
 
 SCHEMAS = {
     "design": cli.DESIGN_SCHEMA,
@@ -150,6 +152,18 @@ JSONSCHEMA_VERDICTS = [
     ("rational", {"a": [1.0]}, False),
     ("rational", [E], False),
     ("rational", {**E, "b": [INF]}, True),
+    ("design", {**D, "period_s": HUGE}, True),
+    ("design", {**D, "points_per_decade": HUGE}, True),
+    ("design", {**D, "seed": HUGE}, True),
+    ("design", {**D, "seed": -HUGE}, False),
+    ("design", {**D, "period_s": MAX}, True),
+    ("design", {**D, "period_s": MAX + 1}, True),
+    ("randles", {**R, "ocv_v": -HUGE}, True),
+    ("randles", {**R, "r_s_ohm": -HUGE}, False),
+    ("multisine", {**M, "harmonics": [1, HUGE]}, True),
+    ("rational", {**E, "b": [HUGE]}, True),
+    ("estimate", {"k_min": 1, "k_max": HUGE}, True),
+    ("eis", {"detection_factor": HUGE}, True),
 ]
 
 
@@ -158,7 +172,7 @@ def _all_finite(value) -> bool:
         return all(_all_finite(v) for v in value.values())
     if isinstance(value, list):
         return all(_all_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
 
 
 def _accepts(name, config) -> bool:

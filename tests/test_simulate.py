@@ -28,8 +28,7 @@ def test_degenerate_resistor_path():
 
 
 def test_zero_current_gives_constant_ocv(sim_params):
-    current = TimeRecord(samples=np.zeros(200), sample_rate_hz=20.0, periods=2,
-                         period_s=5.0, kind="current")
+    current = TimeRecord(samples=np.zeros(200), sample_rate_hz=20.0, period_s=5.0)
     voltage = simulate_response(sim_params, current)
     assert voltage.samples == pytest.approx(np.full(200, sim_params.ocv), abs=1e-12)
 
@@ -92,8 +91,7 @@ def test_voltage_spectrum_supported_on_dc_plus_excited_bins(sim_params):
 
 def test_fractional_period_record_is_rejected():
     with pytest.raises(ValueError, match="positive integer"):
-        TimeRecord(samples=np.zeros(9), sample_rate_hz=3.0, periods=2,
-                   period_s=1.5, kind="current")
+        TimeRecord(samples=np.zeros(9), sample_rate_hz=3.0, period_s=1.5)
 
 
 def test_noisy_current_is_rejected_as_not_steady_state(sim_params):
@@ -115,13 +113,6 @@ def test_periodicity_error_names_the_first_breaking_sample(sim_params):
         simulate_response(sim_params, current.with_samples(samples))
 
 
-def test_voltage_record_is_rejected(sim_params):
-    record = TimeRecord(samples=np.zeros(8), sample_rate_hz=4.0, periods=1,
-                        period_s=2.0, kind="voltage")
-    with pytest.raises(ValueError, match="current"):
-        simulate_response(sim_params, record)
-
-
 # ---------------------------------------------------------------- noise injection
 
 
@@ -137,8 +128,7 @@ def test_noise_sigma_definition():
     rng = np.random.default_rng(2)
     samples = rng.normal(size=1_000_000)
     samples *= 1.0 / np.sqrt(np.mean(samples**2))  # unit RMS, zero-mean-ish
-    record = TimeRecord(samples=samples, sample_rate_hz=1000.0, periods=1,
-                        period_s=1000.0, kind="current")
+    record = TimeRecord(samples=samples, sample_rate_hz=1000.0, period_s=1000.0)
     noisy = add_noise(record, NoiseSpec(snr=50.0, seed=3))
     injected = noisy.samples - record.samples
     assert injected.std() == pytest.approx(
@@ -160,8 +150,7 @@ def test_noise_sigma_references_ac_component(sim_params):
 
 
 def test_add_noise_rejects_pure_dc():
-    record = TimeRecord(samples=np.full(16, 3.6), sample_rate_hz=4.0, periods=1,
-                        period_s=4.0, kind="voltage")
+    record = TimeRecord(samples=np.full(16, 3.6), sample_rate_hz=4.0, period_s=4.0)
     with pytest.raises(ValueError, match="AC"):
         add_noise(record, NoiseSpec(snr=10.0))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,6 @@ def _dft_direct(x):
     n = x.size
     k = np.arange(n)
     return (x[None, :] * np.exp(-2j * np.pi * np.outer(k, k[:n]) / n)).sum(axis=1) / n
-
-
-def _record(samples, fs, periods, period_s, kind):
-    return TimeRecord(samples=samples, sample_rate_hz=fs, periods=periods,
-                      period_s=period_s, kind=kind)
 
 
 # ---------------------------------------------------------------- dft
@@ -73,7 +70,7 @@ def test_noiseless_periodic_signals_have_zero_variance():
     # bitwise identical periods: exactly zero, not rounding debris, at any P
     for periods in (2, 3, 5, 16):
         current = generate_periodic_noise(2.0, 50.0, periods=periods, seed=1)
-        voltage = current.with_samples(2.0 * current.samples, kind="voltage")
+        voltage = current.with_samples(2.0 * current.samples)
         spectra = per_period_spectra(current, voltage)
         assert np.all(spectra.var_current == 0)
         assert np.all(spectra.var_voltage == 0)
@@ -83,8 +80,8 @@ def test_noiseless_periodic_signals_have_zero_variance():
 def test_voltage_equal_current_gives_self_covariance():
     rng = np.random.default_rng(2)
     samples = rng.normal(size=400)
-    current = _record(samples, 50.0, 4, 2.0, "current")
-    voltage = _record(samples.copy(), 50.0, 4, 2.0, "voltage")
+    current = TimeRecord(samples, 50.0, 2.0)
+    voltage = TimeRecord(samples.copy(), 50.0, 2.0)
     spectra = per_period_spectra(current, voltage)
     assert spectra.covar_vi == pytest.approx(spectra.var_current, rel=1e-12)
     assert spectra.var_voltage == pytest.approx(spectra.var_current, rel=1e-12)
@@ -99,8 +96,8 @@ def test_white_noise_spectral_variance_is_sigma2_over_m():
     acc = []
     for _ in range(200):
         noise = rng.normal(0.0, sigma, periods * m)
-        current = _record(noise, float(m), periods, 1.0, "current")
-        voltage = _record(np.zeros(periods * m), float(m), periods, 1.0, "voltage")
+        current = TimeRecord(noise, float(m), 1.0)
+        voltage = TimeRecord(np.zeros(periods * m), float(m), 1.0)
         spectra = per_period_spectra(current, voltage)
         acc.append(spectra.var_current)
     mean_var = np.mean(acc)
@@ -115,8 +112,8 @@ def test_variance_of_mean_spectrum_scales_as_one_over_p():
         power = []
         for _ in range(30):
             noise = rng.normal(size=periods * m)
-            current = _record(noise, float(m), periods, 1.0, "current")
-            voltage = _record(np.zeros(periods * m), float(m), periods, 1.0, "voltage")
+            current = TimeRecord(noise, float(m), 1.0)
+            voltage = TimeRecord(np.zeros(periods * m), float(m), 1.0)
             spectra = per_period_spectra(current, voltage)
             power.append(np.mean(np.abs(spectra.mean_current[1:-1]) ** 2))
         levels.append(np.mean(power))
@@ -126,8 +123,8 @@ def test_variance_of_mean_spectrum_scales_as_one_over_p():
 
 def test_spectral_set_invariants_on_noisy_data():
     rng = np.random.default_rng(5)
-    current = _record(rng.normal(size=600), 30.0, 5, 4.0, "current")
-    voltage = _record(rng.normal(size=600), 30.0, 5, 4.0, "voltage")
+    current = TimeRecord(rng.normal(size=600), 30.0, 4.0)
+    voltage = TimeRecord(rng.normal(size=600), 30.0, 4.0)
     spectra = per_period_spectra(current, voltage)
     assert np.all(spectra.var_current >= 0)
     assert np.all(spectra.var_voltage >= 0)
@@ -138,15 +135,14 @@ def test_spectral_set_invariants_on_noisy_data():
 
 def test_single_period_has_no_covariances():
     current = generate_periodic_noise(1.0, 64.0, 1, seed=6)
-    voltage = current.with_samples(current.samples, kind="voltage")
+    voltage = current.with_samples(current.samples)
     spectra = per_period_spectra(current, voltage)
     assert not spectra.has_covariances
 
 
 def test_metadata_mismatch_errors():
     current = generate_periodic_noise(1.0, 64.0, 2, seed=7)
-    voltage = TimeRecord(samples=np.zeros(128), sample_rate_hz=32.0, periods=2,
-                         period_s=2.0, kind="voltage")
+    voltage = TimeRecord(samples=np.zeros(128), sample_rate_hz=32.0, period_s=2.0)
     with pytest.raises(ValueError, match="disagree"):
         per_period_spectra(current, voltage)
 
@@ -156,7 +152,7 @@ def test_metadata_mismatch_errors():
 
 def test_nonparametric_constant_ratio():
     current = generate_periodic_noise(2.0, 32.0, 3, seed=8)
-    voltage = current.with_samples(2.0 * current.samples, kind="voltage")
+    voltage = current.with_samples(2.0 * current.samples)
     spectra = per_period_spectra(current, voltage)
     curve = nonparametric_impedance(spectra, np.arange(1, 30))
     assert curve.z_ohm == pytest.approx(np.full(curve.z_ohm.size, 2.0 + 0j), rel=1e-12)
@@ -196,7 +192,7 @@ def test_survey_bin_geometry_excited_bins_are_p_times_harmonics():
     expected |= {current.n_samples - k for k in expected}
     assert strong == expected
 
-    voltage = current.with_samples(current.samples, kind="voltage")
+    voltage = current.with_samples(current.samples)
     spectra = per_period_spectra(current, voltage)
     seg = np.abs(spectra.mean_current)
     seg_strong = set(np.nonzero(seg > 1e-6 * seg.max())[0].tolist())
@@ -205,7 +201,7 @@ def test_survey_bin_geometry_excited_bins_are_p_times_harmonics():
 
 def test_nonparametric_skips_weak_bins_with_warning():
     current = generate_periodic_noise(2.0, 32.0, 3, seed=9)
-    voltage = current.with_samples(1.5 * current.samples, kind="voltage")
+    voltage = current.with_samples(1.5 * current.samples)
     spectra = per_period_spectra(current, voltage)
     # bin 30 is fine, but ask also for a bin where the current is zeroed
     doctored = per_period_spectra(
@@ -219,24 +215,14 @@ def test_nonparametric_skips_weak_bins_with_warning():
 
 
 def _doctor_weak_bin(spectra, bin_index):
-    from fracimp import SpectralSet
-
     mean_current = spectra.mean_current.copy()
     mean_current[bin_index] = 0.0
-    return SpectralSet(
-        freq_hz=spectra.freq_hz,
-        mean_current=mean_current,
-        mean_voltage=spectra.mean_voltage,
-        var_current=spectra.var_current,
-        var_voltage=spectra.var_voltage,
-        covar_vi=spectra.covar_vi,
-        periods=spectra.periods,
-    )
+    return dataclasses.replace(spectra, mean_current=mean_current)
 
 
 def test_nonparametric_rejects_dc_bin():
     current = generate_periodic_noise(1.0, 32.0, 2, seed=10)
-    voltage = current.with_samples(current.samples, kind="voltage")
+    voltage = current.with_samples(current.samples)
     spectra = per_period_spectra(current, voltage)
     with pytest.raises(ValueError, match="DC"):
         nonparametric_impedance(spectra, [0, 3])
