@@ -2,8 +2,10 @@
 
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
-unknown config keys rejected, errors naming the file and the key path);
-commands write CSV files (`recordio.write_csv`) and JSON files (`schema.dump`)
+unknown config keys rejected, errors naming the file and the key path).
+`schema.load` also reports, naming the file, the rules a schema cannot state:
+strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
+Commands write CSV files (`recordio.write_csv`) and JSON files (`schema.dump`)
 into --out.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
 """
@@ -139,10 +141,7 @@ def _load_config(path: str | None, schema: dict) -> dict:
 
 
 def _load_multisine(path: str) -> MultisineSpec:
-    try:
-        return MultisineSpec.from_dict(load(path, MULTISINE_SCHEMA, "multisine spec"))
-    except ValueError as exc:
-        raise SchemaError(f"invalid multisine spec {path}: {exc}") from exc
+    return load(path, MULTISINE_SCHEMA, "multisine spec", MultisineSpec.from_dict)
 
 
 def _say(args, message: str) -> None:
@@ -299,12 +298,8 @@ def cmd_eis(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    payload = load(args.estimate, RATIONAL_SCHEMA, "estimate file")
-    try:
-        rational = HalfOrderRational(a=payload["a"], b=payload["b"])
-    except ValueError as exc:
-        raise SchemaError(f"invalid estimate file {args.estimate}: {exc}") from exc
-
+    rational = load(args.estimate, RATIONAL_SCHEMA, "estimate file",
+                    lambda d: HalfOrderRational(a=d["a"], b=d["b"]))
     result = fit_randles(rational)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

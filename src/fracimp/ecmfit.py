@@ -8,7 +8,7 @@ of four of the equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class EcmFitResult:
     residual_norm: float
     iterations: int
     converged: bool
-    cost_history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -75,20 +74,20 @@ def init_from_coefficients(r: HalfOrderRational) -> RandlesParams:
     return RandlesParams(r_s=r_s, r_ct=r_ct, c_dl=c_dl, sigma_w=sigma_w)
 
 
-def fit_randles(r: HalfOrderRational, *, start: RandlesParams | None = None) -> EcmFitResult:
+def fit_randles(r: HalfOrderRational) -> EcmFitResult:
     """Damped Gauss-Newton fit of the six coefficient equations in four unknowns.
 
-    Residuals are relative (each divided by the target coefficient magnitude,
-    floored), the unknowns are log-parameterized so positivity holds by
-    construction, and steps are halved (up to 30 times) until the cost does
-    not increase.  Stops when the accepted step norm drops below 1e-12 or
-    after 50 iterations.
+    Starts from `init_from_coefficients`.  Residuals are relative (each
+    divided by the target coefficient magnitude, floored), the unknowns are
+    log-parameterized so positivity holds by construction, and steps are
+    halved (up to 30 times) until the cost does not increase.  Stops when the
+    accepted step norm drops below 1e-12 or after 50 iterations; the result
+    holds the circuit values, the final residual norm, the number of accepted
+    steps and whether the step-norm stop was reached.
     """
     targets = _randles_targets(r)
     denom = np.maximum(np.abs(targets), _RESIDUAL_FLOOR)
-    if start is None:
-        start = init_from_coefficients(r)
-
+    start = init_from_coefficients(r)
     x = np.array([start.r_s, start.r_ct, start.c_dl, start.sigma_w])
 
     def residual(vals: np.ndarray) -> np.ndarray:
@@ -96,36 +95,25 @@ def fit_randles(r: HalfOrderRational, *, start: RandlesParams | None = None) -> 
 
     res = residual(x)
     cost = float(res @ res)
-    history = [cost]
     converged = False
 
     for iterations in range(1, _MAX_ITER + 1):
         jac = _jacobian_log(x) / denom[:, None]
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        alpha = 1.0
-        accepted = False
-        for _ in range(31):
+        for alpha in 0.5 ** np.arange(31):
             x_new = x * np.exp(alpha * step)
             res_new = residual(x_new)
             cost_new = float(res_new @ res_new)
             if cost_new <= cost:
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             iterations -= 1
             break
         x, res, cost = x_new, res_new, cost_new
-        history.append(cost)
         if np.linalg.norm(alpha * step) < _STEP_TOL:
             converged = True
             break
 
     params = RandlesParams(r_s=x[0], r_ct=x[1], c_dl=x[2], sigma_w=x[3])
-    return EcmFitResult(
-        params=params,
-        residual_norm=float(np.sqrt(cost)),
-        iterations=iterations,
-        converged=converged,
-        cost_history=history,
-    )
+    return EcmFitResult(params=params, residual_norm=float(np.sqrt(cost)),
+                        iterations=iterations, converged=converged)

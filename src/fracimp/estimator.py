@@ -95,7 +95,8 @@ class EstimateResult:
 
     ``weighted_cost`` is sum_k |E(k)|^2 / sigma_E(k)^2 at the returned
     (a_1 = 1 normalized) parameters under the final weights (unit weights
-    when no weighted pass ran, and then ``sigma_e`` is None).
+    when no weighted pass ran, and then ``sigma_e`` is None).  ``bins`` are
+    the selected segment bins the estimate was fitted on.
     """
 
     rational: HalfOrderRational
@@ -103,7 +104,7 @@ class EstimateResult:
     weighted_cost: float
     iterations_run: int
     sigma_e: np.ndarray | None
-    bins: np.ndarray | None = None
+    bins: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "transient", np.asarray(self.transient, dtype=float))
@@ -123,16 +124,10 @@ class EstimateResult:
         }
 
 
-def _half_powers(omega: np.ndarray, orders) -> np.ndarray:
-    """(j*omega)^{n/2} for each n in orders, shape (len(orders), len(omega))."""
-    q = _sqrt_j_omega(omega)
-    return np.stack([q**n for n in orders])
-
-
 def _basis(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
     """Every half power the model needs at the selected bins; row n is (jw)^{n/2}."""
-    omega = 2.0 * np.pi * spectra.freq_hz[bins]
-    return _half_powers(omega, range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1))
+    q = _sqrt_j_omega(2.0 * np.pi * spectra.freq_hz[bins])
+    return np.stack([q**n for n in range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1)])
 
 
 def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
@@ -150,8 +145,8 @@ def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
     return cols.T.copy()
 
 
-def _stacked_real(regressor: np.ndarray, row_weights: np.ndarray | None) -> np.ndarray:
-    k = regressor if row_weights is None else regressor * row_weights[:, None]
+def _stacked_real(regressor: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
+    k = regressor * row_weights[:, None]
     return np.vstack([k.real, k.imag])
 
 
@@ -210,14 +205,6 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndar
     theta[noisy] = np.linalg.solve(chol.T, vt[-1]) / diag
     theta[~noisy] = -np.linalg.lstsq(k_f, k_n @ theta[noisy], rcond=None)[0]
     return _normalize_a1(theta)
-
-
-def _theta_cost(regressor: np.ndarray, theta: np.ndarray,
-                row_weights: np.ndarray | None) -> float:
-    resid = regressor @ theta
-    if row_weights is not None:
-        resid = resid * row_weights
-    return float(np.sum(np.abs(resid) ** 2))
 
 
 def _split_theta(theta: np.ndarray, cfg: EstimationConfig):
@@ -287,8 +274,8 @@ def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:
     """Iteratively reweighted total least squares over the selected bins.
 
-    Iteration 0 is the unweighted TLS; each of the cfg.iterations weighted
-    passes recomputes sigma_E from the previous parameters, scales rows by
+    Iteration 0 is plain TLS on unit row weights; each of the cfg.iterations
+    weighted passes recomputes sigma_E from the previous parameters, scales rows by
     1/sigma_E, and re-solves under the weighted noise Gram, so a channel
     without measured noise enters exactly.  The unweighted estimate is
     returned as it is (iterations_run 0, sigma_e None) when no selected bin
@@ -299,9 +286,10 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     basis = _basis(spectra, bins, cfg)
     regressor = _regressor(spectra, bins, basis, cfg)
 
-    stacked = _stacked_real(regressor, None)
+    weights = np.ones(bins.size)
+    stacked = _stacked_real(regressor, weights)
     theta = _solve(stacked, _column_gram(stacked))
-    sigma = weights = None
+    sigma = None
     iterations_run = 0
 
     if cfg.iterations > 0 and not spectra.has_covariances:
@@ -322,7 +310,7 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     return EstimateResult(
         rational=HalfOrderRational(a=a, b=b),
         transient=c,
-        weighted_cost=_theta_cost(regressor, theta, weights),
+        weighted_cost=float(np.sum(np.abs(regressor @ theta * weights) ** 2)),
         iterations_run=iterations_run,
         sigma_e=sigma,
         bins=bins,

@@ -53,10 +53,6 @@ class MultisineSpec:
     def freqs_hz(self) -> np.ndarray:
         return self.harmonics / self.period_s
 
-    @property
-    def f_max_hz(self) -> float:
-        return float(self.harmonics[-1] / self.period_s)
-
     def to_dict(self) -> dict:
         return {
             "period_s": self.period_s,
@@ -67,12 +63,7 @@ class MultisineSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultisineSpec":
-        return cls(
-            period_s=float(d["period_s"]),
-            harmonics=np.asarray(d["harmonics"], dtype=int),
-            amplitudes=np.asarray(d["amplitudes"], dtype=float),
-            phases=np.asarray(d["phases"], dtype=float),
-        )
+        return cls(float(d["period_s"]), d["harmonics"], d["amplitudes"], d["phases"])
 
 
 def samples_per_period(period_s: float, sample_rate_hz: float) -> int:
@@ -170,9 +161,12 @@ def design_odd_quasilog(
     An ideal log-spaced frequency grid with `points_per_decade` points per
     decade is laid over [f_min_hz, f_max_hz]; each grid point is rounded to
     the nearest odd harmonic of 1/period_s (ties up), clamped to the odd
-    harmonics available inside the band, and duplicates are dropped.  Phases
-    are drawn uniformly on [0, 2*pi); amplitudes are all 1 (scale the
-    synthesized record afterwards).
+    harmonics available inside the band, and duplicates are dropped.  The
+    grid has at most x_hi*ln(x_hi/x_lo) + 2 points, x being the band edges in
+    harmonics: its largest gap is then below one harmonic, so it already hits
+    every odd harmonic in the band and a denser grid would give the same
+    harmonics.  Phases are drawn uniformly on [0, 2*pi); amplitudes are all 1
+    (scale the synthesized record afterwards).
     """
     if period_s <= 0:
         raise ValueError("period_s must be positive")
@@ -186,19 +180,17 @@ def design_odd_quasilog(
     # band edges in harmonic units, with slack against float dirt at exact edges
     x_lo = f_min_hz * period_s
     x_hi = f_max_hz * period_s
-    slack_lo = 1e-9 * max(1.0, abs(x_lo))
-    slack_hi = 1e-9 * max(1.0, abs(x_hi))
-    k_lo = int(np.ceil(x_lo - slack_lo))
+    k_lo = int(np.ceil(x_lo - 1e-9 * max(1.0, x_lo)))
     if k_lo % 2 == 0:
         k_lo += 1
-    k_hi = int(np.floor(x_hi + slack_hi))
+    k_hi = int(np.floor(x_hi + 1e-9 * max(1.0, x_hi)))
     if k_hi % 2 == 0:
         k_hi -= 1
-    if k_lo > k_hi or k_lo < 1:
+    if k_lo > k_hi:
         raise ValueError("no excitable odd harmonic in band")
 
-    decades = np.log10(f_max_hz / f_min_hz) if f_max_hz > f_min_hz else 0.0
-    n_grid = max(1, int(round(points_per_decade * decades)) + 1)
+    n_grid = int(min(np.round(points_per_decade * np.log10(f_max_hz / f_min_hz)) + 1,
+                     x_hi * np.log(x_hi / x_lo) + 2))
     grid = np.logspace(np.log10(f_min_hz), np.log10(f_max_hz), n_grid)
     harmonics = np.unique(np.clip(_nearest_odd(grid * period_s), k_lo, k_hi))
 
@@ -210,6 +202,14 @@ def design_odd_quasilog(
         amplitudes=np.ones(harmonics.size),
         phases=phases,
     )
+
+
+def _tile(one_period: np.ndarray, periods: int) -> np.ndarray:
+    """`periods` copies of one period; ValueError if numpy cannot index that many samples."""
+    if one_period.size * periods > np.iinfo(np.intp).max:
+        raise ValueError(f"periods={periods} makes a record of more than "
+                         f"{np.iinfo(np.intp).max} samples")
+    return np.tile(one_period, periods)
 
 
 def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: int) -> TimeRecord:
@@ -225,7 +225,7 @@ def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: in
     if sample_rate_hz <= f_nyq_limit * (1 - 1e-12):
         raise ValueError(
             f"sample_rate_hz={sample_rate_hz} violates the Nyquist bound for harmonic "
-            f"{int(spec.harmonics[-1])} ({spec.f_max_hz} Hz)"
+            f"{int(spec.harmonics[-1])} ({spec.harmonics[-1] / spec.period_s} Hz)"
         )
     m = samples_per_period(spec.period_s, sample_rate_hz)
     lines = np.zeros(m // 2 + 1, dtype=complex)
@@ -233,7 +233,7 @@ def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: in
     # the top frequency) once instead of twice, and keeps only its real part
     gain = np.where(2 * spec.harmonics == m, m, m / 2.0)
     lines[spec.harmonics] = spec.amplitudes * gain * np.exp(1j * (spec.phases - np.pi / 2))
-    return TimeRecord(np.tile(np.fft.irfft(lines, n=m), periods), sample_rate_hz, spec.period_s)
+    return TimeRecord(_tile(np.fft.irfft(lines, n=m), periods), sample_rate_hz, spec.period_s)
 
 
 def generate_periodic_noise(
@@ -250,7 +250,8 @@ def generate_periodic_noise(
     rng = np.random.default_rng(seed)
     one_period = rng.standard_normal(samples_per_period(period_s, sample_rate_hz))
     one_period -= one_period.mean()
-    return TimeRecord(np.tile(one_period, periods), sample_rate_hz, period_s)
+    return TimeRecord(_tile(one_period, periods), sample_rate_hz, period_s)
+
 
 
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:

@@ -93,17 +93,13 @@ def write_record(
 def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     """Read a record CSV and its sidecar; returns (current, voltage, metadata)."""
     csv_path = Path(csv_path)
-    meta_path = sidecar_path(csv_path)
     if not csv_path.exists():
         raise SchemaError(f"record file not found: {csv_path}")
-    meta = load(meta_path, SIDECAR_SCHEMA, "metadata sidecar")
-    try:
-        fs = float(meta["sample_rate_hz"])
-        periods = int(meta["periods"])
-        period_s = float(meta["period_s"])
-        expected = periods * samples_per_period(period_s, fs)
-    except ValueError as exc:
-        raise SchemaError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
+    # the sidecar and its samples per period, a ValueError unless whole
+    meta, m = load(sidecar_path(csv_path), SIDECAR_SCHEMA, "metadata sidecar", lambda d: (
+        d, samples_per_period(float(d["period_s"]), float(d["sample_rate_hz"]))))
+    fs, period_s = float(meta["sample_rate_hz"]), float(meta["period_s"])
+    expected = int(meta["periods"]) * m
     # np.loadtxt allocates max_rows rows up front, so one row past the
     # sidecar's count gives the table its final size in one allocation rather
     # than a series of growing reallocations.  A file too short to hold the

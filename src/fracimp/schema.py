@@ -1,5 +1,9 @@
 """`load` and `dump`, the one reader and writer of JSON files, and `check`, the schema subset.
 
+`load` also reports, in the same "invalid <what> <path>: <cause>" form, the
+rules a schema cannot state, which the caller's `build` enforces: strictly
+increasing harmonics, a_1 != 0, a whole number of samples per period.
+
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
 2020-12: an integer-valued float such as 1.0 is an integer, and a boolean is
@@ -34,8 +38,12 @@ _TYPES = {
 }
 
 
-def load(path: str | Path, schema: dict, what: str):
-    """The JSON value in `path`, checked; a SchemaError reads "invalid <what> <path>: ..."."""
+def load(path: str | Path, schema: dict, what: str, build=None):
+    """The JSON value in `path`, checked, or `build` of it when given.
+
+    Every failure is a SchemaError that reads "invalid <what> <path>: ...",
+    a ValueError from `build` included.
+    """
     context = f"invalid {what} {path}"
     try:
         value = json.loads(Path(path).read_text())
@@ -44,7 +52,10 @@ def load(path: str | Path, schema: dict, what: str):
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SchemaError(f"{context}: not valid JSON: {exc}") from exc
     check(value, schema, context)
-    return value
+    try:
+        return value if build is None else build(value)
+    except ValueError as exc:
+        raise SchemaError(f"{context}: {exc}") from exc
 
 
 def dump(path: str | Path, payload: dict) -> None:

@@ -459,6 +459,16 @@ def test_fractional_period_sidecar_exit_1_naming_sidecar(tmp_path, capsys, comma
     assert f"invalid metadata sidecar {meta_path}: period_s*sample_rate_hz = 4.5 is not" in err
 
 
+@pytest.mark.parametrize("excitation", [SIM_CONFIG["excitation"], {"type": "noise"}])
+def test_simulate_periods_beyond_the_index_range_exit_1(tmp_path, capsys, excitation):
+    config = _json(tmp_path, "sim.json", {**SIM_CONFIG, "excitation": excitation,
+                                          "periods": 1e25})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: periods=1e+25 makes a record of more")
+    assert not out.exists()
+
+
 def test_design_nyquist_violation_exit_1(tmp_path):
     config = _json(tmp_path, "design.json", {
         "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,

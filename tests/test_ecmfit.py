@@ -9,6 +9,8 @@ from fracimp import (
     init_from_coefficients,
     randles_to_rational,
 )
+from fracimp import ecmfit
+from fracimp.model import randles_coefficients
 
 from conftest import SIM_PARAMS
 
@@ -98,15 +100,31 @@ def test_scale_equivariance_of_numerator():
     assert result.params.c_dl == pytest.approx(SIM_PARAMS.c_dl / gamma, rel=1e-8)
 
 
-def test_accepted_steps_never_increase_cost():
+def test_accepted_steps_never_increase_cost(monkeypatch):
     rng = np.random.default_rng(42)
     rational = randles_to_rational(SIM_PARAMS)
     noisy = HalfOrderRational(a=rational.a * (1 + 0.02 * np.array([0.0, *rng.normal(size=2)])),
                               b=rational.b * (1 + 0.02 * rng.normal(size=4)))
     start = RandlesParams(r_s=2 * SIM_PARAMS.r_s, r_ct=0.5 * SIM_PARAMS.r_ct,
                           c_dl=3 * SIM_PARAMS.c_dl, sigma_w=0.4 * SIM_PARAMS.sigma_w)
-    result = fit_randles(noisy, start=start)
-    history = np.asarray(result.cost_history)
+    # a far start in place of the closed-form one, and every iterate the
+    # Jacobian is taken at: the start, then each accepted step
+    monkeypatch.setattr(ecmfit, "init_from_coefficients", lambda r: start)
+    iterates, jacobian_log = [], ecmfit._jacobian_log
+
+    def recording_jacobian(x):
+        iterates.append(x.copy())
+        return jacobian_log(x)
+
+    monkeypatch.setattr(ecmfit, "_jacobian_log", recording_jacobian)
+    result = fit_randles(noisy)
+
+    targets = np.array([noisy.a[1], noisy.a[2], *noisy.b])
+    costs = [np.sum(((randles_coefficients(*x) - targets) / np.abs(targets)) ** 2)
+             for x in iterates]
+    history = np.array([*costs, result.residual_norm**2])
+    assert len(iterates) >= result.iterations > 1
+    assert iterates[0].tolist() == [start.r_s, start.r_ct, start.c_dl, start.sigma_w]
     assert np.all(np.diff(history) <= 1e-15)
     assert result.params.r_s > 0 and result.params.c_dl > 0
 

@@ -278,8 +278,10 @@ def test_noiseless_smallest_singular_value_is_negligible():
 
 
 def _theta_result(a, b, c):
+    """An estimate at given parameters, fitted on no bins."""
     return EstimateResult(rational=HalfOrderRational(a=a, b=b), transient=np.asarray(c),
-                          weighted_cost=0.0, iterations_run=0, sigma_e=None)
+                          weighted_cost=0.0, iterations_run=0, sigma_e=None,
+                          bins=np.empty(0, dtype=int))
 
 
 def test_sigma_e_zero_noise_is_floored_to_uniform():

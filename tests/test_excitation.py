@@ -84,6 +84,13 @@ def test_design_seed_reproducible():
     assert np.array_equal(a.phases, b.phases)
 
 
+def test_design_dense_grid_hits_every_odd_harmonic_in_band():
+    # 1e26 points per decade would size a grid beyond any memory; capped, the
+    # grid's gaps are below one harmonic, so every odd harmonic is excited
+    spec = design_odd_quasilog(200.0, 0.005, 10.0, points_per_decade=1e26, seed=0)
+    assert spec.harmonics.tolist() == list(range(1, 2000, 2))
+
+
 # ---------------------------------------------------------------- synthesis
 
 
@@ -188,6 +195,15 @@ def test_periodic_noise_spectrum_only_at_multiples_of_p():
 def test_periodic_noise_fractional_period_errors():
     with pytest.raises(ValueError, match="positive integer"):
         generate_periodic_noise(1.5, 3.0, periods=2, seed=0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda periods: synthesize_multisine(MultisineSpec(10.0, [1], [1.0], [0.0]), 10.0, periods),
+    lambda periods: generate_periodic_noise(10.0, 10.0, periods, seed=0),
+], ids=["multisine", "noise"])
+def test_record_beyond_the_index_range_names_periods(make):
+    with pytest.raises(ValueError, match=r"^periods=1e\+25 makes a record of more than "):
+        make(1e25)
 
 
 # ---------------------------------------------------------------- RMS scaling

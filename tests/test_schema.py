@@ -227,6 +227,29 @@ def test_load_names_the_file_and_the_cause(tmp_path, text, problem):
         load(path, cli.SIMULATE_SCHEMA, "config")
 
 
+def test_load_reports_a_build_value_error_naming_the_file(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [0.0]}')
+
+    def build(value):
+        raise ValueError(f"a_1 must be nonzero, got {value['a'][0]}")
+
+    with pytest.raises(SchemaError) as info:
+        load(path, {"type": "object"}, "estimate file", build)
+    assert str(info.value) == f"invalid estimate file {path}: a_1 must be nonzero, got 0.0"
+    assert load(path, {"type": "object"}, "estimate file", lambda v: v["a"]) == [0.0]
+
+
+def test_load_passes_a_schema_error_through_without_building(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": "1", "b": [1.0]}')
+    built = []
+    with pytest.raises(SchemaError) as info:
+        load(path, cli.RATIONAL_SCHEMA, "estimate file", built.append)
+    assert str(info.value) == f"invalid estimate file {path}: a must be of type array, got '1'"
+    assert built == []
+
+
 def test_array_items_are_named_by_index():
     with pytest.raises(SchemaError, match=r"excited_bins\[1\] must be >= 1, got 0"):
         check({"excited_bins": [3, 0]}, cli.ESTIMATE_SCHEMA, "config")
