@@ -1,12 +1,15 @@
 """Command-line front end: design, simulate, estimate, eis, fit, compare.
 
+`main` runs every command the same way: it loads the config (`{}` when there
+is none), writes --seed into its "seed", calls the command and prints the
+progress text it returns unless --quiet.  A command makes --out only once its
+inputs are checked, and writes CSV files (`recordio.write_csv`) and JSON files
+(`schema.dump`) there.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
 strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
-Commands write CSV files (`recordio.write_csv`) and JSON files (`schema.dump`)
-into --out.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
 """
 
@@ -31,22 +34,17 @@ from .spectra import nonparametric_impedance, per_period_spectra
 
 _BODE_GRID_POINTS = 200
 
+_COUNT = {"type": "integer", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0}
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
+# the multisine band, and the record a design or simulate config synthesizes
+_BAND = {"f_min_hz": POSITIVE_NUMBER, "f_max_hz": POSITIVE_NUMBER, "points_per_decade": _COUNT}
+_RECORD = {"sample_rate_hz": POSITIVE_NUMBER, "periods": _COUNT, "rms_a": POSITIVE_NUMBER}
 
 DESIGN_SCHEMA = {
     "type": "object",
-    "properties": {
-        "period_s": POSITIVE_NUMBER,
-        "f_min_hz": POSITIVE_NUMBER,
-        "f_max_hz": POSITIVE_NUMBER,
-        "points_per_decade": {"type": "integer", "minimum": 1},
-        "seed": _SEED,
-        "rms_a": POSITIVE_NUMBER,
-        "sample_rate_hz": POSITIVE_NUMBER,
-        "periods": {"type": "integer", "minimum": 1},
-    },
-    "required": ["period_s", "f_min_hz", "f_max_hz", "points_per_decade"],
+    "properties": {"period_s": POSITIVE_NUMBER, **_BAND, "seed": _SEED, **_RECORD},
+    "required": ["period_s", *_BAND],
     "dependentRequired": {"sample_rate_hz": ["periods"], "periods": ["sample_rate_hz"],
                           "rms_a": ["sample_rate_hz", "periods"]},
     "additionalProperties": False,
@@ -73,35 +71,31 @@ SIMULATE_SCHEMA = {
             "properties": {
                 "type": {"enum": ["multisine", "noise"]},
                 "multisine_path": {"type": "string"},
-                "f_min_hz": POSITIVE_NUMBER,
-                "f_max_hz": POSITIVE_NUMBER,
-                "points_per_decade": {"type": "integer", "minimum": 1},
+                **_BAND,
             },
             "required": ["type"],
             "additionalProperties": False,
         },
         "period_s": POSITIVE_NUMBER,
-        "sample_rate_hz": POSITIVE_NUMBER,
-        "periods": {"type": "integer", "minimum": 1},
-        "rms_a": POSITIVE_NUMBER,
+        **_RECORD,
         "randles": RANDLES_SCHEMA,
         "snr": POSITIVE_NUMBER,
         "seed": _SEED,
     },
-    "required": ["excitation", "period_s", "sample_rate_hz", "periods", "rms_a", "randles"],
+    "required": ["excitation", "period_s", *_RECORD, "randles"],
     "additionalProperties": False,
 }
 
 ESTIMATE_SCHEMA = {
     "type": "object",
     "properties": {
-        "n_a": {"type": "integer", "minimum": 1},
+        "n_a": _COUNT,
         "n_b": {"type": "integer", "minimum": 0},
         "n_r": {"type": "integer", "minimum": 0},
         "iterations": {"type": "integer", "minimum": 0},
-        "k_min": {"type": "integer", "minimum": 1},
-        "k_max": {"type": "integer", "minimum": 1},
-        "excited_bins": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "k_min": _COUNT,
+        "k_max": _COUNT,
+        "excited_bins": {"type": "array", "items": _COUNT},
         "multisine_path": {"type": "string"},
     },
     "dependentRequired": {"k_min": ["k_max"], "k_max": ["k_min"]},
@@ -122,7 +116,7 @@ MULTISINE_SCHEMA = {
     "type": "object",
     "properties": {
         "period_s": {"type": "number"},
-        "harmonics": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+        "harmonics": {"type": "array", "items": _COUNT},
         "amplitudes": _NUMBERS,
         "phases": _NUMBERS,
     },
@@ -136,43 +130,36 @@ RATIONAL_SCHEMA = {
 }
 
 
-def _load_config(path: str | None, schema: dict) -> dict:
-    return {} if path is None else load(path, schema, "config")
-
-
 def _load_multisine(path: str) -> MultisineSpec:
     return load(path, MULTISINE_SCHEMA, "multisine spec", MultisineSpec.from_dict)
 
 
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
-def cmd_design(args) -> int:
-    cfg = _load_config(args.config, DESIGN_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    spec = design_odd_quasilog(
-        period_s=cfg["period_s"],
-        f_min_hz=cfg["f_min_hz"],
-        f_max_hz=cfg["f_max_hz"],
-        points_per_decade=cfg["points_per_decade"],
-        seed=seed,
-    )
+def _out(args) -> Path:
+    """The --out directory, made; call it once the command's inputs are checked."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dump(out / "multisine.json", spec.to_dict())
-    _say(args, f"designed {spec.harmonics.size} odd harmonics in "
-               f"[{spec.freqs_hz[0]:.6g}, {spec.freqs_hz[-1]:.6g}] Hz -> "
-               f"{out / 'multisine.json'}")
+    return out
 
-    if "sample_rate_hz" in cfg and "periods" in cfg:
+
+def _design(band: dict, period_s: float, seed) -> MultisineSpec:
+    return design_odd_quasilog(period_s, band["f_min_hz"], band["f_max_hz"],
+                               band["points_per_decade"], seed=seed)
+
+
+def cmd_design(args, cfg: dict) -> str:
+    spec = _design(cfg, cfg["period_s"], cfg.get("seed"))
+    record = None
+    if "periods" in cfg:  # sample_rate_hz comes with it
         record = synthesize_multisine(spec, cfg["sample_rate_hz"], cfg["periods"])
-        if "rms_a" in cfg:
-            record = scale_to_rms(record, cfg["rms_a"])
-        write_record(out / "current.csv", record)
-        _say(args, f"synthesized {record.n_samples} samples -> {out / 'current.csv'}")
-    return 0
+        record = scale_to_rms(record, cfg["rms_a"]) if "rms_a" in cfg else record
+    out = _out(args)
+    dump(out / "multisine.json", spec.to_dict())
+    text = (f"designed {spec.harmonics.size} odd harmonics in "
+            f"[{spec.freqs_hz[0]:.6g}, {spec.freqs_hz[-1]:.6g}] Hz -> {out / 'multisine.json'}")
+    if record is None:
+        return text
+    write_record(out / "current.csv", record)
+    return f"{text}\nsynthesized {record.n_samples} samples -> {out / 'current.csv'}"
 
 
 def _child_seed(seq: np.random.SeedSequence) -> int:
@@ -182,35 +169,26 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
 def _build_excitation(cfg: dict, seed: int, config_path: str):
     exc = cfg["excitation"]
     if exc["type"] == "noise":
-        record = generate_periodic_noise(
-            cfg["period_s"], cfg["sample_rate_hz"], cfg["periods"], seed=seed,
-        )
+        record = generate_periodic_noise(cfg["period_s"], cfg["sample_rate_hz"], cfg["periods"],
+                                         seed=seed)
         return scale_to_rms(record, cfg["rms_a"]), None
     if "multisine_path" in exc:
         spec = _load_multisine(exc["multisine_path"])
         if not np.isclose(spec.period_s, cfg["period_s"], rtol=1e-12, atol=0.0):
             raise SchemaError(f"multisine spec {exc['multisine_path']} period_s {spec.period_s} "
                               f"disagrees with config {config_path} period_s {cfg['period_s']}")
+    elif _BAND.keys() <= exc.keys():
+        spec = _design(exc, cfg["period_s"], seed)
     else:
-        for key in ("f_min_hz", "f_max_hz", "points_per_decade"):
-            if key not in exc:
-                raise SchemaError(
-                    "multisine excitation needs either multisine_path or "
-                    "f_min_hz/f_max_hz/points_per_decade"
-                )
-        spec = design_odd_quasilog(
-            cfg["period_s"], exc["f_min_hz"], exc["f_max_hz"], exc["points_per_decade"],
-            seed=seed,
-        )
+        raise SchemaError("multisine excitation needs either multisine_path or "
+                          "f_min_hz/f_max_hz/points_per_decade")
     record = synthesize_multisine(spec, cfg["sample_rate_hz"], cfg["periods"])
     return scale_to_rms(record, cfg["rms_a"]), spec
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, SIMULATE_SCHEMA)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+def cmd_simulate(args, cfg: dict) -> str:
     # independent child seeds for the excitation and the two noise channels
-    children = np.random.SeedSequence(seed).spawn(3)
+    children = np.random.SeedSequence(cfg.get("seed")).spawn(3)
     current, spec = _build_excitation(cfg, _child_seed(children[0]), args.config)
 
     randles = RandlesParams.from_dict({"ocv_v": 3.6, **cfg["randles"]})
@@ -220,37 +198,35 @@ def cmd_simulate(args) -> int:
         current = add_noise(current, NoiseSpec(snr=cfg["snr"], seed=_child_seed(children[1])))
         voltage = add_noise(voltage, NoiseSpec(snr=cfg["snr"], seed=_child_seed(children[2])))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     if spec is not None:
         dump(out / "multisine.json", spec.to_dict())
     write_record(out / "record.csv", current, voltage, ocv_v=randles.ocv)
-    _say(args, f"simulated {current.n_samples} samples -> {out / 'record.csv'}")
-    return 0
+    return f"simulated {current.n_samples} samples -> {out / 'record.csv'}"
 
 
 def _estimation_config(cfg: dict) -> EstimationConfig:
-    mask = None
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError("give excited_bins or multisine_path, not both")
-    if "excited_bins" in cfg:
-        mask = np.asarray(cfg["excited_bins"], dtype=int)
-    elif "multisine_path" in cfg:
+    mask = cfg.get("excited_bins")  # EstimationConfig makes it an int array
+    if "multisine_path" in cfg:
         mask = _load_multisine(cfg["multisine_path"]).harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
     return EstimationConfig(bin_window=window, bin_mask=mask, **given)
 
 
-def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config, ESTIMATE_SCHEMA)
-    est_cfg = _estimation_config(cfg)
+def _spectra(args):
     current, voltage, _ = read_record(args.record)
-    spectra = per_period_spectra(current, voltage)
+    return per_period_spectra(current, voltage)
+
+
+def cmd_estimate(args, cfg: dict) -> str:
+    est_cfg = _estimation_config(cfg)
+    spectra = _spectra(args)
     result = wtls_estimate(spectra, est_cfg)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     dump(out / "estimate.json", result.to_dict())
 
     f_sel = spectra.freq_hz[result.bins]
@@ -261,10 +237,8 @@ def cmd_estimate(args) -> int:
               (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
     write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
               (curve.z_ohm.real, -curve.z_ohm.imag))
-    _say(args, f"estimated over {result.bins.size} bins "
-               f"(weighted cost {result.weighted_cost:.6g}, "
-               f"{result.iterations_run} weighted iterations) -> {out / 'estimate.json'}")
-    return 0
+    return (f"estimated over {result.bins.size} bins (weighted cost {result.weighted_cost:.6g}, "
+            f"{result.iterations_run} weighted iterations) -> {out / 'estimate.json'}")
 
 
 def _detect_excited_bins(spectra, factor: float) -> np.ndarray:
@@ -279,44 +253,34 @@ def _detect_excited_bins(spectra, factor: float) -> np.ndarray:
     return bins
 
 
-def cmd_eis(args) -> int:
-    cfg = _load_config(args.config, EIS_SCHEMA)
-    current, voltage, _ = read_record(args.record)
-    spectra = per_period_spectra(current, voltage)
+def cmd_eis(args, cfg: dict) -> str:
+    spectra = _spectra(args)
     if "multisine_path" in cfg:
         bins = _load_multisine(cfg["multisine_path"]).harmonics
     else:
         bins = _detect_excited_bins(spectra, cfg.get("detection_factor", 100.0))
     curve = nonparametric_impedance(spectra, bins)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
               (curve.freq_hz, curve.z_ohm.real, curve.z_ohm.imag))
-    _say(args, f"nonparametric impedance at {curve.freq_hz.size} bins -> {out / 'eis.csv'}")
-    return 0
+    return f"nonparametric impedance at {curve.freq_hz.size} bins -> {out / 'eis.csv'}"
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, cfg: dict) -> str:
     rational = load(args.estimate, RATIONAL_SCHEMA, "estimate file",
                     lambda d: HalfOrderRational(a=d["a"], b=d["b"]))
     result = fit_randles(rational)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dump(out / "fit.json", result.to_dict())
+    dump(_out(args) / "fit.json", result.to_dict())
     p = result.params
-    if not args.quiet:
-        print(f"{'parameter':<12}{'value':>14}")
-        print(f"{'R_S [ohm]':<12}{p.r_s:>14.6g}")
-        print(f"{'R_CT [ohm]':<12}{p.r_ct:>14.6g}")
-        print(f"{'C_DL [F]':<12}{p.c_dl:>14.6g}")
-        print(f"{'sigma [ohm/sqrt(s)]':<12}{p.sigma_w:>14.6g}")
-        print(f"{'omega_res [rad/s]':<12}{resonance_frequency(p):>14.6g}")
-        print(f"converged={result.converged} residual_norm={result.residual_norm:.3g}")
-    return 0
+    rows = (("R_S [ohm]", p.r_s), ("R_CT [ohm]", p.r_ct), ("C_DL [F]", p.c_dl),
+            ("sigma [ohm/sqrt(s)]", p.sigma_w), ("omega_res [rad/s]", resonance_frequency(p)))
+    return "\n".join([f"{'parameter':<12}{'value':>14}",
+                      *(f"{name:<12}{value:>14.6g}" for name, value in rows),
+                      f"converged={result.converged} residual_norm={result.residual_norm:.3g}"])
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, cfg: dict) -> str:
     nonpar = read_csv(args.nonpar, "freq_hz,re_ohm,im_ohm")
     par = read_csv(args.par, "freq_hz,mag_ohm,phase_deg")
     for path, table in ((args.nonpar, nonpar), (args.par, par)):
@@ -348,19 +312,23 @@ def cmd_compare(args) -> int:
     err = relative_error_curve(ref, est)
     keep = ~np.isnan(err)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out(args)
     write_csv(out / "error.csv", "freq_hz,rel_error", (ref.freq_hz[keep], err[keep]))
-    _say(args, f"compared {int(keep.sum())} shared frequencies -> {out / 'error.csv'}")
-    return 0
+    return f"compared {int(keep.sum())} shared frequencies -> {out / 'error.csv'}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=".", help="output directory (default: .)")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
+    common.set_defaults(config=None, seed=None)
+    # design and simulate draw random numbers; estimate and eis read a record
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--config", required=True)
     seeded.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
+    recorded = argparse.ArgumentParser(add_help=False, parents=[common])
+    recorded.add_argument("--record", required=True)
+    recorded.add_argument("--config", default=None)
 
     parser = argparse.ArgumentParser(
         prog="fracimp",
@@ -369,25 +337,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", parents=[seeded], help="design an odd quasi-log multisine")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_design)
+    p.set_defaults(func=cmd_design, schema=DESIGN_SCHEMA)
 
     p = sub.add_parser("simulate", parents=[seeded],
                        help="simulate a battery voltage response record")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, schema=SIMULATE_SCHEMA)
 
-    p = sub.add_parser("estimate", parents=[common],
+    p = sub.add_parser("estimate", parents=[recorded],
                        help="parametric impedance estimate from a record CSV")
-    p.add_argument("--record", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_estimate)
+    p.set_defaults(func=cmd_estimate, schema=ESTIMATE_SCHEMA)
 
-    p = sub.add_parser("eis", parents=[common],
-                       help="nonparametric impedance from a record CSV")
-    p.add_argument("--record", required=True)
-    p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_eis)
+    p = sub.add_parser("eis", parents=[recorded], help="nonparametric impedance from a record CSV")
+    p.set_defaults(func=cmd_eis, schema=EIS_SCHEMA)
 
     p = sub.add_parser("fit", parents=[common],
                        help="recover Randles circuit values from an estimate JSON")
@@ -409,13 +370,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        cfg = {} if args.config is None else load(args.config, args.schema, "config")
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        text = args.func(args, cfg)
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    if not args.quiet:
+        print(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -207,7 +207,7 @@ def design_odd_quasilog(
 def _tile(one_period: np.ndarray, periods: int) -> np.ndarray:
     """`periods` copies of one period; ValueError if numpy cannot index that many samples."""
     if one_period.size * periods > np.iinfo(np.intp).max:
-        raise ValueError(f"periods={periods} makes a record of more than "
+        raise ValueError(f"periods={periods:.6g} makes a record of more than "
                          f"{np.iinfo(np.intp).max} samples")
     return np.tile(one_period, periods)
 

@@ -99,7 +99,7 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     meta, m = load(sidecar_path(csv_path), SIDECAR_SCHEMA, "metadata sidecar", lambda d: (
         d, samples_per_period(float(d["period_s"]), float(d["sample_rate_hz"]))))
     fs, period_s = float(meta["sample_rate_hz"]), float(meta["period_s"])
-    expected = int(meta["periods"]) * m
+    expected = meta["periods"] * m
     # np.loadtxt allocates max_rows rows up front, so one row past the
     # sidecar's count gives the table its final size in one allocation rather
     # than a series of growing reallocations.  A file too short to hold the

@@ -7,9 +7,10 @@ increasing harmonics, a_1 != 0, a whole number of samples per period.
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
 2020-12: an integer-valued float such as 1.0 is an integer, and a boolean is
-neither an integer nor a number.  Unlike JSON Schema, every number must lie
-in the float range, |value| <= sys.float_info.max: Python's json module reads
-NaN, Infinity and integers of any size.
+neither an integer nor a number; `check` returns every "integer" number as an
+int.  Unlike JSON Schema, every number must lie in the float range,
+|value| <= sys.float_info.max: Python's json module reads NaN, Infinity and
+integers of any size.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def load(path: str | Path, schema: dict, what: str, build=None):
         raise SchemaError(f"{context}: {exc.strerror}") from exc
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SchemaError(f"{context}: not valid JSON: {exc}") from exc
-    check(value, schema, context)
+    value = check(value, schema, context)
     try:
         return value if build is None else build(value)
     except ValueError as exc:
@@ -64,8 +65,9 @@ def dump(path: str | Path, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def check(value, schema: dict, context: str, key: str = "") -> None:
-    """Raise SchemaError naming `context` and the key path where `value` breaks `schema`."""
+def check(value, schema: dict, context: str, key: str = ""):
+    """`value` with its "integer" numbers as ints; SchemaError naming `context`
+    and the key path where `value` breaks `schema`."""
     def fail(problem: str):
         raise SchemaError(f"{context}: {key or 'top level'} {problem}")
 
@@ -80,9 +82,11 @@ def check(value, schema: dict, context: str, key: str = "") -> None:
         fail(f"must be >= {schema['minimum']}, got {value!r}")
     if _is_number(value) and value <= schema.get("exclusiveMinimum", -math.inf):
         fail(f"must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if expected == "integer":
+        return int(value)
     if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            check(item, schema["items"], context, f"{key}[{i}]")
+        return [check(item, schema["items"], context, f"{key}[{i}]")
+                for i, item in enumerate(value)]
     if isinstance(value, dict):
         prefix = f"{key}." if key else ""
         for name in schema.get("required", ()):
@@ -93,9 +97,12 @@ def check(value, schema: dict, context: str, key: str = "") -> None:
                 if name in value and other not in value:
                     raise SchemaError(f"{context}: missing key {prefix}{other}, "
                                       f"required with {prefix}{name}")
-        properties = schema.get("properties", {})
+        properties, checked = schema.get("properties", {}), {}
         for name, item in value.items():
             if name in properties:
-                check(item, properties[name], context, prefix + name)
+                item = check(item, properties[name], context, prefix + name)
             elif schema.get("additionalProperties") is False:
                 raise SchemaError(f"{context}: unknown key {prefix}{name}")
+            checked[name] = item
+        return checked
+    return value

@@ -100,12 +100,15 @@ def test_pipeline_is_byte_deterministic(tmp_path):
 
 
 def test_seed_flag_overrides_config(tmp_path):
-    out1 = _run_simulate(tmp_path, out="a", extra={"snr": 20.0})
-    config = _json(tmp_path, "sim2.json", {**SIM_CONFIG, "snr": 20.0})
-    out2 = tmp_path / "c"
-    assert main(["simulate", "--config", config, "--out", str(out2),
-                 "--seed", "123", "--quiet"]) == 0
-    assert (out1 / "record.csv").read_bytes() != (out2 / "record.csv").read_bytes()
+    for command, base in (("design", _DESIGN_CONFIG), ("simulate", {**SIM_CONFIG, "snr": 20.0})):
+        outputs = {}
+        for name, seed, flag in (("config", 123, []), ("flag", 5, ["--seed", "123"]),
+                                 ("unflagged", 5, [])):
+            config = _json(tmp_path, f"{command}-{name}.json", {**base, "seed": seed})
+            out = tmp_path / command / name
+            assert main([command, "--config", config, "--out", str(out), *flag, "--quiet"]) == 0
+            outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert outputs["flag"] == outputs["config"] != outputs["unflagged"]
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -714,3 +717,74 @@ def test_progress_line_without_quiet(tmp_path, capsys):
     assert capsys.readouterr().out == (
         f"designed {n} odd harmonics in [0.05, 1.95] Hz -> {out / 'multisine.json'}\n"
         f"synthesized 400 samples -> {out / 'current.csv'}\n")
+
+
+@pytest.mark.parametrize("command,given", [
+    ("design", {"periods": 2}),
+    ("simulate", {"periods": 3}),
+    ("simulate", {"seed": 1}),
+    ("estimate", {"n_a": 3}),
+    ("estimate", {"iterations": 10}),
+    ("estimate", {"n_r": 1}),
+    ("estimate", {"k_min": 1, "k_max": 20}),
+    ("estimate", {"excited_bins": [1, 3, 5, 7, 9, 13, 17, 23, 31, 39]}),
+])
+def test_integer_keys_take_integer_valued_floats(tmp_path, command, given):
+    base = {"design": _DESIGN_CONFIG, "simulate": SIM_CONFIG, "estimate": {}}[command]
+    argv = []
+    if command == "estimate":
+        argv = ["--record", str(_run_simulate(tmp_path, extra={"snr": 50.0}) / "record.csv")]
+    as_floats = {key: [float(v) for v in value] if isinstance(value, list) else float(value)
+                 for key, value in given.items()}
+    outputs = []
+    for name, spelled in (("int", given), ("float", as_floats)):
+        config, out = _json(tmp_path, f"{name}.json", {**base, **spelled}), tmp_path / name
+        assert main([command, *argv, "--config", config, "--out", str(out), "--quiet"]) == 0
+        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+def test_quiet_silences_every_command(tmp_path, capsys):
+    run = _run_simulate(tmp_path, extra={"snr": 50.0})
+    argvs = [
+        ["design", "--config", _json(tmp_path, "design.json", _DESIGN_CONFIG)],
+        ["simulate", "--config", str(tmp_path / "sim.json")],
+        ["estimate", "--record", str(run / "record.csv")],
+        ["eis", "--record", str(run / "record.csv")],
+        ["compare", "--nonpar", str(run / "eis.csv"), "--par", str(run / "bode.csv")],
+        ["fit", "--estimate", str(run / "estimate.json")],
+    ]
+    for argv in argvs:
+        assert main([*argv, "--out", str(run)]) == 0
+        assert capsys.readouterr().out != ""
+        assert main([*argv, "--out", str(run), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+
+
+# the layer functions the benchmark's traced run rebinds on fracimp.cli to time
+# each layer: a command that called one by another name would drop its span
+_STAGES = ["design_odd_quasilog", "synthesize_multisine", "generate_periodic_noise",
+           "scale_to_rms", "simulate_response", "add_noise", "per_period_spectra",
+           "nonparametric_impedance", "wtls_estimate", "parametric_impedance", "fit_randles",
+           "write_record", "read_record"]
+
+
+def test_every_stage_is_called_through_its_cli_module_global(tmp_path, monkeypatch):
+    called = set()
+    for name in _STAGES:
+        def wrapper(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            called.add(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    for excitation, eis_config in ((SIM_CONFIG["excitation"], {}),
+                                   ({"type": "noise"}, {"detection_factor": 0.01})):
+        run = _run_simulate(tmp_path, out=excitation["type"],
+                            extra={"snr": 50.0, "excitation": excitation})
+        record, out = str(run / "record.csv"), ["--out", str(run), "--quiet"]
+        assert main(["estimate", "--record", record, *out]) == 0
+        assert main(["eis", "--record", record,
+                     "--config", _json(tmp_path, "eis.json", eis_config), *out]) == 0
+    assert main(["fit", "--estimate", str(tmp_path / "multisine" / "estimate.json"),
+                 "--out", str(tmp_path / "fit"), "--quiet"]) == 0
+    assert called == set(_STAGES)

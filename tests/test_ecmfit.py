@@ -105,10 +105,11 @@ def test_accepted_steps_never_increase_cost(monkeypatch):
     rational = randles_to_rational(SIM_PARAMS)
     noisy = HalfOrderRational(a=rational.a * (1 + 0.02 * np.array([0.0, *rng.normal(size=2)])),
                               b=rational.b * (1 + 0.02 * rng.normal(size=4)))
-    start = RandlesParams(r_s=2 * SIM_PARAMS.r_s, r_ct=0.5 * SIM_PARAMS.r_ct,
-                          c_dl=3 * SIM_PARAMS.c_dl, sigma_w=0.4 * SIM_PARAMS.sigma_w)
-    # a far start in place of the closed-form one, and every iterate the
-    # Jacobian is taken at: the start, then each accepted step
+    start = RandlesParams(r_s=10 * SIM_PARAMS.r_s, r_ct=0.1 * SIM_PARAMS.r_ct,
+                          c_dl=10 * SIM_PARAMS.c_dl, sigma_w=0.1 * SIM_PARAMS.sigma_w)
+    # a far start in place of the closed-form one, from which a full
+    # Gauss-Newton step raises the cost, so the step halving runs; and every
+    # iterate the Jacobian is taken at: the start, then each accepted step
     monkeypatch.setattr(ecmfit, "init_from_coefficients", lambda r: start)
     iterates, jacobian_log = [], ecmfit._jacobian_log
 
