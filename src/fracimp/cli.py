@@ -1,10 +1,10 @@
 """Command-line front end: design, simulate, estimate, eis, fit, compare.
 
 `main` runs every command the same way: it loads the config (`{}` when there
-is none), writes --seed into its "seed", calls the command and prints the
-progress text it returns unless --quiet.  A command makes --out only once its
-inputs are checked, and writes CSV files (`recordio.write_csv`) and JSON files
-(`schema.dump`) there.
+is none), writes --seed (held to the config's seed rule) into its "seed",
+calls the command and prints the progress text it returns unless --quiet.
+A command makes --out only once its inputs are checked, and writes CSV files
+(`recordio.write_csv`) and JSON files (`schema.dump`) there.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
@@ -28,7 +28,7 @@ from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_no
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
-from .schema import POSITIVE_NUMBER, dump, load
+from .schema import POSITIVE_NUMBER, check, dump, load
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import nonparametric_impedance, per_period_spectra
 
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
     try:
         cfg = {} if args.config is None else load(args.config, args.schema, "config")
         if args.seed is not None:
-            cfg["seed"] = args.seed
+            cfg["seed"] = check(args.seed, _SEED, "invalid option", "--seed")
         text = args.func(args, cfg)
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

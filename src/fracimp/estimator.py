@@ -8,14 +8,18 @@ The equation error at segment bin k,
 
 is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr].  Every estimate is
 one generalized total-least-squares problem, min ||K theta|| subject to
-theta_n^T G theta_n = 1.  Each solve first reduces the real/imaginary-stacked
-regressor K (two rows per bin) to its square triangular QR factor R, which has
-the same Gram K^T K and so the same solution, and then solves on R via the SVD:
-plain TLS takes G as the squared column norms, and the weighted passes scale
-rows by the inverse equation-error standard deviation and take G as the noise
-Gram of the columns, which yields the consistent estimate; columns without
-noise (the transient, a noise-free channel) are solved exactly outside the
-constraint.  All half powers use the principal branch of sqrt(j*w).
+theta_n^T G theta_n = 1.  The real/imaginary-stacked regressor K (two rows
+per bin) is built once, column-major, with the columns that carry no noise
+(the transient, a noise-free channel) first.  Each solve reduces K to its
+square triangular QR factor R, which has the same Gram K^T K and so the same
+solution, solves the noisy columns on the trailing block of R via the SVD and
+back-substitutes the noise-free ones exactly.  Plain TLS takes G as the
+squared column norms; the weighted passes scale rows by the inverse
+equation-error standard deviation and take G as the noise Gram of the noisy
+columns, which yields the consistent estimate.  Both the equation-error
+variance and the noise Gram come from one per-bin table of regressor noise
+covariances, built once per estimate.  All half powers use the principal
+branch of sqrt(j*w).
 """
 
 from __future__ import annotations
@@ -132,22 +136,16 @@ def _basis(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig) -> np.
 
 def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
                cfg: EstimationConfig) -> np.ndarray:
-    """Complex regressor, one row per selected bin.
+    """Complex regressor, one row per selected bin, column-major.
 
     Columns: [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} |
     [(jw)^{r/2}]_{r=0..Nr}.
     """
-    cols = np.concatenate([
+    return np.concatenate([
         basis[1: cfg.n_a + 1] * spectra.mean_voltage[bins],
         -basis[: cfg.n_b + 1] * spectra.mean_current[bins],
         basis[: cfg.n_r + 1],
-    ])
-    return cols.T.copy()
-
-
-def _stacked_real(regressor: np.ndarray, row_weights: np.ndarray) -> np.ndarray:
-    k = regressor * row_weights[:, None]
-    return np.vstack([k.real, k.imag])
+    ]).T
 
 
 def _normalize_a1(theta: np.ndarray) -> np.ndarray:
@@ -163,17 +161,20 @@ def _column_gram(stacked: np.ndarray) -> np.ndarray:
     return np.diag(scale**2)
 
 
-def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """min ||K theta|| subject to theta^T (G + ridge diag G) theta = 1, a_1-normalized.
+def _solve(stacked: np.ndarray, gram: np.ndarray, order: np.ndarray,
+           ridge: float = 0.0) -> np.ndarray:
+    """min ||K theta|| subject to theta_n^T (G + ridge diag G) theta_n = 1, a_1-normalized.
 
-    K is first reduced to its triangular QR factor R (columns x columns):
-    every later step sees K only through K^T K = R^T R, so it gives the same
-    solution on R at a cost independent of the number of bins.  Columns with
-    a zero diagonal in G carry no noise: they are projected out first and
-    back-substituted afterwards, an exact least-squares fit (Golub, Hoffman &
-    Stewart 1987).  The projected noisy columns are scaled by sqrt(diag G)
-    and whitened by the Cholesky factor of the ridged correlation before the
-    SVD.
+    Column j of K is model column order[j]; G is the Gram of the trailing
+    noisy columns theta_n, and the leading columns carry no noise.  K is first
+    reduced to its triangular QR factor R = [[R11, R12], [0, R22]]: every
+    later step sees K only through K^T K = R^T R, so it gives the same
+    solution on R at a cost independent of the number of bins.  theta_n
+    minimizes ||R22 theta_n|| under the constraint, and the noise-free part
+    is back-substituted, theta_f = -R11^{-1} R12 theta_n, an exact
+    least-squares fit (Golub, Hoffman & Stewart 1987).  R22 is scaled by
+    sqrt(diag G) and whitened by the Cholesky factor of the ridged
+    correlation before the SVD.
     Plain TLS is the case G = _column_gram(K), where every column is noisy
     and a ridge would only rescale G; the weighted passes give the noise Gram
     and _GRAM_RIDGE.
@@ -184,15 +185,10 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndar
             "select more bins or reduce model orders"
         )
     r = np.linalg.qr(stacked, mode="r")
-    noisy = np.diag(gram) > 0
-    k_n, k_f = r[:, noisy], r[:, ~noisy]  # k_f and q_f are empty for plain TLS
-    q_f, _ = np.linalg.qr(k_f)
-    k_proj = k_n - q_f @ (q_f.T @ k_n)
-
-    diag = np.sqrt(np.diag(gram)[noisy])
-    chol = np.linalg.cholesky(gram[np.ix_(noisy, noisy)] / np.outer(diag, diag)
-                              + ridge * np.eye(diag.size))
-    whitened = np.linalg.solve(chol, (k_proj / diag).T).T
+    f = order.size - gram.shape[0]  # the number of noise-free columns
+    diag = np.sqrt(np.diag(gram))
+    chol = np.linalg.cholesky(gram / np.outer(diag, diag) + ridge * np.eye(diag.size))
+    whitened = np.linalg.solve(chol, (r[f:, f:] / diag).T).T
 
     _, s, vt = np.linalg.svd(whitened, full_matrices=False)
     if s.size > 1 and s[-2] - s[-1] <= 1e-8 * max(s[0], np.finfo(float).tiny):
@@ -201,9 +197,9 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, ridge: float = 0.0) -> np.ndar
             "direction is ambiguous",
             stacklevel=3,
         )
-    theta = np.empty(gram.shape[0])
-    theta[noisy] = np.linalg.solve(chol.T, vt[-1]) / diag
-    theta[~noisy] = -np.linalg.lstsq(k_f, k_n @ theta[noisy], rcond=None)[0]
+    theta_n = np.linalg.solve(chol.T, vt[-1]) / diag
+    theta = np.empty(order.size)
+    theta[order] = np.concatenate([-np.linalg.solve(r[:f, :f], r[:f, f:] @ theta_n), theta_n])
     return _normalize_a1(theta)
 
 
@@ -221,16 +217,29 @@ def _floor_sigma(sigma: np.ndarray) -> np.ndarray:
     return np.ones_like(sigma)
 
 
-def _sigma_e(theta: np.ndarray, basis: np.ndarray, spectra: SpectralSet,
-             bins: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-    a, b, _ = _split_theta(theta, cfg)
-    pol_a = a @ basis[1: cfg.n_a + 1]
-    pol_b = b @ basis[: cfg.n_b + 1]
-    var = (
-        np.abs(pol_a) ** 2 * spectra.var_voltage[bins]
-        + np.abs(pol_b) ** 2 * spectra.var_current[bins]
-        - 2.0 * np.real(pol_a * spectra.covar_vi[bins] * np.conj(pol_b))
-    )
+def _noise_table(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
+                 cfg: EstimationConfig, cols: np.ndarray) -> np.ndarray:
+    """Per-bin covariance C_k of the regressor noise in the model columns `cols`.
+
+    The regressor noise at bin k is (jw)^{n/2} N_V(k) in column a_n and
+    -(jw)^{n/2} N_I(k) in column b_n; entry (i*m + j, k) of the returned
+    (m*m, bins) table is Re E[e_i e_j*] at bin k, so sigma_E(k)^2 =
+    theta^T C_k theta over those columns and the noise Gram of rows weighted
+    by w_k is sum_k w_k^2 C_k.  A channel without noise at bin k gives exact
+    zeros there.
+    """
+    mix = np.concatenate([basis[1: cfg.n_a + 1], -basis[: cfg.n_b + 1]])[cols]
+    side = np.where(cols < cfg.n_a, 0, 1)  # the channel each column's noise comes from
+    covar = spectra.covar_vi[bins]
+    cov = np.array([[spectra.var_voltage[bins], covar], [covar.conj(), spectra.var_current[bins]]])
+    table = np.empty((cols.size, cols.size, bins.size))
+    for i, row in enumerate(mix):  # a row at a time keeps the complex temporaries small
+        table[i] = (row * mix.conj() * cov[side[i], side]).real
+    return table.reshape(cols.size**2, bins.size)
+
+
+def _sigma_e(table: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    var = np.outer(theta, theta).ravel() @ table
     return _floor_sigma(np.sqrt(np.maximum(var, 0.0)))
 
 
@@ -239,9 +248,10 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
     """Per-bin standard deviation of the equation error at the given parameters.
 
     With A(k) and B(k) the denominator/numerator polynomials evaluated at
-    sqrt(j*w_k), sigma_E^2 = |A|^2 var_V + |B|^2 var_I - 2 Re{A covar_VI B*};
-    round-off negatives are clamped to zero and the result floored so weights
-    stay finite on noiseless bins.
+    sqrt(j*w_k), sigma_E^2 = |A|^2 var_V + |B|^2 var_I - 2 Re{A covar_VI B*},
+    evaluated as the quadratic form of the a/b parameters in the per-bin
+    noise table; round-off negatives are clamped to zero and the result
+    floored so weights stay finite on noiseless bins.
     """
     if not spectra.has_covariances:
         raise ValueError(
@@ -249,26 +259,9 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
             "estimate (iterations=0) applies"
         )
     bins = cfg.selected_bins(spectra)
-    return _sigma_e(theta.theta, _basis(spectra, bins, cfg), spectra, bins, cfg)
-
-
-def _noise_gram(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
-                weights: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-    """Column-space covariance of the row-weighted regressor noise (zero c block)."""
-    qv = basis[1: cfg.n_a + 1]
-    qi = basis[: cfg.n_b + 1]
-    w2 = weights**2
-    sv = spectra.var_voltage[bins] * w2
-    si = spectra.var_current[bins] * w2
-    svi = spectra.covar_vi[bins] * w2
-    n_ab = cfg.n_a + cfg.n_b + 1
-    gram = np.zeros((n_ab + cfg.n_r + 1,) * 2)
-    gram[: cfg.n_a, : cfg.n_a] = ((qv * sv) @ qv.conj().T).real
-    gram[cfg.n_a: n_ab, cfg.n_a: n_ab] = ((qi * si) @ qi.conj().T).real
-    cross = -((qv * svi) @ qi.conj().T).real
-    gram[: cfg.n_a, cfg.n_a: n_ab] = cross
-    gram[cfg.n_a: n_ab, : cfg.n_a] = cross.T
-    return gram
+    cols = np.arange(cfg.n_a + cfg.n_b + 1)
+    return _sigma_e(_noise_table(_basis(spectra, bins, cfg), spectra, bins, cfg, cols),
+                    theta.theta[cols])
 
 
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:
@@ -284,11 +277,13 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     """
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
-    regressor = _regressor(spectra, bins, basis, cfg)
-
-    weights = np.ones(bins.size)
-    stacked = _stacked_real(regressor, weights)
-    theta = _solve(stacked, _column_gram(stacked))
+    noisy = np.repeat([spectra.has_covariances and spectra.var_voltage[bins].any(),
+                       spectra.has_covariances and spectra.var_current[bins].any(), False],
+                      [cfg.n_a, cfg.n_b + 1, cfg.n_r + 1])
+    order = np.argsort(noisy, kind="stable")  # the noise-free columns first
+    # column-major, a real and an imaginary row per bin
+    weighted = stacked = _regressor(spectra, bins, basis, cfg).T[order].view(float).T
+    theta = _solve(stacked, _column_gram(stacked), order)
     sigma = None
     iterations_run = 0
 
@@ -298,19 +293,22 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             "unweighted total least squares",
             stacklevel=2,
         )
-    elif cfg.iterations > 0 and (spectra.var_current[bins].any()
-                                 or spectra.var_voltage[bins].any()):
+    elif cfg.iterations > 0 and noisy.any():
+        cols = order[-np.count_nonzero(noisy):]
+        table = _noise_table(basis, spectra, bins, cfg, cols)
+        weighted = np.empty_like(stacked)
         for iterations_run in range(1, cfg.iterations + 1):
-            sigma = _sigma_e(theta, basis, spectra, bins, cfg)
+            sigma = _sigma_e(table, theta[cols])
             weights = 1.0 / sigma
-            theta = _solve(_stacked_real(regressor, weights),
-                           _noise_gram(basis, spectra, bins, weights, cfg), _GRAM_RIDGE)
+            np.multiply(stacked, np.repeat(weights, 2)[:, None], out=weighted)
+            theta = _solve(weighted, (table @ weights**2).reshape(cols.size, -1), order,
+                           _GRAM_RIDGE)
 
     a, b, c = _split_theta(theta, cfg)
     return EstimateResult(
         rational=HalfOrderRational(a=a, b=b),
         transient=c,
-        weighted_cost=float(np.sum(np.abs(regressor @ theta * weights) ** 2)),
+        weighted_cost=float(np.sum((weighted @ theta[order]) ** 2)),
         iterations_run=iterations_run,
         sigma_e=sigma,
         bins=bins,

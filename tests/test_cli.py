@@ -45,7 +45,7 @@ def _run_simulate(tmp_path, out="sim", extra=None):
     return out_dir
 
 
-def test_design_writes_spec_and_optional_current(tmp_path):
+def test_design_writes_spec_and_optional_current(tmp_path, capsys):
     config = _json(tmp_path, "design.json", {
         "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0,
         "points_per_decade": 8, "seed": 5,
@@ -59,6 +59,17 @@ def test_design_writes_spec_and_optional_current(tmp_path):
     rows = (out / "current.csv").read_text().splitlines()
     assert rows[0] == "time_s,current_a,voltage_v"
     assert len(rows) == 1 + 20 * 20 * 2
+
+    # without sample_rate_hz and periods: the spec alone
+    config = _json(tmp_path, "design.json", {
+        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8, "seed": 5})
+    out = tmp_path / "spec_only"
+    assert main(["design", "--config", config, "--out", str(out)]) == 0
+    assert [path.name for path in out.iterdir()] == ["multisine.json"]
+    assert (out / "multisine.json").read_bytes() == \
+        (tmp_path / "design" / "multisine.json").read_bytes()
+    assert capsys.readouterr().out == f"designed {len(spec['harmonics'])} odd harmonics in " \
+        f"[0.05, 1.95] Hz -> {out / 'multisine.json'}\n"
 
 
 def test_full_pipeline_noiseless_recovery(tmp_path):
@@ -109,6 +120,20 @@ def test_seed_flag_overrides_config(tmp_path):
             assert main([command, "--config", config, "--out", str(out), *flag, "--quiet"]) == 0
             outputs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
         assert outputs["flag"] == outputs["config"] != outputs["unflagged"]
+
+
+@pytest.mark.parametrize("command", ["design", "simulate"])
+@pytest.mark.parametrize("seed,message", [
+    ("-1", "error: invalid option: --seed must be >= 0, got -1\n"),
+    ("2.5", "error: argument --seed: invalid int value: '2.5'\n"),
+], ids=["negative", "fraction"])
+def test_seed_flag_outside_the_seed_rule_exit_1_naming_the_flag(tmp_path, capsys, command,
+                                                                  seed, message):
+    config = _json(tmp_path, "c.json", _DESIGN_CONFIG if command == "design" else SIM_CONFIG)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--seed", seed, "--quiet"]) == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -553,12 +578,15 @@ def test_fit_inconsistent_coefficients_exit_2(tmp_path, capsys):
     from fracimp import randles_to_rational
 
     truth = randles_to_rational(SIM_PARAMS)
-    est = tmp_path / "estimate.json"
-    # a_3 inflated tenfold: the closed-form start implies a negative R_s
-    est.write_text(json.dumps({"a": (truth.a * [1.0, 1.0, 10.0]).tolist(),
-                               "b": truth.b.tolist()}))
-    assert main(["fit", "--estimate", str(est), "--out", str(tmp_path), "--quiet"]) == 2
-    assert "inconsistent" in capsys.readouterr().err
+    # a_3 inflated tenfold: the closed-form start implies a negative R_s;
+    # b_0 < 0: the start rejects the coefficients before solving for it
+    for a, b in ((truth.a * [1.0, 1.0, 10.0], truth.b), (truth.a, truth.b * [-1.0, 1, 1, 1])):
+        est = _json(tmp_path, "estimate.json", {"a": a.tolist(), "b": b.tolist()})
+        out = tmp_path / "fit"
+        assert main(["fit", "--estimate", est, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == \
+            "numerical failure: coefficients inconsistent with Randles structure\n"
+        assert not out.exists()
 
 
 def test_fit_prints_parameter_table(tmp_path, capsys):
@@ -691,6 +719,13 @@ def _argv_and_message(tmp_path, case):
         config = _json(tmp_path, "eis.json", {"multisine_path": path})
         prefix = "" if case == "spec beyond" else f"invalid multisine spec {path}: "
         return ["eis", "--record", record, "--config", config], prefix + problem
+    if case.startswith("band "):
+        change, problem = {
+            "band low": ({"f_min_hz": 0.01}, "f_min_hz must be at least the fundamental 1/period_s"),
+            "band inverted": ({"f_min_hz": 1.0, "f_max_hz": 0.5}, "f_max_hz must be >= f_min_hz"),
+        }[case]
+        return ["design", "--config", _json(tmp_path, "d.json", {**_DESIGN_CONFIG, **change})], \
+            problem
     coefficient, problem = {"no a": ("a", "need at least denominator coefficient a_1"),
                             "no b": ("b", "need numerator coefficient b_0")}[case]
     path = _json(tmp_path, "estimate.json", {"a": [1.0, 0.07, 0.17],
@@ -699,7 +734,8 @@ def _argv_and_message(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", ["no band", "no record", "spec period", "spec empty",
-                                  "spec lengths", "spec beyond", "no a", "no b"])
+                                  "spec lengths", "spec beyond", "band low", "band inverted",
+                                  "no a", "no b"])
 def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
     _run_simulate(tmp_path)
     argv, message = _argv_and_message(tmp_path, case)

@@ -24,7 +24,7 @@ from fracimp import (
     wtls_estimate,
 )
 from fracimp import estimator
-from fracimp.estimator import _basis, _column_gram, _noise_gram, _regressor, _solve
+from fracimp.estimator import _basis, _column_gram, _noise_table, _regressor, _solve
 from fracimp.model import ImpedanceCurve
 
 from conftest import SIM_PARAMS, make_multisine_current, simulate_pair
@@ -64,7 +64,7 @@ def _build_regressor(spectra, cfg):
 def _tls(regressor):
     """Plain TLS estimate of a complex regressor, a_1-normalized."""
     stacked = np.vstack([regressor.real, regressor.imag])
-    return _solve(stacked, _column_gram(stacked))
+    return _solve(stacked, _column_gram(stacked), np.arange(stacked.shape[1]))
 
 
 # ---------------------------------------------------------------- regressor
@@ -193,14 +193,26 @@ def _noise_excited_spectra(seed, noisy=("current", "voltage")):
         voltage.with_samples(voltage.samples + rng.normal(0, v_std, voltage.n_samples)))
 
 
-def _weighted_pass(spectra, cfg):
-    """Stacked regressor and noise Gram of the first weighted pass."""
+def _ab_table(spectra, cfg):
+    """Selected bins, half-power basis and noise table of all a/b columns."""
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
+    return bins, basis, _noise_table(basis, spectra, bins, cfg, np.arange(cfg.n_a + cfg.n_b + 1))
+
+
+def _weighted_pass(spectra, cfg):
+    """Stacked regressor and noise Gram of the first weighted pass, in model column order.
+
+    The Gram has zero rows and columns for the noise-free columns.
+    """
+    bins, basis, table = _ab_table(spectra, cfg)
     regressor = _regressor(spectra, bins, basis, cfg)
-    weights = 1.0 / estimator._sigma_e(_tls(regressor), basis, spectra, bins, cfg)
-    return (estimator._stacked_real(regressor, weights),
-            _noise_gram(basis, spectra, bins, weights, cfg))
+    n_ab = cfg.n_a + cfg.n_b + 1
+    weights = 1.0 / estimator._sigma_e(table, _tls(regressor)[:n_ab])
+    gram = np.zeros((regressor.shape[1],) * 2)
+    gram[:n_ab, :n_ab] = (table @ weights**2).reshape(n_ab, n_ab)
+    weighted = regressor * weights[:, None]
+    return np.vstack([weighted.real, weighted.imag]), gram
 
 
 @pytest.fixture(scope="module")
@@ -228,23 +240,30 @@ def solve_cases(noise_spectra):
 @pytest.mark.parametrize("case", ["noise_window", "protocol_mask", "plain_tls",
                                   "exact_voltage"])
 def test_solve_on_qr_factor_matches_full_row_solve(solve_cases, case):
+    # _solve takes the noise-free columns first; they come from the leading
+    # (exact voltage) and trailing (transient) model columns, and each group
+    # is shuffled so that any column order maps back
     stacked, gram, ridge = solve_cases[case]
-    theta = _solve(stacked, gram, ridge)
+    noisy = np.diag(gram) > 0
+    rng = np.random.default_rng(38)
+    order = np.concatenate([rng.permutation(np.flatnonzero(~noisy)),
+                            rng.permutation(np.flatnonzero(noisy))])
+    cols = order[np.count_nonzero(~noisy):]
+    theta = _solve(stacked[:, order], gram[np.ix_(cols, cols)], order, ridge)
     reference = _full_row_solve(stacked, gram, ridge)
     assert theta[:7] == pytest.approx(reference[:7], rel=1e-10)
 
 
 def test_noise_gram_matches_per_bin_sum(noise_spectra):
     spectra = noise_spectra
-    cfg = EstimationConfig(bin_window=(1, 2000), n_r=1)
-    bins = cfg.selected_bins(spectra)
+    bins, _, table = _ab_table(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
     weights = np.random.default_rng(36).uniform(0.5, 2.0, bins.size)
-    gram = _noise_gram(_basis(spectra, bins, cfg), spectra, bins, weights, cfg)
+    gram = (table @ weights**2).reshape(7, 7)
 
-    reference = np.zeros((9, 9))  # the transient columns (7, 8) carry no noise
+    reference = np.zeros((7, 7))  # the transient columns carry no noise and are not in it
     for k, w in zip(bins, weights):
         q = np.sqrt(2 * np.pi * spectra.freq_hz[k]) * Q45
-        mixing = np.zeros((9, 2), dtype=complex)
+        mixing = np.zeros((7, 2), dtype=complex)
         mixing[:3, 0] = q ** np.arange(1, 4)       # (jw)^{n/2} V, n = 1..3
         mixing[3:7, 1] = -(q ** np.arange(0, 4))   # -(jw)^{n/2} I, n = 0..3
         cov = np.array([[spectra.var_voltage[k], spectra.covar_vi[k]],
@@ -252,6 +271,32 @@ def test_noise_gram_matches_per_bin_sum(noise_spectra):
         reference += w**2 * (mixing @ cov @ mixing.conj().T).real
     scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
     assert np.all(np.abs(gram - reference) <= 1e-13 * scale)
+
+
+def test_noise_table_quadratic_form_is_the_closed_form_variance(noise_spectra):
+    spectra = noise_spectra
+    bins, basis, table = _ab_table(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
+    var_v, var_i = spectra.var_voltage[bins], spectra.var_current[bins]
+    for theta in np.random.default_rng(37).normal(size=(20, 7)):
+        pol_a, pol_b = theta[:3] @ basis[1:4], theta[3:] @ basis[:4]
+        closed = (np.abs(pol_a) ** 2 * var_v + np.abs(pol_b) ** 2 * var_i
+                  - 2 * np.real(pol_a * spectra.covar_vi[bins] * np.conj(pol_b)))
+        quadratic = np.outer(theta, theta).ravel() @ table
+        assert np.all(np.abs(quadratic - closed) <= 1e-12 * closed)
+
+
+def test_noise_table_is_exactly_zero_where_a_channel_has_no_noise():
+    # exact voltage everywhere, and no current noise at every third bin
+    spectra = _noise_excited_spectra(34, noisy=("current",))
+    silent = np.arange(spectra.n_bins) % 3 == 0
+    spectra = dataclasses.replace(spectra, var_current=np.where(silent, 0.0, spectra.var_current),
+                                  covar_vi=np.where(silent, 0.0, spectra.covar_vi))
+    cfg = EstimationConfig(bin_window=(1, 2000), n_r=1)
+    bins, _, table = _ab_table(spectra, cfg)
+    per_bin = table.reshape(7, 7, bins.size)
+    assert not per_bin[:3].any() and not per_bin[:, :3].any()  # the a columns
+    assert not per_bin[..., silent[bins]].any()
+    assert all(per_bin[i, i, ~silent[bins]].all() for i in range(3, 7))
 
 
 def test_noiseless_pipeline_recovers_generator_coefficients():
@@ -400,6 +445,35 @@ def test_noiseless_record_is_solved_once(monkeypatch):
     assert len(calls) == 1
     assert np.array_equal(result.theta, unweighted.theta)
     assert result.weighted_cost == unweighted.weighted_cost
+
+
+def _count_qrs(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("iterations", [0, 4, 10])
+@pytest.mark.parametrize("noisy", [True, False])
+def test_one_qr_per_solve(monkeypatch, noisy, iterations):
+    # one QR of the whole stacked regressor per pass; no second QR to project
+    # the noise-free columns out
+    if noisy:
+        spec, spectra = _noisy_spectra(34, period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
+                                       points_per_decade=8, sample_rate_hz=20.0, periods=4)
+    else:
+        spec, spectra = _tiled_noiseless_spectra(3, 6)
+    cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=iterations)
+    shapes = _count_qrs(monkeypatch)
+    wtls_estimate(spectra, cfg)
+    rows = 2 * cfg.selected_bins(spectra).size
+    assert shapes == [(rows, 3 + 4 + 2)] * (iterations + 1 if noisy else 1)
 
 
 def test_noisy_record_is_solved_once_per_pass(monkeypatch):
