@@ -5,6 +5,8 @@ is none), writes --seed (held to the config's seed rule) into its "seed",
 calls the command and prints the progress text it returns unless --quiet.
 A command makes --out only once its inputs are checked, and writes CSV files
 (`recordio.write_csv`) and JSON files (`schema.dump`) there.
+`estimate` and `eis` take the same config and select the same bins
+(`EstimationConfig.selected_bins`), so `compare` matches every `eis.csv` row.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
@@ -99,15 +101,6 @@ ESTIMATE_SCHEMA = {
         "multisine_path": {"type": "string"},
     },
     "dependentRequired": {"k_min": ["k_max"], "k_max": ["k_min"]},
-    "additionalProperties": False,
-}
-
-EIS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "multisine_path": {"type": "string"},
-        "detection_factor": POSITIVE_NUMBER,
-    },
     "additionalProperties": False,
 }
 
@@ -241,25 +234,10 @@ def cmd_estimate(args, cfg: dict) -> str:
             f"{result.iterations_run} weighted iterations) -> {out / 'estimate.json'}")
 
 
-def _detect_excited_bins(spectra, factor: float) -> np.ndarray:
-    mag = np.abs(spectra.mean_current[1:])
-    median = np.median(mag)
-    bins = 1 + np.nonzero(mag > factor * median)[0]
-    if bins.size == 0:
-        raise SchemaError(
-            f"no bin exceeds detection_factor {factor:g} x the median current magnitude; "
-            "broadband excitation excites every bin: set detection_factor below 1 "
-            "or give multisine_path")
-    return bins
-
-
 def cmd_eis(args, cfg: dict) -> str:
+    est_cfg = _estimation_config(cfg)
     spectra = _spectra(args)
-    if "multisine_path" in cfg:
-        bins = _load_multisine(cfg["multisine_path"]).harmonics
-    else:
-        bins = _detect_excited_bins(spectra, cfg.get("detection_factor", 100.0))
-    curve = nonparametric_impedance(spectra, bins)
+    curve = nonparametric_impedance(spectra, est_cfg.selected_bins(spectra))
 
     out = _out(args)
     write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
@@ -348,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate, schema=ESTIMATE_SCHEMA)
 
     p = sub.add_parser("eis", parents=[recorded], help="nonparametric impedance from a record CSV")
-    p.set_defaults(func=cmd_eis, schema=EIS_SCHEMA)
+    p.set_defaults(func=cmd_eis, schema=ESTIMATE_SCHEMA)
 
     p = sub.add_parser("fit", parents=[common],
                        help="recover Randles circuit values from an estimate JSON")

@@ -101,9 +101,11 @@ def fit_randles(r: HalfOrderRational) -> EcmFitResult:
         jac = _jacobian_log(x) / denom[:, None]
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         for alpha in 0.5 ** np.arange(31):
-            x_new = x * np.exp(alpha * step)
-            res_new = residual(x_new)
-            cost_new = float(res_new @ res_new)
+            # a trial that overflows costs inf or nan, and is halved like any other
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = x * np.exp(alpha * step)
+                res_new = residual(x_new)
+                cost_new = float(res_new @ res_new)
             if cost_new <= cost:
                 break
         else:

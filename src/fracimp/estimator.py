@@ -44,8 +44,9 @@ class EstimationConfig:
     ``bin_window`` is an inclusive (k_min, k_max) interval of segment bins;
     None means all bins except DC and Nyquist.  ``bin_mask`` restricts the
     window to an explicit bin set (use the excited harmonics for multisine
-    data; leave None for noise excitation).  Mask bins outside the window are
-    dropped with a warning.
+    data; leave None for noise excitation).  A mask bin beyond the spectrum
+    is an error; mask bins inside it but outside the window are dropped with
+    a warning.
     """
 
     n_a: int = 3
@@ -83,6 +84,9 @@ class EstimationConfig:
         bins = np.arange(k_min, k_max + 1)
         if self.bin_mask is None:
             return bins
+        if self.bin_mask.size and self.bin_mask[-1] >= spectra.n_bins:
+            raise ValueError(f"excited bin {self.bin_mask[-1]} outside spectrum "
+                             f"(max {spectra.n_bins - 1})")
         bins = bins[np.isin(bins, self.bin_mask)]
         if bins.size == 0:
             raise ValueError("bin selection is empty")
@@ -211,9 +215,9 @@ def _split_theta(theta: np.ndarray, cfg: EstimationConfig):
 
 
 def _floor_sigma(sigma: np.ndarray) -> np.ndarray:
-    med = float(np.median(sigma))
-    if med > 0.0:
-        return np.maximum(sigma, 1e-8 * med)
+    top = float(sigma.max())
+    if top > 0.0:
+        return np.maximum(sigma, 1e-8 * top)
     return np.ones_like(sigma)
 
 

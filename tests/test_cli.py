@@ -1,11 +1,15 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracimp import cli
 from fracimp.cli import main
-from fracimp.recordio import write_csv
+from fracimp.estimator import wtls_estimate
+from fracimp.recordio import read_record, write_csv
+from fracimp.spectra import nonparametric_impedance, per_period_spectra
 
 from conftest import SIM_PARAMS
 
@@ -246,7 +250,8 @@ def test_estimate_rejects_retired_grid_points_key(tmp_path, capsys):
 def test_eis_detects_excited_bins_and_matches_model(tmp_path):
     out = _run_simulate(tmp_path)
     eis_out = tmp_path / "eis"
-    assert main(["eis", "--record", str(out / "record.csv"),
+    eis_cfg = _json(tmp_path, "est.json", {"multisine_path": str(out / "multisine.json")})
+    assert main(["eis", "--record", str(out / "record.csv"), "--config", eis_cfg,
                  "--out", str(eis_out), "--quiet"]) == 0
     table = np.loadtxt(eis_out / "eis.csv", delimiter=",", skiprows=1)
     spec = json.loads((out / "multisine.json").read_text())
@@ -261,7 +266,7 @@ def test_compare_produces_small_errors_on_noiseless_data(tmp_path):
     est_cfg = _json(tmp_path, "est.json", {"multisine_path": str(out / "multisine.json")})
     assert main(["estimate", "--record", str(out / "record.csv"),
                  "--config", est_cfg, "--out", str(tmp_path / "est"), "--quiet"]) == 0
-    assert main(["eis", "--record", str(out / "record.csv"),
+    assert main(["eis", "--record", str(out / "record.csv"), "--config", est_cfg,
                  "--out", str(tmp_path / "eis"), "--quiet"]) == 0
     assert main(["compare", "--nonpar", str(tmp_path / "eis" / "eis.csv"),
                  "--par", str(tmp_path / "est" / "bode.csv"),
@@ -599,30 +604,33 @@ def test_fit_prints_parameter_table(tmp_path, capsys):
     assert "R_CT" in out and "omega_res" in out
 
 
+def test_fit_overflowing_trial_step_prints_no_warning(tmp_path, capsys):
+    # a full Gauss-Newton step from this estimate's start overflows np.exp;
+    # the step halving rejects it, and the trial's overflow stays silent
+    est = _json(tmp_path, "estimate.json", {
+        "a": [1.0, 2183.3502226694613, 0.08849290672680604],
+        "b": [364.37650495546467, 0.014769707678956398, 4.2704305097017885,
+              8.910607815728727e-05]})
+    assert main(["fit", "--estimate", est, "--out", str(tmp_path / "fit")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "converged=True" in captured.out
+
+
 def _run_noise_simulate(tmp_path):
     return _run_simulate(tmp_path, out="noise", extra={"excitation": {"type": "noise"},
                                                        "snr": 50.0})
 
 
-def test_eis_on_noise_excitation_names_detection_factor(tmp_path, capsys):
-    out = _run_noise_simulate(tmp_path)
-    assert main(["eis", "--record", str(out / "record.csv"),
-                 "--out", str(tmp_path / "eis"), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert "detection_factor 100 x the median" in err
-    assert "below 1" in err and "multisine_path" in err
-
-
-def test_eis_and_compare_on_noise_excitation_with_low_detection_factor(tmp_path):
+def test_eis_and_compare_on_noise_excitation_share_every_bin(tmp_path):
     out = _run_noise_simulate(tmp_path)
     record = str(out / "record.csv")
-    eis_cfg = _json(tmp_path, "eis.json", {"detection_factor": 0.01})
-    assert main(["eis", "--record", record, "--config", eis_cfg,
-                 "--out", str(tmp_path / "eis"), "--quiet"]) == 0
-    # 20 s at 20 Hz: bins 1..200 (the last one Nyquist)
-    table = np.loadtxt(tmp_path / "eis" / "eis.csv", delimiter=",", skiprows=1)
-    assert table.shape[0] == 200
+    # 20 s at 20 Hz: bins 1..200, the last one Nyquist
     est_cfg = _json(tmp_path, "est.json", {"k_min": 1, "k_max": 199})
+    assert main(["eis", "--record", record, "--config", est_cfg,
+                 "--out", str(tmp_path / "eis"), "--quiet"]) == 0
+    table = np.loadtxt(tmp_path / "eis" / "eis.csv", delimiter=",", skiprows=1)
+    assert table.shape[0] == 199
     assert main(["estimate", "--record", record, "--config", est_cfg,
                  "--out", str(tmp_path / "est"), "--quiet"]) == 0
     assert main(["compare", "--nonpar", str(tmp_path / "eis" / "eis.csv"),
@@ -631,6 +639,42 @@ def test_eis_and_compare_on_noise_excitation_with_low_detection_factor(tmp_path)
     err = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1)
     assert err.shape[0] == 199
     assert np.median(err[:, 1]) < 0.05  # 1.6 % at seed 77
+
+
+@pytest.mark.parametrize("excitation", ["multisine", "noise"])
+def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path, excitation):
+    if excitation == "noise":
+        out = _run_noise_simulate(tmp_path)
+        given = {"k_min": 3, "k_max": 150}
+    else:
+        out = _run_simulate(tmp_path, extra={"snr": 50.0})
+        given = {"multisine_path": str(out / "multisine.json")}
+    record, config = str(out / "record.csv"), _json(tmp_path, "est.json", given)
+    for command in ("estimate", "eis"):
+        assert main([command, "--record", record, "--config", config,
+                     "--out", str(out), "--quiet"]) == 0
+    assert main(["compare", "--nonpar", str(out / "eis.csv"), "--par", str(out / "bode.csv"),
+                 "--out", str(out), "--quiet"]) == 0
+
+    current, voltage, _ = read_record(record)
+    spectra = per_period_spectra(current, voltage)
+    bins = wtls_estimate(spectra, cli._estimation_config(given)).bins
+    expected = nonparametric_impedance(spectra, bins)
+    table = np.loadtxt(out / "eis.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], spectra.freq_hz[bins])
+    np.testing.assert_array_equal(table[:, 1] + 1j * table[:, 2], expected.z_ohm)
+    error = np.loadtxt(out / "error.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(error[:, 0], table[:, 0])
+
+
+def test_eis_rejects_retired_detection_factor_key(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    eis_cfg = _json(tmp_path, "eis.json", {"detection_factor": 0.01})
+    assert main(["eis", "--record", str(out / "record.csv"),
+                 "--config", eis_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+    assert f"error: invalid config {eis_cfg}: unknown key detection_factor" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_estimate_with_zero_numerator_order(tmp_path, capsys):
@@ -745,6 +789,16 @@ def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis(tmp_path, capsys):
+    _run_simulate(tmp_path)
+    argv, message = _argv_and_message(tmp_path, "spec beyond")
+    assert argv[0] == "eis"
+    out = tmp_path / "out"
+    assert main(["estimate", *argv[1:], "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: excited bin 999 outside spectrum (max 200)\n"
+    assert not out.exists()
+
+
 def test_progress_line_without_quiet(tmp_path, capsys):
     config = _json(tmp_path, "design.json", {**_DESIGN_CONFIG, "periods": 1})
     out = tmp_path / "design"
@@ -797,12 +851,16 @@ def test_quiet_silences_every_command(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def _function_spans() -> dict:
+    """`FUNCTION_SPANS` of the benchmark worker, read from its source."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "worker.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "FUNCTION_SPANS")
+
+
 # the layer functions the benchmark's traced run rebinds on fracimp.cli to time
 # each layer: a command that called one by another name would drop its span
-_STAGES = ["design_odd_quasilog", "synthesize_multisine", "generate_periodic_noise",
-           "scale_to_rms", "simulate_response", "add_noise", "per_period_spectra",
-           "nonparametric_impedance", "wtls_estimate", "parametric_impedance", "fit_randles",
-           "write_record", "read_record"]
+_STAGES = list(_function_spans())
 
 
 def test_every_stage_is_called_through_its_cli_module_global(tmp_path, monkeypatch):
@@ -813,14 +871,12 @@ def test_every_stage_is_called_through_its_cli_module_global(tmp_path, monkeypat
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, wrapper)
 
-    for excitation, eis_config in ((SIM_CONFIG["excitation"], {}),
-                                   ({"type": "noise"}, {"detection_factor": 0.01})):
+    for excitation in (SIM_CONFIG["excitation"], {"type": "noise"}):
         run = _run_simulate(tmp_path, out=excitation["type"],
                             extra={"snr": 50.0, "excitation": excitation})
         record, out = str(run / "record.csv"), ["--out", str(run), "--quiet"]
-        assert main(["estimate", "--record", record, *out]) == 0
-        assert main(["eis", "--record", record,
-                     "--config", _json(tmp_path, "eis.json", eis_config), *out]) == 0
+        for command in ("estimate", "eis"):  # the default estimate config
+            assert main([command, "--record", record, *out]) == 0
     assert main(["fit", "--estimate", str(tmp_path / "multisine" / "estimate.json"),
                  "--out", str(tmp_path / "fit"), "--quiet"]) == 0
     assert called == set(_STAGES)

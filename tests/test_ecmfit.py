@@ -130,6 +130,25 @@ def test_accepted_steps_never_increase_cost(monkeypatch):
     assert result.params.r_s > 0 and result.params.c_dl > 0
 
 
+def test_exhausted_step_halving_stops_unconverged_at_the_start(monkeypatch):
+    rational = randles_to_rational(SIM_PARAMS)
+    noisy = HalfOrderRational(a=rational.a * [1.0, 1.01, 0.99], b=rational.b * 1.01)
+    start = init_from_coefficients(noisy)
+    x0 = np.array([start.r_s, start.r_ct, start.c_dl, start.sigma_w])
+    coefficients = ecmfit.randles_coefficients
+
+    def finite_only_at_the_start(*x):  # every trial step then costs nan
+        return coefficients(*x) if np.array_equal(x, x0) else np.full(6, np.nan)
+
+    monkeypatch.setattr(ecmfit, "randles_coefficients", finite_only_at_the_start)
+    result = fit_randles(noisy)
+    assert result.converged is False
+    assert result.iterations == 0
+    assert [result.params.r_s, result.params.r_ct, result.params.c_dl,
+            result.params.sigma_w] == x0.tolist()
+    assert np.isfinite(result.residual_norm) and result.residual_norm > 0
+
+
 def test_fit_requires_randles_structure():
     with pytest.raises(ValueError, match="3, 3"):
         fit_randles(HalfOrderRational(a=[1.0], b=[0.1, 0.2]))

@@ -338,6 +338,17 @@ def test_sigma_e_zero_noise_is_floored_to_uniform():
     assert np.all(sigma == sigma[0])
 
 
+def test_sigma_e_zero_on_most_bins_is_floored_at_1e_8_of_the_largest():
+    var_voltage = np.zeros(8)
+    var_voltage[5:7] = 1.0  # noise at bins 5 and 6 only: the median sigma_E is 0
+    spectra = _spectral_set(1.0, np.ones(8), np.ones(8), var_current=np.zeros(8),
+                            var_voltage=var_voltage, covar_vi=np.zeros(8))
+    cfg = EstimationConfig(n_a=1, n_b=1, n_r=0, bin_window=(1, 6))
+    sigma = equation_error_sigma(spectra, _theta_result([1.0], [0.0, 0.0], [0.0]), cfg)
+    assert sigma[4:] == pytest.approx(np.sqrt(2 * np.pi * np.array([5, 6])), rel=1e-12)  # |A|
+    assert np.all(sigma[:4] == 1e-8 * sigma[5])
+
+
 def test_sigma_e_voltage_only_equals_abs_a():
     n = 8
     spectra = _spectral_set(1.0, np.ones(n), np.ones(n),

@@ -30,7 +30,7 @@ SCHEMAS = {
     "randles": cli.RANDLES_SCHEMA,
     "simulate": cli.SIMULATE_SCHEMA,
     "estimate": cli.ESTIMATE_SCHEMA,
-    "eis": cli.EIS_SCHEMA,
+    "eis": cli.ESTIMATE_SCHEMA,  # eis takes the estimate config
     "multisine": cli.MULTISINE_SCHEMA,
     "rational": cli.RATIONAL_SCHEMA,
 }
@@ -114,14 +114,16 @@ JSONSCHEMA_VERDICTS = [
     ("estimate", {"multisine_path": None}, False),
     ("estimate", {"k_max": INF}, False),
     ("eis", {}, True),
-    ("eis", {"detection_factor": 100.0}, True),
+    # the retired detection_factor is an unknown key; these rows keep their
+    # places so that the ids of the rows below stay stable
+    ("eis", {"detection_factor": 100.0}, False),
     ("eis", {"detection_factor": 0}, False),
-    ("eis", {"detection_factor": 1e-9}, True),
+    ("eis", {"detection_factor": 1e-9}, False),
     ("eis", {"detection_factor": "100"}, False),
     ("eis", {"multisine_path": "ms.json"}, True),
     ("eis", {"multisine_path": None}, False),
     ("eis", {"threshold": 3}, False),
-    ("eis", {"detection_factor": NAN}, True),
+    ("eis", {"detection_factor": NAN}, False),
     ("eis", [], False),
     # new rows go at the end, so the ids (config<index>) of the rows above stay stable
     ("design", {**D, "sample_rate_hz": 20.0, "periods": 2}, True),
@@ -163,7 +165,6 @@ JSONSCHEMA_VERDICTS = [
     ("multisine", {**M, "harmonics": [1, HUGE]}, True),
     ("rational", {**E, "b": [HUGE]}, True),
     ("estimate", {"k_min": 1, "k_max": HUGE}, True),
-    ("eis", {"detection_factor": HUGE}, True),
 ]
 
 
