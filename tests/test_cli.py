@@ -791,11 +791,10 @@ def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
 
 def test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis(tmp_path, capsys):
     _run_simulate(tmp_path)
-    argv, message = _argv_and_message(tmp_path, "spec beyond")
-    assert argv[0] == "eis"
+    argv, message = _argv_and_message(tmp_path, "spec beyond")  # an eis argv
     out = tmp_path / "out"
     assert main(["estimate", *argv[1:], "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == "error: excited bin 999 outside spectrum (max 200)\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
