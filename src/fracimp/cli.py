@@ -230,8 +230,9 @@ def cmd_estimate(args, cfg: dict) -> str:
               (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
     write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
               (curve.z_ohm.real, -curve.z_ohm.imag))
+    stop = {True: ", converged", False: ", not converged", None: ""}[result.converged]
     return (f"estimated over {result.bins.size} bins (weighted cost {result.weighted_cost:.6g}, "
-            f"{result.iterations_run} weighted iterations) -> {out / 'estimate.json'}")
+            f"{result.iterations_run} weighted iterations{stop}) -> {out / 'estimate.json'}")
 
 
 def cmd_eis(args, cfg: dict) -> str:

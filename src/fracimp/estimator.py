@@ -35,6 +35,9 @@ from .spectra import SpectralSet
 
 # relative diagonal load that keeps a near-singular noise Gram factorizable
 _GRAM_RIDGE = 1e-10
+# the reweighting stops once every a/b entry of theta moves by at most this
+# fraction of its own magnitude in one pass
+_THETA_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +49,8 @@ class EstimationConfig:
     window to an explicit bin set (use the excited harmonics for multisine
     data; leave None for noise excitation).  A mask bin beyond the spectrum
     is an error; mask bins inside it but outside the window are dropped with
-    a warning.
+    a warning.  ``iterations`` is the maximum number of weighted passes; the
+    reweighting stops earlier once theta has settled.
     """
 
     n_a: int = 3
@@ -103,14 +107,19 @@ class EstimateResult:
 
     ``weighted_cost`` is sum_k |E(k)|^2 / sigma_E(k)^2 at the returned
     (a_1 = 1 normalized) parameters under the final weights (unit weights
-    when no weighted pass ran, and then ``sigma_e`` is None).  ``bins`` are
-    the selected segment bins the estimate was fitted on.
+    when no weighted pass ran, and then ``sigma_e`` is None).
+    ``iterations_run`` is the number of weighted passes, at most the
+    configured ``iterations``.  ``converged`` is True when the reweighting
+    stopped because theta had settled, False when the maximum came first,
+    and None when no weighted pass ran.  ``bins`` are the selected segment
+    bins the estimate was fitted on.
     """
 
     rational: HalfOrderRational
     transient: np.ndarray
     weighted_cost: float
     iterations_run: int
+    converged: bool | None
     sigma_e: np.ndarray | None
     bins: np.ndarray
 
@@ -128,6 +137,7 @@ class EstimateResult:
             "c": self.transient.tolist(),
             "weighted_cost": self.weighted_cost,
             "iterations_run": self.iterations_run,
+            "converged": self.converged,
             "sigma_e": None if self.sigma_e is None else self.sigma_e.tolist(),
         }
 
@@ -271,13 +281,19 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:
     """Iteratively reweighted total least squares over the selected bins.
 
-    Iteration 0 is plain TLS on unit row weights; each of the cfg.iterations
-    weighted passes recomputes sigma_E from the previous parameters, scales rows by
+    Iteration 0 is plain TLS on unit row weights; each weighted pass
+    recomputes sigma_E from the previous parameters, scales rows by
     1/sigma_E, and re-solves under the weighted noise Gram, so a channel
-    without measured noise enters exactly.  The unweighted estimate is
-    returned as it is (iterations_run 0, sigma_e None) when no selected bin
-    has measured noise (unit weights would repeat the same solve), and with
-    a warning when only one period is available.
+    without measured noise enters exactly.  The passes stop (converged True)
+    once every a/b entry of theta has moved by at most _THETA_TOL of its own
+    magnitude since the previous solve, or (converged False) after
+    cfg.iterations passes.  The test is elementwise and relative, so gain
+    scaling and frequency relabelling leave it unchanged; the transient c,
+    which can be near zero, is left out.  The unweighted estimate is
+    returned as it is (iterations_run 0, converged and sigma_e None) when
+    cfg.iterations is 0, when no selected bin has measured noise (unit
+    weights would repeat the same solve), and with a warning when only one
+    period is available.
     """
     bins = cfg.selected_bins(spectra)
     basis = _basis(spectra, bins, cfg)
@@ -288,7 +304,7 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     # column-major, a real and an imaginary row per bin
     weighted = stacked = _regressor(spectra, bins, basis, cfg).T[order].view(float).T
     theta = _solve(stacked, _column_gram(stacked), order)
-    sigma = None
+    sigma = converged = None
     iterations_run = 0
 
     if cfg.iterations > 0 and not spectra.has_covariances:
@@ -301,12 +317,18 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
         cols = order[-np.count_nonzero(noisy):]
         table = _noise_table(basis, spectra, bins, cfg, cols)
         weighted = np.empty_like(stacked)
+        ab = slice(cfg.n_a + cfg.n_b + 1)  # the transient c can be near zero
         for iterations_run in range(1, cfg.iterations + 1):
             sigma = _sigma_e(table, theta[cols])
             weights = 1.0 / sigma
             np.multiply(stacked, np.repeat(weights, 2)[:, None], out=weighted)
+            previous = theta[ab]
             theta = _solve(weighted, (table @ weights**2).reshape(cols.size, -1), order,
                            _GRAM_RIDGE)
+            converged = bool(np.all(np.abs(theta[ab] - previous)
+                                    <= _THETA_TOL * np.abs(theta[ab])))
+            if converged:
+                break
 
     a, b, c = _split_theta(theta, cfg)
     return EstimateResult(
@@ -314,6 +336,7 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
         transient=c,
         weighted_cost=float(np.sum((weighted @ theta[order]) ** 2)),
         iterations_run=iterations_run,
+        converged=converged,
         sigma_e=sigma,
         bins=bins,
     )

@@ -11,6 +11,10 @@ neither an integer nor a number; `check` returns every "integer" number as an
 int.  Unlike JSON Schema, every number must lie in the float range,
 |value| <= sys.float_info.max: Python's json module reads NaN, Infinity and
 integers of any size.
+
+Every JSON output carries ``schema_version``.  A key added to an output keeps
+SCHEMA_VERSION as it is, because every reader accepts keys it does not know;
+removing or renaming a key bumps it.
 """
 
 from __future__ import annotations

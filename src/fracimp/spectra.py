@@ -62,6 +62,22 @@ class SpectralSet:
         return self.freq_hz.size
 
 
+def _sum_sq(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Sum over the rows of d of |d|^2, a row at a time in the complex row `scratch`.
+
+    The rows are added in order, as ``(np.abs(d) ** 2).sum(axis=0)`` adds
+    them, so the result is bitwise the same without a buffer the size of d.
+    """
+    total, row_sq = scratch.view(float).reshape(2, -1)
+    np.abs(d[0], out=total)
+    total **= 2
+    for row in d[1:]:
+        np.abs(row, out=row_sq)
+        row_sq **= 2
+        total += row_sq
+    return total
+
+
 def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     """Split both records into periods, DFT each, and estimate noise covariances.
 
@@ -69,16 +85,17 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     spectra; with P = 1 the covariance fields are left unavailable and only
     uniform-weight estimation is possible downstream.
 
-    Memory: besides the per-bin outputs, a call allocates the two complex
-    (P, M/2+1) `rfft` outputs, each about one input record in bytes, and one
-    real (P-1, M/2+1) buffer, half a record.  Normalization, the deviations
-    from the first period, |d|^2 of both channels and the cross term are all
-    computed inside those three arrays.  The cross term is formed as
-    conj(d_cur) *= d_vol, in that operand order: complex multiply is not
-    bitwise commutative under numpy's SIMD loops, and this is the order
-    numpy's temporary elision picks for ``d_vol * np.conj(d_cur)`` once the
-    deviations reach 256 KiB, as they do at the protocol record size.  The
-    other order differs in the last bit.
+    Memory: besides per-bin arrays, a call allocates only the two
+    complex (P, M/2+1) `rfft` outputs, each about one input record in bytes.
+    The FFT applies the 1/M scale itself (``norm="forward"``), so it takes no
+    pass over the outputs.  The deviations from the first period and the
+    cross term are computed inside those two arrays, and |d|^2 is summed a
+    period at a time in each channel's first row, which the deviations no
+    longer need.  The cross term is formed as conj(d_cur) *= d_vol, in that
+    operand order: complex multiply is not bitwise commutative under numpy's
+    SIMD loops, and this is the order numpy's temporary elision picks for
+    ``d_vol * np.conj(d_cur)`` once the deviations reach 256 KiB, as they do
+    at the protocol record size.  The other order differs in the last bit.
     """
     check_shared_grid(current, voltage)
     p = current.periods
@@ -86,10 +103,8 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if m < 2:
         raise ValueError("need at least 2 samples per period")
 
-    cur = np.fft.rfft(current.samples.reshape(p, m), axis=1)
-    cur /= m
-    vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1)
-    vol /= m
+    cur = np.fft.rfft(current.samples.reshape(p, m), axis=1, norm="forward")
+    vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1, norm="forward")
     mean_cur = cur.mean(axis=0)
     mean_vol = vol.mean(axis=0)
     freq_hz = np.arange(mean_cur.size) / current.period_s
@@ -101,13 +116,9 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
         d_cur -= cur[0]
         d_vol -= vol[0]
         s_cur, s_vol = d_cur.sum(axis=0), d_vol.sum(axis=0)
-        sq = np.abs(d_cur)
-        sq **= 2
-        var_cur = (sq.sum(axis=0) - np.abs(s_cur) ** 2 / p) / (p - 1)
-        np.abs(d_vol, out=sq)
-        sq **= 2
-        var_vol = (sq.sum(axis=0) - np.abs(s_vol) ** 2 / p) / (p - 1)
-        del sq  # freed before the cross term and the SpectralSet checks
+        # the first period's row is free now: it holds the sums of |d|^2
+        var_cur = (_sum_sq(d_cur, cur[0]) - np.abs(s_cur) ** 2 / p) / (p - 1)
+        var_vol = (_sum_sq(d_vol, vol[0]) - np.abs(s_vol) ** 2 / p) / (p - 1)
         np.conjugate(d_cur, out=d_cur)
         d_cur *= d_vol
         covar_vi = (d_cur.sum(axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)

@@ -399,6 +399,24 @@ def test_single_period_estimate_falls_back(tmp_path):
     assert payload["sigma_e"] is None
 
 
+@pytest.mark.parametrize("snr, iterations, converged, line", [
+    (50.0, 10, True, "{iterations_run} weighted iterations, converged) -> "),
+    (50.0, 1, False, "1 weighted iterations, not converged) -> "),
+    (None, 10, None, "0 weighted iterations) -> "),
+])
+def test_estimate_reports_whether_the_reweighting_converged(tmp_path, capsys, snr, iterations,
+                                                            converged, line):
+    out = _run_simulate(tmp_path, extra={"snr": snr} if snr else None)
+    est_cfg = _json(tmp_path, "est.json", {"multisine_path": str(out / "multisine.json"),
+                                           "iterations": iterations})
+    assert main(["estimate", "--record", str(out / "record.csv"), "--config", est_cfg,
+                 "--out", str(tmp_path / "est")]) == 0
+    payload = json.loads((tmp_path / "est" / "estimate.json").read_text())
+    assert payload["converged"] is converged
+    assert payload["iterations_run"] <= iterations
+    assert line.format(**payload) in capsys.readouterr().out
+
+
 def test_noiseless_when_snr_omitted(tmp_path):
     # with a fixed multisine file and no snr key, the seed cannot matter
     out = _run_simulate(tmp_path)

@@ -325,7 +325,7 @@ def test_noiseless_smallest_singular_value_is_negligible():
 def _theta_result(a, b, c):
     """An estimate at given parameters, fitted on no bins."""
     return EstimateResult(rational=HalfOrderRational(a=a, b=b), transient=np.asarray(c),
-                          weighted_cost=0.0, iterations_run=0, sigma_e=None,
+                          weighted_cost=0.0, iterations_run=0, converged=None, sigma_e=None,
                           bins=np.empty(0, dtype=int))
 
 
@@ -482,9 +482,12 @@ def test_one_qr_per_solve(monkeypatch, noisy, iterations):
         spec, spectra = _tiled_noiseless_spectra(3, 6)
     cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=iterations)
     shapes = _count_qrs(monkeypatch)
-    wtls_estimate(spectra, cfg)
+    result = wtls_estimate(spectra, cfg)
     rows = 2 * cfg.selected_bins(spectra).size
-    assert shapes == [(rows, 3 + 4 + 2)] * (iterations + 1 if noisy else 1)
+    assert shapes == [(rows, 3 + 4 + 2)] * (result.iterations_run + 1)
+    # this record settles after 7 weighted passes, so a maximum of 4 stops it first
+    want = {0: (0, None), 4: (4, False), 10: (7, True)}[iterations] if noisy else (0, None)
+    assert (result.iterations_run, result.converged) == want
 
 
 def test_noisy_record_is_solved_once_per_pass(monkeypatch):
@@ -492,8 +495,9 @@ def test_noisy_record_is_solved_once_per_pass(monkeypatch):
                                    points_per_decade=8, sample_rate_hz=20.0, periods=4)
     calls = _count_solves(monkeypatch)
     result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=10))
-    assert len(calls) == 11
-    assert result.iterations_run == 10
+    assert result.converged is True
+    assert 1 <= result.iterations_run < 10
+    assert len(calls) == result.iterations_run + 1
     assert result.sigma_e.shape == result.bins.shape
 
 
@@ -509,7 +513,7 @@ def test_wtls_single_period_falls_back_with_warning():
     assert result.sigma_e is None
 
 
-def _noisy_spectra(seed, snr=20.0, noisy=("current", "voltage"), **kwargs):
+def _noisy_records(seed, snr=20.0, noisy=("current", "voltage"), **kwargs):
     spec, current, voltage = simulate_pair(make_multisine_current(**kwargs))
     rng = np.random.default_rng(seed)
     i = current.with_samples(current.samples + rng.normal(
@@ -517,7 +521,76 @@ def _noisy_spectra(seed, snr=20.0, noisy=("current", "voltage"), **kwargs):
     ac = voltage.samples - voltage.samples.mean()
     v = voltage.with_samples(voltage.samples + rng.normal(
         0, np.sqrt(np.mean(ac**2)) / snr * ("voltage" in noisy), voltage.n_samples))
+    return spec, i, v
+
+
+def _noisy_spectra(seed, snr=20.0, noisy=("current", "voltage"), **kwargs):
+    spec, i, v = _noisy_records(seed, snr, noisy, **kwargs)
     return spec, per_period_spectra(i, v)
+
+
+# ---------------------------------------------------------------- stop rule
+
+
+@pytest.fixture(scope="module")
+def protocol_multisine():
+    """The protocol multisine (200 s, 200 Hz, 5 periods) with SNR 50 on both channels."""
+    return _noisy_spectra(57, snr=50.0)
+
+
+def test_reweighting_stops_once_theta_settles(monkeypatch, protocol_multisine):
+    spec, spectra = protocol_multisine
+    cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=10)
+    stopped = wtls_estimate(spectra, cfg)
+    assert stopped.converged is True
+    assert stopped.iterations_run < 10
+    # a zero tolerance never stops: the passes after the stop change nothing
+    monkeypatch.setattr(estimator, "_THETA_TOL", 0.0)
+    full = wtls_estimate(spectra, cfg)
+    assert (full.iterations_run, full.converged) == (10, False)
+    assert full.rational.a == pytest.approx(stopped.rational.a, rel=1e-9)
+    assert full.rational.b == pytest.approx(stopped.rational.b, rel=1e-9)
+
+
+def test_maximum_before_the_stop_is_not_converged(protocol_multisine):
+    spec, spectra = protocol_multisine
+    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=2))
+    assert (result.iterations_run, result.converged) == (2, False)
+
+
+@pytest.mark.parametrize("case", ["noiseless", "iterations 0", "single period"])
+def test_converged_is_null_when_no_weighted_pass_runs(protocol_multisine, case):
+    spec, spectra = protocol_multisine
+    iterations = 0 if case == "iterations 0" else 10
+    if case == "noiseless":
+        spec, spectra = _noiseless_spectra()
+    elif case == "single period":
+        spec, spectra = _noiseless_spectra(periods=1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="noise covariances unavailable")
+        result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics,
+                                                         iterations=iterations))
+    assert (result.iterations_run, result.converged, result.sigma_e) == (0, None, None)
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_frequency_relabelling_scales_coefficients_by_half_powers(seed):
+    # the same samples at sample rate lam*fs and period period_s/lam multiply
+    # every (jw)^{n/2} by lam^{n/2}, so after a_1 = 1 normalization a_n and b_n
+    # come back as a_n lam^{-(n-1)/2} and b_n lam^{-(n-1)/2}; the stop rule is
+    # relative per entry, so it fires after the same pass
+    spec, current, voltage = _noisy_records(seed, snr=50.0)
+    cfg = EstimationConfig(bin_mask=spec.harmonics)
+    base = wtls_estimate(per_period_spectra(current, voltage), cfg)
+    for lam in (0.25, 4.0, 10.0):
+        i, v = (TimeRecord(r.samples, lam * r.sample_rate_hz, r.period_s / lam)
+                for r in (current, voltage))
+        got = wtls_estimate(per_period_spectra(i, v), cfg)
+        assert got.rational.a * lam ** (np.arange(3) / 2) == pytest.approx(
+            base.rational.a, rel=1e-12, abs=0)
+        assert got.rational.b * lam ** ((np.arange(4) - 1) / 2) == pytest.approx(
+            base.rational.b, rel=1e-12, abs=0)
+        assert (got.iterations_run, got.converged) == (base.iterations_run, base.converged)
 
 
 # ---------------------------------------------------------------- one noisy channel
@@ -539,7 +612,8 @@ def test_exact_current_noise_excitation_is_weighted(seed):
     spectra = _noise_excited_spectra(seed, noisy=("voltage",))
     assert not spectra.var_current.any()
     result = wtls_estimate(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
-    assert result.iterations_run == 10
+    assert result.converged is True
+    assert 1 <= result.iterations_run <= 10
     assert _band_max_error(result) < 0.045
 
 
@@ -547,7 +621,8 @@ def test_exact_current_noise_excitation_is_weighted(seed):
 def test_exact_current_multisine_is_weighted(seed):
     spec, spectra = _noisy_spectra(seed, snr=50.0, noisy=("voltage",))
     result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
-    assert result.iterations_run == 10
+    assert result.converged is True
+    assert 1 <= result.iterations_run <= 10
     assert _band_max_error(result) < 0.005
 
 
@@ -557,7 +632,8 @@ def test_exact_voltage_solves_without_ambiguity_warning():
     with warnings.catch_warnings():
         warnings.filterwarnings("error", message="two smallest singular values")
         result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
-    assert result.iterations_run == 10
+    assert result.converged is True
+    assert 1 <= result.iterations_run <= 10
     assert _band_max_error(result) < 0.005
 
 
@@ -567,7 +643,8 @@ def test_single_noisy_column_is_weighted_least_squares():
     spec, spectra = _noisy_spectra(56, snr=50.0, noisy=("voltage",))
     cfg = EstimationConfig(n_a=1, bin_mask=spec.harmonics)
     result = wtls_estimate(spectra, cfg)
-    assert result.iterations_run == 10
+    assert result.converged is True
+    assert 1 <= result.iterations_run <= 10
     assert result.rational.a[0] == 1.0
     weighted = _build_regressor(spectra, cfg) / result.sigma_e[:, None]
     stacked = np.vstack([weighted.real, weighted.imag])

@@ -40,7 +40,8 @@ FROZEN = {
         ],
         "c": [0.0001205276004972647, -8.850148652320632e-05],
         "weighted_cost": 2.4008833155080143,
-        "iterations_run": 10,
+        "iterations_run": 6,
+        "estimate_converged": True,
         "bode_rows": 209,
         "bode_freq_hz": [
             0.05, 0.10251482770364288, 0.21018579798215187,
@@ -69,6 +70,7 @@ FROZEN = {
         "c": [0.00010323594587347466, -3.954124858009867e-05],
         "weighted_cost": 37.57935517054722,
         "iterations_run": 10,
+        "estimate_converged": True,
         "bode_rows": 300,
         "bode_freq_hz": [
             0.05, 0.12047017801197624, 0.2836213034245989,
@@ -116,6 +118,7 @@ def test_cli_outputs_match_frozen_numbers(tmp_path, kind):
     want = FROZEN[kind]
     b = np.asarray(want["b"])
     assert estimate["iterations_run"] == want["iterations_run"]
+    assert estimate["converged"] is want["estimate_converged"]
     for key in ("a", "b", "weighted_cost"):
         np.testing.assert_allclose(estimate[key], want[key], rtol=1e-10, atol=0, err_msg=key)
     np.testing.assert_allclose(estimate["c"], want["c"], rtol=0,

@@ -49,7 +49,7 @@ def _protocol_pair(periods):
     return current, voltage
 
 
-@pytest.mark.parametrize("periods", [2, 5])
+@pytest.mark.parametrize("periods", [2, 3, 5, 16])
 def test_in_place_stages_are_bitwise_the_reference_formulas(periods):
     current, voltage = _protocol_pair(periods)
     noisy = {}
@@ -84,8 +84,8 @@ def test_spectra_and_noise_allocate_within_their_bounds():
     current, voltage = _protocol_pair(5)
     record_bytes = current.samples.nbytes
     noisy = add_noise(voltage, NoiseSpec(snr=50.0, seed=3))
-    # the two rfft outputs plus a half-record real buffer, with the outputs
-    # and the SpectralSet checks on top; the plain expressions needed 5.7x
+    # the two rfft outputs, with the outputs and the SpectralSet checks on
+    # top; the plain expressions needed 5.7x
     assert _peak_bytes(lambda: per_period_spectra(current, noisy)) <= 4.0 * record_bytes
     # the one buffer that becomes the noisy record; the plain expressions needed 2.25x
     assert _peak_bytes(lambda: add_noise(voltage, NoiseSpec(snr=50.0, seed=3))) \
