@@ -37,7 +37,7 @@ from .model import (
 )
 from .recordio import read_record, write_record
 from .simulate import NoiseSpec, add_noise, simulate_response
-from .spectra import SpectralSet, dft, nonparametric_impedance, per_period_spectra
+from .spectra import SpectralSet, nonparametric_impedance, per_period_spectra
 
 __version__ = "0.1.0"
 
@@ -57,7 +57,6 @@ __all__ = [
     "TimeRecord",
     "add_noise",
     "design_odd_quasilog",
-    "dft",
     "equation_error_sigma",
     "eval_rational",
     "fit_randles",

@@ -6,15 +6,16 @@ The equation error at segment bin k,
          - sum_{n=0..Nb} b_n (j*w_k)^{n/2} I(k)
          + sum_{r=0..Nr} c_r (j*w_k)^{r/2},
 
-is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr].  Every estimate is
-one generalized total-least-squares problem, min ||K theta|| subject to
-theta_n^T G theta_n = 1.  The real/imaginary-stacked regressor K (two rows
-per bin) is built once, column-major, with the columns that carry no noise
-(the transient, a noise-free channel) first.  Each solve reduces K to its
-square triangular QR factor R, which has the same Gram K^T K and so the same
-solution, solves the noisy columns on the trailing block of R via the SVD and
-back-substitutes the noise-free ones exactly.  Plain TLS takes G as the
-squared column norms; the weighted passes scale rows by the inverse
+is linear in theta = [a_1..a_Na, b_0..b_Nb, c_0..c_Nr]; _columns alone
+spells out that layout, and every other step reads it from there.  Every
+estimate is one generalized total-least-squares problem, min ||K theta||
+subject to theta_n^T G theta_n = 1.  The real/imaginary-stacked regressor K
+(two rows per bin) is built once, column-major, with the columns that carry
+no noise (the transient, a noise-free channel) first.  Each solve reduces K
+to its square triangular QR factor R, which has the same Gram K^T K and so
+the same solution, solves the noisy columns on the trailing block of R via
+the SVD and back-substitutes the noise-free ones exactly.  Plain TLS takes G
+as the squared column norms; the weighted passes scale rows by the inverse
 equation-error standard deviation and take G as the noise Gram of the noisy
 columns, which yields the consistent estimate.  Both the equation-error
 variance and the noise Gram come from one per-bin table of regressor noise
@@ -105,9 +106,11 @@ class EstimationConfig:
 class EstimateResult:
     """Estimated half-order rational plus transient coefficients and diagnostics.
 
-    ``weighted_cost`` is sum_k |E(k)|^2 / sigma_E(k)^2 at the returned
-    (a_1 = 1 normalized) parameters under the final weights (unit weights
-    when no weighted pass ran, and then ``sigma_e`` is None).
+    ``sigma_e`` is the sigma_E(k) that weighted the final pass, taken at the
+    parameters of the pass before it, and ``weighted_cost`` is
+    sum_k |E(k)|^2 / sigma_e(k)^2 at the returned (a_1 = 1 normalized)
+    parameters, so the two check each other (unit weights when no weighted
+    pass ran, and then ``sigma_e`` is None).
     ``iterations_run`` is the number of weighted passes, at most the
     configured ``iterations``.  ``converged`` is True when the reweighting
     stopped because theta had settled, False when the maximum came first,
@@ -122,9 +125,6 @@ class EstimateResult:
     converged: bool | None
     sigma_e: np.ndarray | None
     bins: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "transient", np.asarray(self.transient, dtype=float))
 
     @property
     def theta(self) -> np.ndarray:
@@ -142,24 +142,22 @@ class EstimateResult:
         }
 
 
-def _basis(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig) -> np.ndarray:
-    """Every half power the model needs at the selected bins; row n is (jw)^{n/2}."""
-    q = _sqrt_j_omega(2.0 * np.pi * spectra.freq_hz[bins])
-    return np.stack([q**n for n in range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1)])
+def _columns(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig):
+    """The theta layout at the selected bins: regressor, noise multipliers, channels.
 
-
-def _regressor(spectra: SpectralSet, bins: np.ndarray, basis: np.ndarray,
-               cfg: EstimationConfig) -> np.ndarray:
-    """Complex regressor, one row per selected bin, column-major.
-
-    Columns: [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} |
-    [(jw)^{r/2}]_{r=0..Nr}.
+    The complex regressor has one row per bin and the columns
+    [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} | [(jw)^{r/2}]_{r=0..Nr}.
+    The (a/b columns, bins) multipliers carry a column's channel noise into
+    the regressor: (jw)^{n/2} on a_n and -(jw)^{n/2} on b_n.  Each column's
+    channel is 0 for V, 1 for I and 2 for none (the transient c).
     """
-    return np.concatenate([
-        basis[1: cfg.n_a + 1] * spectra.mean_voltage[bins],
-        -basis[: cfg.n_b + 1] * spectra.mean_current[bins],
-        basis[: cfg.n_r + 1],
-    ]).T
+    q = _sqrt_j_omega(2.0 * np.pi * spectra.freq_hz[bins])
+    basis = np.stack([q**n for n in range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1)])
+    a, b = basis[1: cfg.n_a + 1], -basis[: cfg.n_b + 1]
+    regressor = np.concatenate([a * spectra.mean_voltage[bins], b * spectra.mean_current[bins],
+                                basis[: cfg.n_r + 1]]).T
+    channel = np.repeat([0, 1, 2], [cfg.n_a, cfg.n_b + 1, cfg.n_r + 1])
+    return regressor, np.concatenate([a, b]), channel
 
 
 def _normalize_a1(theta: np.ndarray) -> np.ndarray:
@@ -217,44 +215,29 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, order: np.ndarray,
     return _normalize_a1(theta)
 
 
-def _split_theta(theta: np.ndarray, cfg: EstimationConfig):
-    a = theta[: cfg.n_a]
-    b = theta[cfg.n_a: cfg.n_a + cfg.n_b + 1]
-    c = theta[cfg.n_a + cfg.n_b + 1:]
-    return a, b, c
+def _noise_table(spectra: SpectralSet, bins: np.ndarray, mix: np.ndarray,
+                 channel: np.ndarray) -> np.ndarray:
+    """Per-bin covariance C_k of the regressor noise in m a/b columns.
 
-
-def _floor_sigma(sigma: np.ndarray) -> np.ndarray:
-    top = float(sigma.max())
-    if top > 0.0:
-        return np.maximum(sigma, 1e-8 * top)
-    return np.ones_like(sigma)
-
-
-def _noise_table(basis: np.ndarray, spectra: SpectralSet, bins: np.ndarray,
-                 cfg: EstimationConfig, cols: np.ndarray) -> np.ndarray:
-    """Per-bin covariance C_k of the regressor noise in the model columns `cols`.
-
-    The regressor noise at bin k is (jw)^{n/2} N_V(k) in column a_n and
-    -(jw)^{n/2} N_I(k) in column b_n; entry (i*m + j, k) of the returned
-    (m*m, bins) table is Re E[e_i e_j*] at bin k, so sigma_E(k)^2 =
-    theta^T C_k theta over those columns and the noise Gram of rows weighted
-    by w_k is sum_k w_k^2 C_k.  A channel without noise at bin k gives exact
-    zeros there.
+    Row i of `mix` carries the noise of channel[i] into column i (see
+    _columns); entry (i*m + j, k) of the returned (m*m, bins) table is
+    Re E[e_i e_j*] at bin k, so sigma_E(k)^2 = theta^T C_k theta over those
+    columns and the noise Gram of rows weighted by w_k is sum_k w_k^2 C_k.
+    A channel without noise at bin k gives exact zeros there.
     """
-    mix = np.concatenate([basis[1: cfg.n_a + 1], -basis[: cfg.n_b + 1]])[cols]
-    side = np.where(cols < cfg.n_a, 0, 1)  # the channel each column's noise comes from
     covar = spectra.covar_vi[bins]
     cov = np.array([[spectra.var_voltage[bins], covar], [covar.conj(), spectra.var_current[bins]]])
-    table = np.empty((cols.size, cols.size, bins.size))
+    table = np.empty((channel.size, channel.size, bins.size))
     for i, row in enumerate(mix):  # a row at a time keeps the complex temporaries small
-        table[i] = (row * mix.conj() * cov[side[i], side]).real
-    return table.reshape(cols.size**2, bins.size)
+        table[i] = (row * mix.conj() * cov[channel[i], channel]).real
+    return table.reshape(channel.size**2, bins.size)
 
 
 def _sigma_e(table: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    var = np.outer(theta, theta).ravel() @ table
-    return _floor_sigma(np.sqrt(np.maximum(var, 0.0)))
+    """sigma_E(k) from the noise table, floored at 1e-8 of its largest; all 1 if all are 0."""
+    sigma = np.sqrt(np.maximum(np.outer(theta, theta).ravel() @ table, 0.0))
+    top = float(sigma.max())
+    return np.maximum(sigma, 1e-8 * top) if top > 0.0 else np.ones_like(sigma)
 
 
 def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
@@ -273,9 +256,9 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
             "estimate (iterations=0) applies"
         )
     bins = cfg.selected_bins(spectra)
-    cols = np.arange(cfg.n_a + cfg.n_b + 1)
-    return _sigma_e(_noise_table(_basis(spectra, bins, cfg), spectra, bins, cfg, cols),
-                    theta.theta[cols])
+    _, mix, channel = _columns(spectra, bins, cfg)
+    ab = channel < 2
+    return _sigma_e(_noise_table(spectra, bins, mix, channel[ab]), theta.theta[ab])
 
 
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:
@@ -296,13 +279,12 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     period is available.
     """
     bins = cfg.selected_bins(spectra)
-    basis = _basis(spectra, bins, cfg)
-    noisy = np.repeat([spectra.has_covariances and spectra.var_voltage[bins].any(),
-                       spectra.has_covariances and spectra.var_current[bins].any(), False],
-                      [cfg.n_a, cfg.n_b + 1, cfg.n_r + 1])
+    regressor, mix, channel = _columns(spectra, bins, cfg)
+    noisy = np.array([spectra.has_covariances and spectra.var_voltage[bins].any(),
+                      spectra.has_covariances and spectra.var_current[bins].any(), False])[channel]
     order = np.argsort(noisy, kind="stable")  # the noise-free columns first
     # column-major, a real and an imaginary row per bin
-    weighted = stacked = _regressor(spectra, bins, basis, cfg).T[order].view(float).T
+    weighted = stacked = regressor.T[order].view(float).T
     theta = _solve(stacked, _column_gram(stacked), order)
     sigma = converged = None
     iterations_run = 0
@@ -314,10 +296,10 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             stacklevel=2,
         )
     elif cfg.iterations > 0 and noisy.any():
-        cols = order[-np.count_nonzero(noisy):]
-        table = _noise_table(basis, spectra, bins, cfg, cols)
+        cols = np.flatnonzero(noisy)  # in model order, as they trail in `order`
+        table = _noise_table(spectra, bins, mix[cols], channel[cols])
         weighted = np.empty_like(stacked)
-        ab = slice(cfg.n_a + cfg.n_b + 1)  # the transient c can be near zero
+        ab = channel < 2  # the transient c can be near zero
         for iterations_run in range(1, cfg.iterations + 1):
             sigma = _sigma_e(table, theta[cols])
             weights = 1.0 / sigma
@@ -330,10 +312,9 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
             if converged:
                 break
 
-    a, b, c = _split_theta(theta, cfg)
     return EstimateResult(
-        rational=HalfOrderRational(a=a, b=b),
-        transient=c,
+        rational=HalfOrderRational(a=theta[channel == 0], b=theta[channel == 1]),
+        transient=theta[channel == 2],
         weighted_cost=float(np.sum((weighted @ theta[order]) ** 2)),
         iterations_run=iterations_run,
         converged=converged,

@@ -1,9 +1,10 @@
-"""Normalized DFT spectra, per-period averaging, and errors-in-variables covariances.
+"""Per-period spectra with errors-in-variables covariances, and the nonparametric impedance.
 
-The DFT convention is X(k) = (1/N) sum_n x(n) exp(-j*2*pi*k*n/N) throughout;
-all downstream estimation formulas assume it.  After splitting a record into P
-periods, segment bin k corresponds to frequency k/period_s (full-record bin
-P*k), and only bins 0..M/2 are kept (real signals).
+The DFT convention is X(k) = (1/M) sum_n x(n) exp(-j*2*pi*k*n/M) over each
+period of M samples; all downstream estimation formulas assume it, and
+`per_period_spectra` is its one implementation.  After splitting a record
+into P periods, segment bin k corresponds to frequency k/period_s
+(full-record bin P*k), and only bins 0..M/2 are kept (real signals).
 """
 
 from __future__ import annotations
@@ -15,14 +16,6 @@ import numpy as np
 
 from .excitation import TimeRecord, check_shared_grid
 from .model import ImpedanceCurve
-
-
-def dft(samples) -> np.ndarray:
-    """DFT with 1/N normalization, bins k = 0..N-1."""
-    x = np.asarray(samples)
-    if x.size == 0:
-        raise ValueError("dft needs a nonempty input")
-    return np.fft.fft(x) / x.size
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from fracimp import (
     wtls_estimate,
 )
 from fracimp import estimator
-from fracimp.estimator import _basis, _column_gram, _noise_table, _regressor, _solve
+from fracimp.estimator import _column_gram, _columns, _noise_table, _solve
 from fracimp.model import ImpedanceCurve
 
 from conftest import SIM_PARAMS, make_multisine_current, simulate_pair
@@ -57,8 +57,7 @@ _PIPE_KW = dict(period_s=200.0, f_min_hz=0.005, f_max_hz=5.0, points_per_decade=
 
 
 def _build_regressor(spectra, cfg):
-    bins = cfg.selected_bins(spectra)
-    return _regressor(spectra, bins, _basis(spectra, bins, cfg), cfg)
+    return _columns(spectra, cfg.selected_bins(spectra), cfg)[0]
 
 
 def _tls(regressor):
@@ -74,16 +73,21 @@ def test_regressor_smallest_row():
     i_val, v_val = 0.3 - 0.1j, 0.2 + 0.5j
     spectra = _spectral_set(2.0, [0, i_val, 0], [0, v_val, 0])
     cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, bin_window=(1, 1), iterations=0)
-    row = _build_regressor(spectra, cfg)
+    row, mix, channel = _columns(spectra, np.array([1]), cfg)
     assert row.shape == (1, 3)
     q = np.sqrt(2 * np.pi * 0.5) * Q45
     assert row[0] == pytest.approx([q * v_val, -i_val, 1.0], rel=1e-14)
+    assert mix[:, 0] == pytest.approx([q, -1.0], rel=1e-14)  # (jw)^{1/2} on a_1, -1 on b_0
+    assert channel.tolist() == [0, 1, 2]
 
 
 def test_regressor_column_count():
     spectra = _spectral_set(1.0, np.ones(12), np.ones(12))
     cfg = EstimationConfig(n_a=3, n_b=2, n_r=1, bin_window=(1, 10), iterations=0)
-    assert _build_regressor(spectra, cfg).shape == (10, 3 + 3 + 2)
+    regressor, mix, channel = _columns(spectra, cfg.selected_bins(spectra), cfg)
+    assert regressor.shape == (10, 3 + 3 + 2)
+    assert mix.shape == (3 + 3, 10)
+    assert channel.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
 
 
 def test_regressor_annihilates_true_parameters():
@@ -194,10 +198,10 @@ def _noise_excited_spectra(seed, noisy=("current", "voltage")):
 
 
 def _ab_table(spectra, cfg):
-    """Selected bins, half-power basis and noise table of all a/b columns."""
+    """Selected bins, complex regressor and noise table of all a/b columns."""
     bins = cfg.selected_bins(spectra)
-    basis = _basis(spectra, bins, cfg)
-    return bins, basis, _noise_table(basis, spectra, bins, cfg, np.arange(cfg.n_a + cfg.n_b + 1))
+    regressor, mix, channel = _columns(spectra, bins, cfg)
+    return bins, regressor, _noise_table(spectra, bins, mix, channel[channel < 2])
 
 
 def _weighted_pass(spectra, cfg):
@@ -205,8 +209,7 @@ def _weighted_pass(spectra, cfg):
 
     The Gram has zero rows and columns for the noise-free columns.
     """
-    bins, basis, table = _ab_table(spectra, cfg)
-    regressor = _regressor(spectra, bins, basis, cfg)
+    _, regressor, table = _ab_table(spectra, cfg)
     n_ab = cfg.n_a + cfg.n_b + 1
     weights = 1.0 / estimator._sigma_e(table, _tls(regressor)[:n_ab])
     gram = np.zeros((regressor.shape[1],) * 2)
@@ -275,8 +278,9 @@ def test_noise_gram_matches_per_bin_sum(noise_spectra):
 
 def test_noise_table_quadratic_form_is_the_closed_form_variance(noise_spectra):
     spectra = noise_spectra
-    bins, basis, table = _ab_table(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
+    bins, _, table = _ab_table(spectra, EstimationConfig(bin_window=(1, 2000), n_r=1))
     var_v, var_i = spectra.var_voltage[bins], spectra.var_current[bins]
+    basis = (np.sqrt(2 * np.pi * spectra.freq_hz[bins]) * Q45) ** np.arange(4)[:, None]
     for theta in np.random.default_rng(37).normal(size=(20, 7)):
         pol_a, pol_b = theta[:3] @ basis[1:4], theta[3:] @ basis[:4]
         closed = (np.abs(pol_a) ** 2 * var_v + np.abs(pol_b) ** 2 * var_i
@@ -493,12 +497,17 @@ def test_one_qr_per_solve(monkeypatch, noisy, iterations):
 def test_noisy_record_is_solved_once_per_pass(monkeypatch):
     spec, spectra = _noisy_spectra(34, period_s=50.0, f_min_hz=0.02, f_max_hz=2.0,
                                    points_per_decade=8, sample_rate_hz=20.0, periods=4)
+    cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=10)
     calls = _count_solves(monkeypatch)
-    result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=10))
+    result = wtls_estimate(spectra, cfg)
     assert result.converged is True
     assert 1 <= result.iterations_run < 10
     assert len(calls) == result.iterations_run + 1
     assert result.sigma_e.shape == result.bins.shape
+    # sigma_e weighted the final pass, so it gives weighted_cost at the returned theta
+    errors = _build_regressor(spectra, cfg) @ result.theta
+    assert np.sum(np.abs(errors / result.sigma_e) ** 2) == pytest.approx(
+        result.weighted_cost, rel=1e-12, abs=0)
 
 
 def test_wtls_single_period_falls_back_with_warning():

@@ -8,7 +8,9 @@ keep the outputs ("same numbers") is held to them:
 - estimate.json a, b and weighted_cost, and bode.csv |Z|: 1e-10 relative;
 - estimate.json c, the transient, which can be near zero: 1e-10 * ||b||;
 - fit.json circuit values and residual norm: 1e-8 relative, because the
-  circuit fit's step-norm stop is sensitive to the last digits of its input.
+  circuit fit is ill-conditioned: a 1e-14 relative change of a and b moves
+  its circuit values by up to about 1e-9 relative, whether it stops on the
+  step norm or only once no step lowers its cost.
 """
 
 import json

@@ -1,0 +1,98 @@
+"""The README's CLI walkthroughs, run as written through `fracimp.cli.main`.
+
+The `cat > <file> <<'EOF'` heredocs and the `fracimp` lines of the README's
+bash blocks are replayed in a temporary directory: first the multisine
+walkthrough, then the noise one, on a `sim.json` whose excitation is
+`{"type": "noise"}`, as the README says.  Any other shell line fails the
+test, so the README cannot grow a step that this test silently skips.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fracimp.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+_HEREDOC = re.compile(r"cat > (\S+) <<'EOF'$")
+
+
+def _walkthrough_blocks():
+    """The bash blocks that run `fracimp`: the multisine walkthrough, then the noise one."""
+    blocks = re.findall(r"```bash\n(.*?)```", README, flags=re.S)
+    return [block.splitlines() for block in blocks if "\nfracimp " in "\n" + block]
+
+
+def _replay(lines):
+    """Write each heredoc and run each `fracimp` line; return the commands run."""
+    commands = []
+    lines = iter(lines)
+    for line in lines:
+        heredoc = _HEREDOC.match(line)
+        if heredoc:
+            body = []
+            for text in lines:
+                if text == "EOF":
+                    break
+                body.append(text)
+            Path(heredoc.group(1)).write_text("\n".join(body) + "\n")
+        elif line.startswith("fracimp "):
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, line
+            commands.append(argv[0])
+        else:
+            assert not line.strip(), f"README line not replayed: {line!r}"
+    return commands
+
+
+def _listed_outputs():
+    """The output files that the README's "Outputs:" sentence names."""
+    sentence = README[README.index("Outputs:"):]
+    sentence = sentence[:sentence.index(".\n")]
+    return re.findall(r"`([\w.]+\.(?:csv|json))`", sentence)
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        base = tmp_path_factory.mktemp("readme")
+        mp.chdir(base)
+        multisine, noise = _walkthrough_blocks()
+        ran = {"multisine": _replay(multisine)}
+        listed = {name: (base / "run" / name).exists() for name in _listed_outputs()}
+
+        noise_dir = tmp_path_factory.mktemp("readme_noise")
+        mp.chdir(noise_dir)
+        sim = json.loads((base / "sim.json").read_text())
+        sim["excitation"] = {"type": "noise"}
+        Path("sim.json").write_text(json.dumps(sim))
+        simulate = next(line for line in multisine if line.startswith("fracimp simulate "))
+        ran["noise"] = _replay([simulate, *noise])
+        return ran, listed, noise_dir / "run"
+
+
+def test_every_walkthrough_command_runs(walkthrough):
+    ran, _, _ = walkthrough
+    assert ran == {"multisine": ["simulate", "estimate", "eis", "compare", "fit"],
+                   "noise": ["simulate", "estimate", "eis", "compare"]}
+
+
+def test_every_listed_output_exists(walkthrough):
+    _, listed, _ = walkthrough
+    assert len(listed) == 8  # record.csv and its sidecar to fit.json
+    assert all(listed.values()), listed
+
+
+def test_noise_walkthrough_matches_the_readme_claim(walkthrough):
+    _, _, run = walkthrough
+    claim = re.search(r"gives ([\d ]+) nonparametric rows, all of them shared with\s+"
+                      r"`bode.csv`, and a median relative error of ([\d.]+) %", README)
+    rows, median_pct = int(claim.group(1).replace(" ", "")), float(claim.group(2))
+    eis = np.loadtxt(run / "eis.csv", delimiter=",", skiprows=1)
+    error = np.loadtxt(run / "error.csv", delimiter=",", skiprows=1)
+    assert eis.shape[0] == error.shape[0] == rows
+    assert round(100 * float(np.median(error[:, 1])), 1) == median_pct

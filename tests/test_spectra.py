@@ -5,7 +5,6 @@ import pytest
 
 from fracimp import (
     TimeRecord,
-    dft,
     generate_periodic_noise,
     nonparametric_impedance,
     per_period_spectra,
@@ -23,44 +22,55 @@ def _dft_direct(x):
     return (x[None, :] * np.exp(-2j * np.pi * np.outer(k, k[:n]) / n)).sum(axis=1) / n
 
 
-# ---------------------------------------------------------------- dft
+def _mean_spectra(current, voltage=None, periods=1):
+    """per_period_spectra of `periods` one-second periods; voltage defaults to current."""
+    current = np.asarray(current, dtype=float)
+    voltage = current if voltage is None else np.asarray(voltage, dtype=float)
+    fs = current.size / periods
+    return per_period_spectra(TimeRecord(current, fs, 1.0), TimeRecord(voltage, fs, 1.0))
+
+
+# ---------------------------------------------------------------- the 1/M DFT of per_period_spectra
 
 
 def test_dft_constant_is_dc_only():
-    x = np.full(16, 3.25)
-    spectrum = dft(x)
+    spectrum = _mean_spectra(np.full(16, 3.25)).mean_current
     assert spectrum[0] == pytest.approx(3.25, rel=1e-14)
     assert np.abs(spectrum[1:]).max() < 1e-14
 
 
 def test_dft_of_unit_sine():
     n = 32
-    spectrum = dft(np.sin(2 * np.pi * np.arange(n) / n))
+    spectrum = _mean_spectra(np.sin(2 * np.pi * np.arange(n) / n)).mean_current
+    assert spectrum.size == n // 2 + 1  # bins 0..M/2 of a real signal
     assert spectrum[1] == pytest.approx(-0.5j, abs=1e-14)
-    assert spectrum[n - 1] == pytest.approx(0.5j, abs=1e-14)
-    others = np.delete(spectrum, [1, n - 1])
+    others = np.delete(spectrum, 1)
     assert np.abs(others).max() < 1e-14
 
 
 def test_dft_matches_direct_summation():
+    # the mean over 3 periods of 8 samples, on both channels
     rng = np.random.default_rng(12)
-    x = rng.normal(size=8)
-    fast = dft(x)
-    slow = _dft_direct(x)
-    assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
+    i, v = rng.normal(size=(2, 3, 8))
+    spectra = _mean_spectra(i.ravel(), v.ravel(), periods=3)
+    for fast, x in ((spectra.mean_current, i), (spectra.mean_voltage, v)):
+        slow = np.mean([_dft_direct(row) for row in x], axis=0)[:5]
+        assert np.abs(fast - slow).max() < 1e-12 * np.abs(slow).max()
 
 
 def test_parseval_under_one_over_n():
+    # odd M: bins 1..M//2 stand for themselves and their mirror images
     rng = np.random.default_rng(13)
     x = rng.normal(size=257)
     lhs = np.sum(x**2) / x.size
-    rhs = np.sum(np.abs(dft(x)) ** 2)
+    power = np.abs(_mean_spectra(x).mean_current) ** 2
+    rhs = power[0] + 2 * power[1:].sum()
     assert rhs == pytest.approx(lhs, rel=1e-10)
 
 
-def test_dft_empty_errors():
-    with pytest.raises(ValueError):
-        dft([])
+def test_one_sample_period_errors():
+    with pytest.raises(ValueError, match="at least 2 samples per period"):
+        _mean_spectra([1.0, 2.0], periods=2)
 
 
 # ---------------------------------------------------------------- per-period spectra
