@@ -3,6 +3,7 @@
 `main` runs every command the same way: it loads the config (`{}` when there
 is none), writes --seed (held to the config's seed rule) into its "seed",
 calls the command and prints the progress text it returns unless --quiet.
+A library warning prints as one `warning: <message>` line on stderr, --quiet or not.
 A command makes --out only once its inputs are checked, and writes CSV files
 (`recordio.write_csv`) and JSON files (`schema.dump`) there.
 `estimate` and `eis` take the same config and select the same bins
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -349,10 +351,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = {} if args.config is None else load(args.config, args.schema, "config")
-        if args.seed is not None:
-            cfg["seed"] = check(args.seed, _SEED, "invalid option", "--seed")
-        text = args.func(args, cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            cfg = {} if args.config is None else load(args.config, args.schema, "config")
+            if args.seed is not None:
+                cfg["seed"] = check(args.seed, _SEED, "invalid option", "--seed")
+            text = args.func(args, cfg)
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,11 +46,10 @@ class EcmFitResult:
 
 
 def _randles_targets(r: HalfOrderRational) -> np.ndarray:
-    if r.n_a != 3 or r.n_b != 3:
+    if r.a.size != 3 or r.b.size != 4:
         raise ValueError("Randles recovery needs the (N_a, N_b) = (3, 3) structure")
-    r = r.normalized()
-    # targets: [a_2, a_3, b_0, b_1, b_2, b_3], the order of `randles_coefficients`
-    return np.array([r.a[1], r.a[2], r.b[0], r.b[1], r.b[2], r.b[3]])
+    # [a_2, a_3, b_0, b_1, b_2, b_3] at a_1 = 1, the order of `randles_coefficients`
+    return np.concatenate([r.a[1:], r.b]) / r.a[0]
 
 
 def _jacobian_log(x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,15 @@ _GRAM_RIDGE = 1e-10
 _THETA_TOL = 1e-10
 
 
+def _whole_bins(values, name: str) -> np.ndarray:
+    """`values` as an int array; an integral float counts, anything else names `name`."""
+    with np.errstate(invalid="ignore"):  # nan, inf and overflow cast to ints that differ
+        whole = np.asarray(values).astype(int)
+    if not np.array_equal(whole, values):
+        raise ValueError(f"{name} must hold whole bin numbers")
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class EstimationConfig:
     """Model orders, bin selection, and iteration policy for the estimator.
@@ -50,8 +59,9 @@ class EstimationConfig:
     window to an explicit bin set (use the excited harmonics for multisine
     data; leave None for noise excitation).  A mask bin beyond the spectrum
     is an error; mask bins inside it but outside the window are dropped with
-    a warning.  ``iterations`` is the maximum number of weighted passes; the
-    reweighting stops earlier once theta has settled.
+    a warning.  Bins are whole numbers (3.0 counts as 3).  ``iterations`` is
+    the maximum number of weighted passes; the reweighting stops earlier once
+    theta has settled.
     """
 
     n_a: int = 3
@@ -62,20 +72,16 @@ class EstimationConfig:
     iterations: int = 10
 
     def __post_init__(self):
-        if self.n_a < 1:
-            raise ValueError("n_a must be >= 1")
-        if self.n_b < 0:
-            raise ValueError("n_b must be >= 0")
-        if self.n_r < 0:
-            raise ValueError("n_r must be >= 0")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        for name, least in (("n_a", 1), ("n_b", 0), ("n_r", 0), ("iterations", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.bin_window is not None:
-            k_min, k_max = self.bin_window
+            k_min, k_max = _whole_bins(self.bin_window, "bin_window").tolist()
             if not (1 <= k_min <= k_max):
                 raise ValueError("bin_window must satisfy 1 <= k_min <= k_max")
+            object.__setattr__(self, "bin_window", (k_min, k_max))
         if self.bin_mask is not None:
-            object.__setattr__(self, "bin_mask", np.unique(np.asarray(self.bin_mask, dtype=int)))
+            object.__setattr__(self, "bin_mask", np.unique(_whole_bins(self.bin_mask, "bin_mask")))
 
     def selected_bins(self, spectra: SpectralSet) -> np.ndarray:
         """Bins entering the regression: window intersected with the mask."""
@@ -240,16 +246,19 @@ def _sigma_e(table: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.maximum(sigma, 1e-8 * top) if top > 0.0 else np.ones_like(sigma)
 
 
-def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
+def equation_error_sigma(spectra: SpectralSet, rational: HalfOrderRational,
                          cfg: EstimationConfig) -> np.ndarray:
-    """Per-bin standard deviation of the equation error at the given parameters.
+    """Per-bin standard deviation of a rational's equation error at cfg's bins and orders.
 
-    With A(k) and B(k) the denominator/numerator polynomials evaluated at
-    sqrt(j*w_k), sigma_E^2 = |A|^2 var_V + |B|^2 var_I - 2 Re{A covar_VI B*},
-    evaluated as the quadratic form of the a/b parameters in the per-bin
-    noise table; round-off negatives are clamped to zero and the result
-    floored so weights stay finite on noiseless bins.
+    With A(k) and B(k) its denominator/numerator polynomials at sqrt(j*w_k),
+    sigma_E^2 = |A|^2 var_V + |B|^2 var_I - 2 Re{A covar_VI B*}, evaluated as
+    the quadratic form of [a | b] in the per-bin noise table; round-off
+    negatives are clamped to zero and the result floored so weights stay
+    finite on noiseless bins.
     """
+    if (rational.a.size, rational.b.size - 1) != (cfg.n_a, cfg.n_b):
+        raise ValueError(f"rational has orders (n_a, n_b) = ({rational.a.size}, "
+                         f"{rational.b.size - 1}) but the config has ({cfg.n_a}, {cfg.n_b})")
     if not spectra.has_covariances:
         raise ValueError(
             "noise covariances unavailable (single period); only the unweighted "
@@ -257,8 +266,8 @@ def equation_error_sigma(spectra: SpectralSet, theta: EstimateResult,
         )
     bins = cfg.selected_bins(spectra)
     _, mix, channel = _columns(spectra, bins, cfg)
-    ab = channel < 2
-    return _sigma_e(_noise_table(spectra, bins, mix, channel[ab]), theta.theta[ab])
+    table = _noise_table(spectra, bins, mix, channel[channel < 2])
+    return _sigma_e(table, np.concatenate([rational.a, rational.b]))
 
 
 def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult:

@@ -95,10 +95,9 @@ class TimeRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
+        for name in ("sample_rate_hz", "period_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.samples.ndim != 1:
             raise ValueError("samples must be 1-D")
         if not np.isfinite(self.samples).all():

@@ -58,8 +58,8 @@ class RandlesParams:
 class HalfOrderRational:
     """Rational function in q = sqrt(s): numerator b_0..b_Nb over denominator a_1..a_Na.
 
-    The denominator has no constant term (a_0 = 0); `a[0]` stores a_1 and is 1
-    after normalization.
+    The denominator has no constant term (a_0 = 0), so `a[0]` stores a_1, and
+    N_a = a.size, N_b = b.size - 1.  The estimator returns a_1 = 1.
     """
 
     a: np.ndarray
@@ -77,18 +77,6 @@ class HalfOrderRational:
         if self.a[0] == 0.0:
             raise ValueError("a_1 must be nonzero")
 
-    @property
-    def n_a(self) -> int:
-        return self.a.size
-
-    @property
-    def n_b(self) -> int:
-        return self.b.size - 1
-
-    def normalized(self) -> "HalfOrderRational":
-        """Scale numerator and denominator so a_1 = 1 (the impedance is unchanged)."""
-        return HalfOrderRational(a=self.a / self.a[0], b=self.b / self.a[0])
-
 
 @dataclass(frozen=True, eq=False)
 class ImpedanceCurve:
@@ -102,10 +90,6 @@ class ImpedanceCurve:
         object.__setattr__(self, "z_ohm", np.asarray(self.z_ohm, dtype=complex))
         if self.freq_hz.shape != self.z_ohm.shape:
             raise ValueError("freq_hz and z_ohm must have the same shape")
-
-    @property
-    def omega(self) -> np.ndarray:
-        return 2.0 * np.pi * self.freq_hz
 
 
 def _sqrt_j_omega(omega) -> np.ndarray:
@@ -159,15 +143,10 @@ def randles_to_rational(p: RandlesParams) -> HalfOrderRational:
 
 
 def eval_rational(r: HalfOrderRational, omega):
-    """Evaluate the half-power rational at s = j*omega via q = sqrt(j*omega)."""
+    """Evaluate at s = j*omega: polynomials in q = sqrt(j*omega), the denominator from q^1."""
     q = _sqrt_j_omega(omega)
-    num = np.zeros_like(q)
-    for n in range(r.b.size - 1, -1, -1):  # Horner in q
-        num = num * q + r.b[n]
-    den = np.zeros_like(q)
-    for n in range(r.a.size - 1, -1, -1):
-        den = den * q + r.a[n]
-    den = den * q  # denominator starts at q^1
+    num = np.polyval(r.b[::-1], q)
+    den = np.polyval(r.a[::-1], q) * q
     if np.any(np.abs(den) < 1e-30):
         raise NumericsError("denominator vanishes at an evaluation frequency (pole)")
     return num / den

@@ -5,6 +5,7 @@ import pytest
 
 from fracimp import (
     RandlesParams,
+    SpectralSet,
     design_odd_quasilog,
     scale_to_rms,
     simulate_response,
@@ -31,3 +32,18 @@ def make_multisine_current(period_s=200.0, f_min_hz=0.005, f_max_hz=10.0,
 def simulate_pair(spec_record, params=SIM_PARAMS):
     spec, current = spec_record
     return spec, current, simulate_response(params, current)
+
+
+def spectral_set(period_s, mean_current, mean_voltage, var_current=None,
+                 var_voltage=None, covar_vi=None):
+    """A SpectralSet on bins k/period_s from given per-bin means and noise."""
+    mean_current = np.asarray(mean_current, dtype=complex)
+    mean_voltage = np.asarray(mean_voltage, dtype=complex)
+    return SpectralSet(
+        freq_hz=np.arange(mean_current.size) / period_s,
+        mean_current=mean_current,
+        mean_voltage=mean_voltage,
+        var_current=None if var_current is None else np.asarray(var_current, dtype=float),
+        var_voltage=None if var_voltage is None else np.asarray(var_voltage, dtype=float),
+        covar_vi=None if covar_vi is None else np.asarray(covar_vi, dtype=complex),
+    )

@@ -19,6 +19,7 @@ import pytest
 
 from fracimp import (
     EstimationConfig,
+    HalfOrderRational,
     NoiseSpec,
     RandlesParams,
     TimeRecord,
@@ -40,6 +41,8 @@ from fracimp import (
     wtls_estimate,
 )
 from fracimp.model import ImpedanceCurve
+
+from conftest import spectral_set
 
 PARAMS = RandlesParams(r_s=0.551, r_ct=0.119, c_dl=1.464, sigma_w=0.0346, ocv=3.6)
 TRUTH = randles_to_rational(PARAMS)
@@ -202,7 +205,7 @@ def test_criterion_7_nonparametric_parametric_agreement():
 
     result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
     nonpar = nonparametric_impedance(spectra, spec.harmonics)
-    par = parametric_impedance(result, nonpar.omega)
+    par = parametric_impedance(result, 2 * np.pi * nonpar.freq_hz)
     error = relative_error_curve(nonpar, par)
     above_100mhz = float(error[nonpar.freq_hz > 0.1].max())
     elapsed = time.monotonic() - start
@@ -231,17 +234,15 @@ def test_criterion_8_oracle_equivalences():
                        / np.abs(randles_impedance(PARAMS, omega))).max())
 
     # equation-error variance against a Monte-Carlo estimate
-    from test_estimator import _spectral_set, _theta_result
-
     var_v = np.array([0.0, 1.5, 0.6, 1.1, 0.0])
     var_i = np.array([0.0, 0.9, 2.0, 0.7, 0.0])
     rho = np.array([0.0, 0.3 - 0.2j, 0.5j, -0.4 + 0.1j, 0.0])
     covar = rho * np.sqrt(var_v * var_i)
-    spectra = _spectral_set(2.0, np.ones(5), np.ones(5),
-                            var_current=var_i, var_voltage=var_v, covar_vi=covar)
+    spectra = spectral_set(2.0, np.ones(5), np.ones(5),
+                           var_current=var_i, var_voltage=var_v, covar_vi=covar)
     cfg = EstimationConfig(n_a=2, n_b=1, n_r=0, bin_window=(1, 3))
-    theta = _theta_result([1.0, 0.6], [0.4, -0.3], [0.0])
-    sigma = equation_error_sigma(spectra, theta, cfg)
+    rational = HalfOrderRational(a=[1.0, 0.6], b=[0.4, -0.3])
+    sigma = equation_error_sigma(spectra, rational, cfg)
     omega_bins = 2 * np.pi * np.arange(1, 4) / 2.0
     q = np.sqrt(omega_bins) * np.exp(1j * np.pi / 4)
     pol_a = q + 0.6 * q**2

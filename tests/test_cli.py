@@ -1,5 +1,6 @@
 import ast
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,15 +389,40 @@ def test_compare_matches_argmin_on_random_grids(tmp_path):
         assert got == expected
 
 
-def test_single_period_estimate_falls_back(tmp_path):
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_single_period_estimate_falls_back(tmp_path, capsys):
     out = _run_simulate(tmp_path, extra={"periods": 1})
-    with pytest.warns(UserWarning, match="unweighted"):
-        code = main(["estimate", "--record", str(out / "record.csv"),
-                     "--out", str(tmp_path / "est"), "--quiet"])
+    code = main(["estimate", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "est"), "--quiet"])
     assert code == 0
+    # one line on stderr, --quiet or not, with no file, line number or source
+    assert capsys.readouterr().err == ("warning: noise covariances unavailable (single "
+                                       "period); falling back to unweighted total least "
+                                       "squares\n")
     payload = json.loads((tmp_path / "est" / "estimate.json").read_text())
     assert payload["iterations_run"] == 0
     assert payload["sigma_e"] is None
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_mask_bins_outside_the_window_warn_on_one_stderr_line(tmp_path, capsys):
+    out = _run_simulate(tmp_path)
+    harmonics = json.loads((out / "multisine.json").read_text())["harmonics"]
+    est_cfg = _json(tmp_path, "est.json", {"excited_bins": harmonics, "k_min": 1,
+                                           "k_max": harmonics[-3]})
+    assert main(["estimate", "--record", str(out / "record.csv"), "--config", est_cfg,
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 0
+    assert capsys.readouterr().err == (f"warning: 2 of {len(harmonics)} mask bins outside "
+                                       "the window\n")
+
+
+def test_a_warning_that_the_filters_make_an_error_propagates(tmp_path):
+    out = _run_simulate(tmp_path, extra={"periods": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="unweighted"):
+            main(["estimate", "--record", str(out / "record.csv"),
+                  "--out", str(tmp_path / "est"), "--quiet"])
 
 
 @pytest.mark.parametrize("snr, iterations, converged, line", [

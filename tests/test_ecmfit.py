@@ -149,6 +149,12 @@ def test_exhausted_step_halving_stops_unconverged_at_the_start(monkeypatch):
     assert np.isfinite(result.residual_norm) and result.residual_norm > 0
 
 
+def test_fit_reads_the_rational_at_a1_equal_1():
+    rational = randles_to_rational(SIM_PARAMS)
+    scaled = HalfOrderRational(a=2.5 * rational.a, b=2.5 * rational.b)
+    _params_close(fit_randles(scaled).params, SIM_PARAMS, rel=1e-8)
+
+
 def test_fit_requires_randles_structure():
     with pytest.raises(ValueError, match="3, 3"):
         fit_randles(HalfOrderRational(a=[1.0], b=[0.1, 0.2]))

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from fracimp import (
     EstimateResult,
     HalfOrderRational,
     NumericsError,
-    SpectralSet,
     TimeRecord,
     equation_error_sigma,
     eval_rational,
@@ -27,24 +27,9 @@ from fracimp import estimator
 from fracimp.estimator import _column_gram, _columns, _noise_table, _solve
 from fracimp.model import ImpedanceCurve
 
-from conftest import SIM_PARAMS, make_multisine_current, simulate_pair
+from conftest import SIM_PARAMS, make_multisine_current, simulate_pair, spectral_set
 
 Q45 = np.exp(1j * np.pi / 4)
-
-
-def _spectral_set(period_s, mean_current, mean_voltage, var_current=None,
-                  var_voltage=None, covar_vi=None):
-    mean_current = np.asarray(mean_current, dtype=complex)
-    mean_voltage = np.asarray(mean_voltage, dtype=complex)
-    n = mean_current.size
-    return SpectralSet(
-        freq_hz=np.arange(n) / period_s,
-        mean_current=mean_current,
-        mean_voltage=mean_voltage,
-        var_current=None if var_current is None else np.asarray(var_current, dtype=float),
-        var_voltage=None if var_voltage is None else np.asarray(var_voltage, dtype=float),
-        covar_vi=None if covar_vi is None else np.asarray(covar_vi, dtype=complex),
-    )
 
 
 def _noiseless_spectra(**kwargs):
@@ -71,7 +56,7 @@ def _tls(regressor):
 
 def test_regressor_smallest_row():
     i_val, v_val = 0.3 - 0.1j, 0.2 + 0.5j
-    spectra = _spectral_set(2.0, [0, i_val, 0], [0, v_val, 0])
+    spectra = spectral_set(2.0, [0, i_val, 0], [0, v_val, 0])
     cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, bin_window=(1, 1), iterations=0)
     row, mix, channel = _columns(spectra, np.array([1]), cfg)
     assert row.shape == (1, 3)
@@ -82,7 +67,7 @@ def test_regressor_smallest_row():
 
 
 def test_regressor_column_count():
-    spectra = _spectral_set(1.0, np.ones(12), np.ones(12))
+    spectra = spectral_set(1.0, np.ones(12), np.ones(12))
     cfg = EstimationConfig(n_a=3, n_b=2, n_r=1, bin_window=(1, 10), iterations=0)
     regressor, mix, channel = _columns(spectra, cfg.selected_bins(spectra), cfg)
     assert regressor.shape == (10, 3 + 3 + 2)
@@ -102,7 +87,7 @@ def test_regressor_annihilates_true_parameters():
 
 
 def test_empty_bin_selection_errors():
-    spectra = _spectral_set(1.0, np.ones(8), np.ones(8))
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8))
     cfg = EstimationConfig(bin_window=(1, 6), bin_mask=[7], iterations=0)
     with pytest.raises(ValueError, match="empty"):
         _build_regressor(spectra, cfg)
@@ -326,40 +311,33 @@ def test_noiseless_smallest_singular_value_is_negligible():
 # ---------------------------------------------------------------- sigma_E
 
 
-def _theta_result(a, b, c):
-    """An estimate at given parameters, fitted on no bins."""
-    return EstimateResult(rational=HalfOrderRational(a=a, b=b), transient=np.asarray(c),
-                          weighted_cost=0.0, iterations_run=0, converged=None, sigma_e=None,
-                          bins=np.empty(0, dtype=int))
-
-
 def test_sigma_e_zero_noise_is_floored_to_uniform():
-    spectra = _spectral_set(1.0, np.ones(8), np.ones(8),
-                            var_current=np.zeros(8), var_voltage=np.zeros(8),
-                            covar_vi=np.zeros(8))
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8),
+                           var_current=np.zeros(8), var_voltage=np.zeros(8),
+                           covar_vi=np.zeros(8))
     cfg = EstimationConfig(n_a=1, n_b=1, n_r=0, bin_window=(1, 6))
-    sigma = equation_error_sigma(spectra, _theta_result([1.0], [0.5, 0.5], [0.0]), cfg)
+    sigma = equation_error_sigma(spectra, HalfOrderRational(a=[1.0], b=[0.5, 0.5]), cfg)
     assert np.all(sigma == sigma[0])
 
 
 def test_sigma_e_zero_on_most_bins_is_floored_at_1e_8_of_the_largest():
     var_voltage = np.zeros(8)
     var_voltage[5:7] = 1.0  # noise at bins 5 and 6 only: the median sigma_E is 0
-    spectra = _spectral_set(1.0, np.ones(8), np.ones(8), var_current=np.zeros(8),
-                            var_voltage=var_voltage, covar_vi=np.zeros(8))
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8), var_current=np.zeros(8),
+                           var_voltage=var_voltage, covar_vi=np.zeros(8))
     cfg = EstimationConfig(n_a=1, n_b=1, n_r=0, bin_window=(1, 6))
-    sigma = equation_error_sigma(spectra, _theta_result([1.0], [0.0, 0.0], [0.0]), cfg)
+    sigma = equation_error_sigma(spectra, HalfOrderRational(a=[1.0], b=[0.0, 0.0]), cfg)
     assert sigma[4:] == pytest.approx(np.sqrt(2 * np.pi * np.array([5, 6])), rel=1e-12)  # |A|
     assert np.all(sigma[:4] == 1e-8 * sigma[5])
 
 
 def test_sigma_e_voltage_only_equals_abs_a():
     n = 8
-    spectra = _spectral_set(1.0, np.ones(n), np.ones(n),
-                            var_current=np.zeros(n), var_voltage=np.ones(n),
-                            covar_vi=np.zeros(n))
+    spectra = spectral_set(1.0, np.ones(n), np.ones(n),
+                           var_current=np.zeros(n), var_voltage=np.ones(n),
+                           covar_vi=np.zeros(n))
     cfg = EstimationConfig(n_a=1, n_b=1, n_r=0, bin_window=(1, 6))
-    sigma = equation_error_sigma(spectra, _theta_result([1.0], [0.0, 0.0], [0.0]), cfg)
+    sigma = equation_error_sigma(spectra, HalfOrderRational(a=[1.0], b=[0.0, 0.0]), cfg)
     omega = 2 * np.pi * np.arange(1, 7) / 1.0
     assert sigma == pytest.approx(np.sqrt(omega), rel=1e-12)  # |A| = |q| = sqrt(w)
 
@@ -372,11 +350,11 @@ def test_sigma_e_matches_monte_carlo_variance():
     rho = np.array([0.0, 0.4 + 0.3j, -0.5j, 0.2 - 0.6j, 0.0])
     covar = rho * np.sqrt(var_v * var_i)
 
-    spectra = _spectral_set(period_s, np.ones(5), np.ones(5),
-                            var_current=var_i, var_voltage=var_v, covar_vi=covar)
+    spectra = spectral_set(period_s, np.ones(5), np.ones(5),
+                           var_current=var_i, var_voltage=var_v, covar_vi=covar)
     cfg = EstimationConfig(n_a=2, n_b=1, n_r=0, bin_window=(1, 3))
-    theta = _theta_result([1.0, 0.7], [0.3, -0.4], [0.0])
-    sigma = equation_error_sigma(spectra, theta, cfg)
+    rational = HalfOrderRational(a=[1.0, 0.7], b=[0.3, -0.4])
+    sigma = equation_error_sigma(spectra, rational, cfg)
 
     n_draws = 100_000
     omega = 2 * np.pi * np.arange(1, 4) / period_s
@@ -392,11 +370,21 @@ def test_sigma_e_matches_monte_carlo_variance():
         assert np.mean(np.abs(err) ** 2) == pytest.approx(sigma[j] ** 2, rel=0.03)
 
 
+def test_sigma_e_rejects_a_rational_of_other_orders_than_the_config():
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8), var_current=np.ones(8),
+                           var_voltage=np.ones(8), covar_vi=np.zeros(8))
+    cfg = EstimationConfig(n_a=2, n_b=1, n_r=0, bin_window=(1, 6))
+    # a (1, 2) rational has as many numbers as the (2, 1) one, but not its orders
+    with pytest.raises(ValueError, match=re.escape(
+            "rational has orders (n_a, n_b) = (1, 2) but the config has (2, 1)")):
+        equation_error_sigma(spectra, HalfOrderRational(a=[1.0], b=[0.5, 0.5, 0.5]), cfg)
+
+
 def test_sigma_e_requires_covariances():
-    spectra = _spectral_set(1.0, np.ones(8), np.ones(8))
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8))
     cfg = EstimationConfig(n_a=1, n_b=1, n_r=0, bin_window=(1, 6))
     with pytest.raises(ValueError, match="unweighted"):
-        equation_error_sigma(spectra, _theta_result([1.0], [0.5, 0.5], [0.0]), cfg)
+        equation_error_sigma(spectra, HalfOrderRational(a=[1.0], b=[0.5, 0.5]), cfg)
 
 
 # ---------------------------------------------------------------- WTLS
@@ -731,7 +719,7 @@ def test_final_iteration_does_not_increase_weighted_cost():
     prev = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=3))
     last = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=4))
     cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=4)
-    w2 = 1.0 / equation_error_sigma(spectra, prev, cfg) ** 2
+    w2 = 1.0 / equation_error_sigma(spectra, prev.rational, cfg) ** 2
     weighted = _build_regressor(spectra, cfg) * np.sqrt(w2)[:, None]
 
     # weighted noise Gram of the a/b columns [q^n V]_{n=1..3} | [-q^n I]_{n=0..3}
@@ -755,7 +743,7 @@ def test_final_iteration_does_not_increase_weighted_cost():
 
 
 def test_mask_bins_outside_window_warn_with_count():
-    spectra = _spectral_set(1.0, np.ones(10), np.ones(10))
+    spectra = spectral_set(1.0, np.ones(10), np.ones(10))
     cfg = EstimationConfig(bin_window=(1, 6), bin_mask=[2, 3, 7, 9, 2])
     with pytest.warns(UserWarning, match="2 of 4 mask bins outside the window"):
         assert list(cfg.selected_bins(spectra)) == [2, 3]
@@ -774,13 +762,13 @@ def test_dropped_mask_bins_warn_once_per_estimate():
 
 
 def test_wtls_requires_some_data():
-    spectra = _spectral_set(1.0, np.ones(4), np.ones(4))
+    spectra = spectral_set(1.0, np.ones(4), np.ones(4))
     with pytest.raises(ValueError):
         wtls_estimate(spectra, EstimationConfig(bin_window=(1, 2), bin_mask=[3]))
 
 
 def test_window_beyond_available_bins_errors():
-    spectra = _spectral_set(1.0, np.ones(8), np.ones(8))
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8))
     with pytest.raises(ValueError, match="exceeds"):
         EstimationConfig(bin_window=(1, 7)).selected_bins(spectra)
 
@@ -794,7 +782,34 @@ def test_config_validation():
         EstimationConfig(bin_window=(3, 2))
 
 
+def test_config_takes_integral_float_bins_as_ints():
+    cfg = EstimationConfig(bin_window=(1.0, 10.0), bin_mask=[7.0, 2, 3.0])
+    assert cfg.bin_window == (1, 10)
+    assert cfg.bin_mask.dtype.kind == "i" and cfg.bin_mask.tolist() == [2, 3, 7]
+    spectra = spectral_set(1.0, np.ones(12), np.ones(12))
+    assert cfg.selected_bins(spectra).tolist() == [2, 3, 7]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bin_window", (1.0, 10.5)),
+    ("bin_window", (1, np.inf)),
+    ("bin_mask", [2.5, 3.9, 7]),
+    ("bin_mask", [2, np.nan]),
+    ("bin_mask", [1e300]),
+])
+def test_config_rejects_fractional_bins_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must hold whole bin numbers$"):
+        EstimationConfig(**{field: value})
+
+
 # ---------------------------------------------------------------- evaluation helpers
+
+
+def _theta_result(a, b, c):
+    """An estimate at given parameters, fitted on no bins."""
+    return EstimateResult(rational=HalfOrderRational(a=a, b=b), transient=np.asarray(c),
+                          weighted_cost=0.0, iterations_run=0, converged=None, sigma_e=None,
+                          bins=np.empty(0, dtype=int))
 
 
 def test_parametric_impedance_with_true_coefficients():

@@ -11,6 +11,7 @@ from fracimp import (
     resonance_frequency,
     warburg_impedance,
 )
+from fracimp.model import _sqrt_j_omega
 
 # frozen 50-digit mpmath evaluation of the circuit formula at omega = 2*pi
 # for (0.551, 0.119, 1.464, 0.0346)
@@ -135,11 +136,23 @@ def test_eval_rational_pole_error():
         eval_rational(r, 1e-30)
 
 
-def test_normalized_rescales_a1():
+def test_eval_rational_is_the_horner_loop_bitwise():
+    rng = np.random.default_rng(20)
+    omega = 10 ** rng.uniform(-4, 5, size=50)
+    q = _sqrt_j_omega(omega)
+    for _ in range(200):
+        a, b = rng.normal(size=rng.integers(1, 6)), rng.normal(size=rng.integers(1, 6))
+        num, den = np.zeros_like(q), np.zeros_like(q)
+        for coef in b[::-1]:
+            num = num * q + coef
+        for coef in a[::-1]:
+            den = den * q + coef
+        assert np.array_equal(eval_rational(HalfOrderRational(a=a, b=b), omega), num / (den * q))
+
+
+def test_common_scale_of_a_and_b_leaves_the_rational_unchanged():
     r = HalfOrderRational(a=[2.0, 4.0], b=[1.0, 3.0])
-    n = r.normalized()
-    assert n.a == pytest.approx([1.0, 2.0])
-    assert n.b == pytest.approx([0.5, 1.5])
+    n = HalfOrderRational(a=[1.0, 2.0], b=[0.5, 1.5])  # a and b of r over a_1 = 2
     omega = np.array([0.3, 7.0])
     assert eval_rational(n, omega) == pytest.approx(eval_rational(r, omega), rel=1e-14)
 

@@ -174,7 +174,7 @@ def test_nonparametric_matches_model_on_noiseless_simulation(sim_params):
         sample_rate_hz=40.0, periods=3))
     spectra = per_period_spectra(current, voltage)
     curve = nonparametric_impedance(spectra, spec.harmonics)
-    oracle = randles_impedance(sim_params, curve.omega)
+    oracle = randles_impedance(sim_params, 2 * np.pi * curve.freq_hz)
     assert np.abs(curve.z_ohm - oracle).max() < 1e-10 * np.abs(oracle).max()
 
 
