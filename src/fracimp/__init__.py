@@ -3,8 +3,9 @@
 Pipeline: design an excitation (`excitation`), simulate or measure a
 current/voltage record (`simulate`, `recordio`), average per-period spectra
 with errors-in-variables covariances (`spectra`), estimate the half-power
-rational impedance by iteratively reweighted total least squares
-(`estimator`), and recover Randles circuit values (`ecmfit`).
+rational impedance by iteratively reweighted total least squares and the
+nonparametric impedance on the same bins (`estimator`), and recover Randles
+circuit values (`ecmfit`).
 """
 
 from .ecmfit import EcmFitResult, fit_randles, init_from_coefficients
@@ -13,6 +14,7 @@ from .estimator import (
     EstimateResult,
     EstimationConfig,
     equation_error_sigma,
+    nonparametric_impedance,
     parametric_impedance,
     relative_error_curve,
     wtls_estimate,
@@ -37,7 +39,7 @@ from .model import (
 )
 from .recordio import read_record, write_record
 from .simulate import NoiseSpec, add_noise, simulate_response
-from .spectra import SpectralSet, nonparametric_impedance, per_period_spectra
+from .spectra import SpectralSet, per_period_spectra
 
 __version__ = "0.1.0"
 

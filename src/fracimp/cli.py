@@ -27,14 +27,15 @@ import numpy as np
 
 from .ecmfit import fit_randles
 from .errors import NumericsError, SchemaError
-from .estimator import EstimationConfig, parametric_impedance, relative_error_curve, wtls_estimate
+from .estimator import EstimationConfig, nonparametric_impedance, parametric_impedance, \
+    relative_error_curve, wtls_estimate
 from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
     scale_to_rms, synthesize_multisine
 from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
 from .schema import POSITIVE_NUMBER, check, dump, load
 from .simulate import NoiseSpec, add_noise, simulate_response
-from .spectra import nonparametric_impedance, per_period_spectra
+from .spectra import per_period_spectra
 
 _BODE_GRID_POINTS = 200
 

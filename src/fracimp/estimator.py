@@ -20,7 +20,8 @@ equation-error standard deviation and take G as the noise Gram of the noisy
 columns, which yields the consistent estimate.  Both the equation-error
 variance and the noise Gram come from one per-bin table of regressor noise
 covariances, built once per estimate.  All half powers use the principal
-branch of sqrt(j*w).
+branch of sqrt(j*w).  The nonparametric estimate V(k)/I(k) is taken on the
+bins the config selects, the same bins the regression is fitted on.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
+from .excitation import _whole_bins
 from .model import HalfOrderRational, ImpedanceCurve, _sqrt_j_omega, eval_rational
 from .spectra import SpectralSet
 
@@ -39,15 +41,6 @@ _GRAM_RIDGE = 1e-10
 # the reweighting stops once every a/b entry of theta moves by at most this
 # fraction of its own magnitude in one pass
 _THETA_TOL = 1e-10
-
-
-def _whole_bins(values, name: str) -> np.ndarray:
-    """`values` as an int array; an integral float counts, anything else names `name`."""
-    with np.errstate(invalid="ignore"):  # nan, inf and overflow cast to ints that differ
-        whole = np.asarray(values).astype(int)
-    if not np.array_equal(whole, values):
-        raise ValueError(f"{name} must hold whole bin numbers")
-    return whole
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +332,29 @@ def parametric_impedance(result: EstimateResult, omegas) -> ImpedanceCurve:
         freq_hz=omega / (2.0 * np.pi),
         z_ohm=eval_rational(result.rational, omega),
     )
+
+
+def nonparametric_impedance(spectra: SpectralSet, bin_mask) -> ImpedanceCurve:
+    """Classical EIS estimate: averaged voltage over averaged current per mask bin.
+
+    The bins are those an estimate with this `bin_mask` fits on,
+    ``EstimationConfig(bin_mask=bin_mask).selected_bins(spectra)``; bins
+    whose current magnitude is below 1e-12 of the strongest bin are skipped
+    with a warning.
+    """
+    bins = EstimationConfig(bin_mask=bin_mask).selected_bins(spectra)
+    weak = np.abs(spectra.mean_current[bins]) <= 1e-12 * np.abs(spectra.mean_current).max()
+    if np.any(weak):
+        warnings.warn(
+            f"skipping {int(weak.sum())} excited bin(s) with vanishing current spectrum",
+            stacklevel=2,
+        )
+        bins = bins[~weak]
+        if bins.size == 0:
+            raise ValueError("all excited bins have vanishing current spectrum")
+
+    z = spectra.mean_voltage[bins] / spectra.mean_current[bins]
+    return ImpedanceCurve(freq_hz=spectra.freq_hz[bins], z_ohm=z)
 
 
 def relative_error_curve(reference: ImpedanceCurve, estimate: ImpedanceCurve) -> np.ndarray:

@@ -31,10 +31,10 @@ class MultisineSpec:
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "harmonics", np.asarray(self.harmonics, dtype=int))
+        object.__setattr__(self, "harmonics", _whole_bins(self.harmonics, "harmonics"))
         object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=float))
         object.__setattr__(self, "phases", np.asarray(self.phases, dtype=float))
-        if self.period_s <= 0:
+        if not self.period_s > 0:
             raise ValueError("period_s must be positive")
         if self.harmonics.ndim != 1 or self.harmonics.size == 0:
             raise ValueError("harmonics must be a nonempty 1-D integer array")
@@ -44,9 +44,9 @@ class MultisineSpec:
             raise ValueError("harmonics must be strictly increasing without duplicates")
         if self.amplitudes.shape != self.harmonics.shape or self.phases.shape != self.harmonics.shape:
             raise ValueError("amplitudes and phases must match harmonics in shape")
-        if np.any(self.amplitudes <= 0):
+        if not np.all(self.amplitudes > 0):
             raise ValueError("amplitudes must be strictly positive")
-        if np.any((self.phases < 0) | (self.phases >= TWO_PI)):
+        if not np.all((self.phases >= 0) & (self.phases < TWO_PI)):
             raise ValueError("phases must lie in [0, 2*pi)")
 
     @property
@@ -85,6 +85,16 @@ def samples_per_period(period_s: float, sample_rate_hz: float) -> int:
     return int(round(m))
 
 
+def _whole_bins(values, name: str) -> np.ndarray:
+    """`values` as an int array; an integral float counts, anything else names `name`."""
+    floats = np.asarray(values, dtype=float)  # also an int beyond int64, as a float
+    with np.errstate(invalid="ignore"):  # nan, inf and overflow cast to ints that differ
+        whole = floats.astype(int)
+    if not np.array_equal(whole, floats):
+        raise ValueError(f"{name} must hold whole bin numbers")
+    return whole
+
+
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
     """Uniformly sampled record of whole periods: `periods` follows from its length."""
@@ -96,7 +106,7 @@ class TimeRecord:
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         for name in ("sample_rate_hz", "period_s"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.samples.ndim != 1:
             raise ValueError("samples must be 1-D")
@@ -167,13 +177,13 @@ def design_odd_quasilog(
     harmonics.  Phases are drawn uniformly on [0, 2*pi); amplitudes are all 1
     (scale the synthesized record afterwards).
     """
-    if period_s <= 0:
+    if not period_s > 0:
         raise ValueError("period_s must be positive")
-    if f_min_hz < 1.0 / period_s * (1 - 1e-12):
+    if not f_min_hz >= 1.0 / period_s * (1 - 1e-12):
         raise ValueError("f_min_hz must be at least the fundamental 1/period_s")
-    if f_max_hz < f_min_hz:
+    if not f_max_hz >= f_min_hz:
         raise ValueError("f_max_hz must be >= f_min_hz")
-    if points_per_decade < 1:
+    if not points_per_decade >= 1:
         raise ValueError("points_per_decade must be >= 1")
 
     # band edges in harmonic units, with slack against float dirt at exact edges
@@ -252,10 +262,9 @@ def generate_periodic_noise(
     return TimeRecord(_tile(one_period, periods), sample_rate_hz, period_s)
 
 
-
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:
     """Rescale a record so its RMS equals rms_target exactly."""
-    if rms_target <= 0:
+    if not rms_target > 0:
         raise ValueError("rms_target must be positive")
     rms = record.rms()
     if rms == 0.0:

@@ -31,7 +31,7 @@ class RandlesParams:
 
     def __post_init__(self):
         for name in ("r_s", "r_ct", "c_dl", "sigma_w"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
 
     def to_dict(self) -> dict:
@@ -102,7 +102,7 @@ def _sqrt_j_omega(omega) -> np.ndarray:
 
 def warburg_impedance(sigma_w: float, omega):
     """Warburg diffusion impedance sigma_w*sqrt(2)/sqrt(j*omega); phase is -45 deg."""
-    if sigma_w < 0:
+    if not sigma_w >= 0:
         raise ValueError("sigma_w must be nonnegative")
     return sigma_w * SQRT2 / _sqrt_j_omega(omega)
 

@@ -25,7 +25,7 @@ class NoiseSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.snr <= 0:
+        if not self.snr > 0:
             raise ValueError("snr must be positive")
 
 

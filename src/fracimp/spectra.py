@@ -1,4 +1,4 @@
-"""Per-period spectra with errors-in-variables covariances, and the nonparametric impedance.
+"""Per-period spectra with errors-in-variables covariances.
 
 The DFT convention is X(k) = (1/M) sum_n x(n) exp(-j*2*pi*k*n/M) over each
 period of M samples; all downstream estimation formulas assume it, and
@@ -9,13 +9,11 @@ into P periods, segment bin k corresponds to frequency k/period_s
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .excitation import TimeRecord, check_shared_grid
-from .model import ImpedanceCurve
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,34 +124,3 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
         var_voltage=var_vol,
         covar_vi=covar_vi,
     )
-
-
-def nonparametric_impedance(spectra: SpectralSet, excited_bins) -> ImpedanceCurve:
-    """Classical EIS estimate: averaged voltage over averaged current per excited bin.
-
-    `excited_bins` are segment-bin indices (harmonic numbers of 1/period_s);
-    the DC bin is always excluded, and bins whose current magnitude is below
-    1e-12 of the strongest bin are skipped with a warning.
-    """
-    bins = np.unique(np.asarray(excited_bins, dtype=int))
-    if bins.size == 0:
-        raise ValueError("excited_bins must be nonempty")
-    if bins[0] < 1:
-        raise ValueError("excited bins must exclude DC (bin 0)")
-    if bins[-1] >= spectra.n_bins:
-        raise ValueError(f"excited bin {bins[-1]} outside spectrum (max {spectra.n_bins - 1})")
-
-    mag = np.abs(spectra.mean_current[bins])
-    floor = 1e-12 * np.abs(spectra.mean_current).max()
-    weak = mag <= floor
-    if np.any(weak):
-        warnings.warn(
-            f"skipping {int(weak.sum())} excited bin(s) with vanishing current spectrum",
-            stacklevel=2,
-        )
-        bins = bins[~weak]
-        if bins.size == 0:
-            raise ValueError("all excited bins have vanishing current spectrum")
-
-    z = spectra.mean_voltage[bins] / spectra.mean_current[bins]
-    return ImpedanceCurve(freq_hz=spectra.freq_hz[bins], z_ohm=z)

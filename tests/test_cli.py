@@ -8,9 +8,9 @@ import pytest
 
 from fracimp import cli
 from fracimp.cli import main
-from fracimp.estimator import wtls_estimate
+from fracimp.estimator import nonparametric_impedance, wtls_estimate
 from fracimp.recordio import read_record, write_csv
-from fracimp.spectra import nonparametric_impedance, per_period_spectra
+from fracimp.spectra import per_period_spectra
 
 from conftest import SIM_PARAMS
 
@@ -177,6 +177,7 @@ def _spec_mutations(spec):
         ({"harmonics": [True, *h[1:]]}, "harmonics[0] must be of type integer"),
         ({"period_s": str(spec["period_s"])}, "period_s must be of type number"),
         ({"amplitudes": [str(a) for a in amp]}, "amplitudes[0] must be of type number"),
+        ({"harmonics": [*h[:-1], 1e30]}, "harmonics must hold whole bin numbers"),
         ({"harmonics": h[::-1]}, "harmonics must be strictly increasing"),
     ]
 
@@ -574,6 +575,21 @@ def test_estimate_rejects_removed_variant_keys(tmp_path, key):
     est_cfg = _json(tmp_path, "est.json", {key: True})
     assert main(["estimate", "--record", str(out / "record.csv"),
                  "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("command", ["estimate", "eis"])
+@pytest.mark.parametrize("given, field", [
+    pytest.param({"excited_bins": [1e30]}, "bin_mask", id="excited_bins"),
+    pytest.param({"k_min": 1, "k_max": 1e30}, "bin_window", id="k_max"),
+])
+def test_bin_numbers_beyond_int64_exit_1_naming_the_field(tmp_path, capsys, command, given,
+                                                          field):
+    record = str(_run_simulate(tmp_path) / "record.csv")
+    config, out = _json(tmp_path, "c.json", given), tmp_path / "out"
+    assert main([command, "--record", record, "--config", config, "--out", str(out),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {field} must hold whole bin numbers\n"
+    assert not out.exists()
 
 
 def test_estimate_rejects_both_mask_sources(tmp_path):

@@ -9,6 +9,8 @@ from fracimp import (
     EstimationConfig,
     HalfOrderRational,
     MultisineSpec,
+    NoiseSpec,
+    RandlesParams,
     SpectralSet,
     TimeRecord,
     design_odd_quasilog,
@@ -26,47 +28,81 @@ _ONE_SAMPLE_PERIODS = TimeRecord(np.array([1.0, -1.0]), 1.0, 1.0)
 _ONES = np.ones(3)
 
 
+_NAN = float("nan")
+_SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: design_odd_quasilog(0.0, 0.05, 2.0, 8), "period_s must be positive"),
-    (lambda: design_odd_quasilog(-20.0, 0.05, 2.0, 8), "period_s must be positive"),
-    (lambda: design_odd_quasilog(20.0, 0.05, 2.0, 0), "points_per_decade must be >= 1"),
-    (lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 0.0), "rms_target must be positive"),
-    (lambda: warburg_impedance(-0.1, 1.0), "sigma_w must be nonnegative"),
-    (lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
-     "need at least 2 samples per period"),
-    (lambda: nonparametric_impedance(
-        per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2), []),
-     "excited_bins must be nonempty"),
-    (lambda: nonparametric_impedance(spectral_set(1.0, _ONES, _ONES), [5]),
-     "excited bin 5 outside spectrum (max 2)"),
-    (lambda: EstimationConfig(n_b=-1), "n_b must be >= 0"),
-    (lambda: EstimationConfig(n_r=-1), "n_r must be >= 0"),
-    (lambda: MultisineSpec(20.0, [0, 1], [1.0, 1.0], [0.0, 0.0]),
-     "harmonics must be >= 1 (DC is never excited)"),
+    pytest.param(lambda: design_odd_quasilog(0.0, 0.05, 2.0, 8), "period_s must be positive",
+                 id="design period 0"),
+    pytest.param(lambda: design_odd_quasilog(-20.0, 0.05, 2.0, 8), "period_s must be positive",
+                 id="design period negative"),
+    pytest.param(lambda: design_odd_quasilog(20.0, 0.05, 2.0, 0),
+                 "points_per_decade must be >= 1", id="design points_per_decade 0"),
+    pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 0.0), "rms_target must be positive",
+                 id="scale rms 0"),
+    pytest.param(lambda: warburg_impedance(-0.1, 1.0), "sigma_w must be nonnegative",
+                 id="warburg sigma negative"),
+    pytest.param(lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
+                 "need at least 2 samples per period", id="spectra one sample per period"),
+    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, []), "bin selection is empty",
+                 id="nonparametric no bins"),
+    pytest.param(lambda: nonparametric_impedance(spectral_set(1.0, _ONES, _ONES), [5]),
+                 "excited bin 5 outside spectrum (max 2)", id="nonparametric bin beyond spectrum"),
+    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, [2.5, 3.9]),
+                 "bin_mask must hold whole bin numbers", id="nonparametric fractional bins"),
+    pytest.param(lambda: EstimationConfig(n_b=-1), "n_b must be >= 0", id="config n_b negative"),
+    pytest.param(lambda: EstimationConfig(n_r=-1), "n_r must be >= 0", id="config n_r negative"),
+    pytest.param(lambda: MultisineSpec(20.0, [0, 1], [1.0, 1.0], [0.0, 0.0]),
+                 "harmonics must be >= 1 (DC is never excited)", id="multisine DC harmonic"),
+    pytest.param(lambda: MultisineSpec(20.0, [1.5, 3.9], [1.0, 1.0], [0.0, 0.0]),
+                 "harmonics must hold whole bin numbers", id="multisine fractional harmonics"),
     # an integer period beyond the float range overflows the product
-    (lambda: samples_per_period(10**400, 1.0),
-     "period_s*sample_rate_hz = inf is not a finite sample count per period that is a "
-     "positive integer, so no record length is whole periods "
-     f"(period_s={10**400}, sample_rate_hz=1.0)"),
-    (lambda: TimeRecord(_ONES, 0.0, 1.0), "sample_rate_hz must be positive"),
-    (lambda: TimeRecord(_ONES, 1.0, 0.0), "period_s must be positive"),
-    (lambda: TimeRecord(np.ones((2, 2)), 1.0, 1.0), "samples must be 1-D"),
-    (lambda: HalfOrderRational(a=[1.0], b=[np.nan]), "coefficients must be finite"),
-    (lambda: ImpedanceCurve(freq_hz=[1.0, 2.0], z_ohm=[1.0]),
-     "freq_hz and z_ohm must have the same shape"),
-    (lambda: SpectralSet(np.arange(3.0), _ONES[:2], _ONES, None, None, None),
-     "mean_current must have one entry per bin"),
-    (lambda: spectral_set(1.0, _ONES, _ONES, -_ONES, _ONES, 0 * _ONES),
-     "variances must be nonnegative"),
-    (lambda: spectral_set(1.0, _ONES, _ONES, _ONES, _ONES, 2 * _ONES),
-     "covariance violates the Cauchy-Schwarz bound"),
-], ids=["design period 0", "design period negative", "design points_per_decade 0",
-        "scale rms 0", "warburg sigma negative", "spectra one sample per period",
-        "nonparametric no bins", "nonparametric bin beyond spectrum", "config n_b negative",
-        "config n_r negative", "multisine DC harmonic", "samples per period overflow",
-        "record rate 0", "record period 0", "record 2-D", "rational not finite",
-        "curve shape mismatch", "spectra mean length", "spectra negative variance",
-        "spectra Cauchy-Schwarz"])
+    pytest.param(lambda: samples_per_period(10**400, 1.0),
+                 "period_s*sample_rate_hz = inf is not a finite sample count per period that "
+                 "is a positive integer, so no record length is whole periods "
+                 f"(period_s={10**400}, sample_rate_hz=1.0)", id="samples per period overflow"),
+    pytest.param(lambda: TimeRecord(_ONES, 0.0, 1.0), "sample_rate_hz must be positive",
+                 id="record rate 0"),
+    pytest.param(lambda: TimeRecord(_ONES, 1.0, 0.0), "period_s must be positive",
+                 id="record period 0"),
+    pytest.param(lambda: TimeRecord(np.ones((2, 2)), 1.0, 1.0), "samples must be 1-D",
+                 id="record 2-D"),
+    pytest.param(lambda: HalfOrderRational(a=[1.0], b=[np.nan]), "coefficients must be finite",
+                 id="rational not finite"),
+    pytest.param(lambda: ImpedanceCurve(freq_hz=[1.0, 2.0], z_ohm=[1.0]),
+                 "freq_hz and z_ohm must have the same shape", id="curve shape mismatch"),
+    pytest.param(lambda: SpectralSet(np.arange(3.0), _ONES[:2], _ONES, None, None, None),
+                 "mean_current must have one entry per bin", id="spectra mean length"),
+    pytest.param(lambda: spectral_set(1.0, _ONES, _ONES, -_ONES, _ONES, 0 * _ONES),
+                 "variances must be nonnegative", id="spectra negative variance"),
+    pytest.param(lambda: spectral_set(1.0, _ONES, _ONES, _ONES, _ONES, 2 * _ONES),
+                 "covariance violates the Cauchy-Schwarz bound", id="spectra Cauchy-Schwarz"),
+    # NaN compares False both ways, so each guard is written to fail on it
+    pytest.param(lambda: RandlesParams(_NAN, 0.1, 1.0, 0.03), "r_s must be strictly positive",
+                 id="randles r_s nan"),
+    pytest.param(lambda: MultisineSpec(_NAN, [1], [1.0], [0.0]), "period_s must be positive",
+                 id="multisine period nan"),
+    pytest.param(lambda: MultisineSpec(20.0, [1], [_NAN], [0.0]),
+                 "amplitudes must be strictly positive", id="multisine amplitude nan"),
+    pytest.param(lambda: MultisineSpec(20.0, [1], [1.0], [_NAN]), "phases must lie in [0, 2*pi)",
+                 id="multisine phase nan"),
+    pytest.param(lambda: NoiseSpec(snr=_NAN), "snr must be positive", id="noise snr nan"),
+    pytest.param(lambda: warburg_impedance(_NAN, 1.0), "sigma_w must be nonnegative",
+                 id="warburg sigma nan"),
+    pytest.param(lambda: design_odd_quasilog(_NAN, 0.05, 2.0, 8), "period_s must be positive",
+                 id="design period nan"),
+    pytest.param(lambda: design_odd_quasilog(20.0, _NAN, 2.0, 8),
+                 "f_min_hz must be at least the fundamental 1/period_s", id="design f_min nan"),
+    pytest.param(lambda: design_odd_quasilog(20.0, 0.05, _NAN, 8), "f_max_hz must be >= f_min_hz",
+                 id="design f_max nan"),
+    pytest.param(lambda: design_odd_quasilog(20.0, 0.05, 2.0, _NAN),
+                 "points_per_decade must be >= 1", id="design points_per_decade nan"),
+    pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, _NAN), "rms_target must be positive",
+                 id="scale rms nan"),
+    pytest.param(lambda: TimeRecord(_ONES, _NAN, 1.0), "sample_rate_hz must be positive",
+                 id="record rate nan"),
+])
 def test_library_guard_raises_naming_its_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

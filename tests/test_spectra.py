@@ -230,9 +230,10 @@ def _doctor_weak_bin(spectra, bin_index):
     return dataclasses.replace(spectra, mean_current=mean_current)
 
 
-def test_nonparametric_rejects_dc_bin():
+def test_nonparametric_drops_dc_and_nyquist_with_the_mask_warning():
     current = generate_periodic_noise(1.0, 32.0, 2, seed=10)
     voltage = current.with_samples(current.samples)
     spectra = per_period_spectra(current, voltage)
-    with pytest.raises(ValueError, match="DC"):
-        nonparametric_impedance(spectra, [0, 3])
+    with pytest.warns(UserWarning, match="^2 of 3 mask bins outside the window$"):
+        curve = nonparametric_impedance(spectra, [0, 3, 16])  # 16 is the segment Nyquist bin
+    assert curve.freq_hz.tolist() == [3.0]
