@@ -201,7 +201,13 @@ def cmd_simulate(args, cfg: dict) -> str:
     return f"simulated {current.n_samples} samples -> {out / 'record.csv'}"
 
 
-def _estimation_config(cfg: dict) -> EstimationConfig:
+# the EstimationConfig fields that the estimate config spells as other keys
+_CONFIG_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
+
+
+def _estimation_config(cfg: dict, path: str | None) -> EstimationConfig:
+    """EstimationConfig of the estimate config `cfg` read from `path`; its ValueError
+    reads "invalid config <path>: <key> ..." like every other config error."""
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError("give excited_bins or multisine_path, not both")
     mask = cfg.get("excited_bins")  # EstimationConfig makes it an int array
@@ -209,7 +215,12 @@ def _estimation_config(cfg: dict) -> EstimationConfig:
         mask = _load_multisine(cfg["multisine_path"]).harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
-    return EstimationConfig(bin_window=window, bin_mask=mask, **given)
+    try:
+        return EstimationConfig(bin_window=window, bin_mask=mask, **given)
+    except ValueError as exc:  # every message starts with the field it names
+        field, _, rule = str(exc).partition(" ")
+        key = _CONFIG_KEYS.get(field, field)
+        raise SchemaError(f"invalid config {path}: {key} {rule}") from exc
 
 
 def _spectra(args):
@@ -218,7 +229,7 @@ def _spectra(args):
 
 
 def cmd_estimate(args, cfg: dict) -> str:
-    est_cfg = _estimation_config(cfg)
+    est_cfg = _estimation_config(cfg, args.config)
     spectra = _spectra(args)
     result = wtls_estimate(spectra, est_cfg)
 
@@ -239,7 +250,7 @@ def cmd_estimate(args, cfg: dict) -> str:
 
 
 def cmd_eis(args, cfg: dict) -> str:
-    est_cfg = _estimation_config(cfg)
+    est_cfg = _estimation_config(cfg, args.config)
     spectra = _spectra(args)
     curve = nonparametric_impedance(spectra, est_cfg.selected_bins(spectra))
 

@@ -66,7 +66,7 @@ class EstimationConfig:
 
     def __post_init__(self):
         for name, least in (("n_a", 1), ("n_b", 0), ("n_r", 0), ("iterations", 0)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:  # also NaN
                 raise ValueError(f"{name} must be >= {least}")
         if self.bin_window is not None:
             k_min, k_max = _whole_bins(self.bin_window, "bin_window").tolist()

@@ -87,11 +87,15 @@ def samples_per_period(period_s: float, sample_rate_hz: float) -> int:
 
 def _whole_bins(values, name: str) -> np.ndarray:
     """`values` as an int array; an integral float counts, anything else names `name`."""
-    floats = np.asarray(values, dtype=float)  # also an int beyond int64, as a float
+    error = ValueError(f"{name} must hold whole bin numbers")
+    try:
+        floats = np.asarray(values, dtype=float)  # also an int beyond int64, as a float
+    except OverflowError:  # an int beyond the float range
+        raise error from None
     with np.errstate(invalid="ignore"):  # nan, inf and overflow cast to ints that differ
         whole = floats.astype(int)
     if not np.array_equal(whole, floats):
-        raise ValueError(f"{name} must hold whole bin numbers")
+        raise error
     return whole
 
 

@@ -9,6 +9,8 @@ into P periods, segment bin k corresponds to frequency k/period_s
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +71,37 @@ def _sum_sq(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return total
 
 
+def _channel(record: TimeRecord, p: int, m: int):
+    """One channel's share of `per_period_spectra`: the mean spectrum, and for p >= 2
+    the deviations d from the first period, their sum s and the sample variance."""
+    x = np.fft.rfft(record.samples.reshape(p, m), axis=1, norm="forward")
+    mean = x.mean(axis=0)
+    if p < 2:
+        return mean, None, None, None
+    # deviations from the first period are exactly 0 on bitwise identical
+    # periods, where X - mean leaves rounding debris; the sum s corrects the mean
+    d = x[1:]
+    d -= x[0]
+    s = d.sum(axis=0)
+    # the first period's row is free now: it holds the sums of |d|^2
+    return mean, d, s, (_sum_sq(d, x[0]) - np.abs(s) ** 2 / p) / (p - 1)
+
+
 def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     """Split both records into periods, DFT each, and estimate noise covariances.
 
     The sample covariances use the 1/(P-1) convention over the per-period
     spectra; with P = 1 the covariance fields are left unavailable and only
     uniform-weight estimation is possible downstream.
+
+    Threads: the two channels are independent until the cross term, so the
+    current channel runs on one extra thread, started for the call and joined
+    before it returns, while the voltage channel runs on the calling thread.
+    Each channel does the same numpy operations in the same order as a serial
+    call, so every field is bitwise the same.  The thread runs in a copy of
+    the caller's context, so ``np.errstate`` holds in it, and an exception
+    raised there (a warning made an error included) is raised again in the
+    caller.  There is no setting.
 
     Memory: besides per-bin arrays, a call allocates only the two
     complex (P, M/2+1) `rfft` outputs, each about one input record in bytes.
@@ -94,30 +121,32 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if m < 2:
         raise ValueError("need at least 2 samples per period")
 
-    cur = np.fft.rfft(current.samples.reshape(p, m), axis=1, norm="forward")
-    vol = np.fft.rfft(voltage.samples.reshape(p, m), axis=1, norm="forward")
-    mean_cur = cur.mean(axis=0)
-    mean_vol = vol.mean(axis=0)
-    freq_hz = np.arange(mean_cur.size) / current.period_s
+    outcome = []  # the current channel's result, or the exception that ended it
 
+    def current_channel():
+        try:
+            outcome.append(_channel(current, p, m))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(current_channel,))
+    thread.start()
+    try:
+        mean_vol, d_vol, s_vol, var_vol = _channel(voltage, p, m)
+    finally:
+        thread.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    mean_cur, d_cur, s_cur, var_cur = outcome[0]
+
+    covar_vi = None
     if p >= 2:
-        # deviations from the first period are exactly 0 on bitwise identical
-        # periods, where X - mean leaves rounding debris; the sums s correct the mean
-        d_cur, d_vol = cur[1:], vol[1:]
-        d_cur -= cur[0]
-        d_vol -= vol[0]
-        s_cur, s_vol = d_cur.sum(axis=0), d_vol.sum(axis=0)
-        # the first period's row is free now: it holds the sums of |d|^2
-        var_cur = (_sum_sq(d_cur, cur[0]) - np.abs(s_cur) ** 2 / p) / (p - 1)
-        var_vol = (_sum_sq(d_vol, vol[0]) - np.abs(s_vol) ** 2 / p) / (p - 1)
         np.conjugate(d_cur, out=d_cur)
         d_cur *= d_vol
         covar_vi = (d_cur.sum(axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
-    else:
-        var_cur = var_vol = covar_vi = None
 
     return SpectralSet(
-        freq_hz=freq_hz,
+        freq_hz=np.arange(mean_cur.size) / current.period_s,
         mean_current=mean_cur,
         mean_voltage=mean_vol,
         var_current=var_cur,

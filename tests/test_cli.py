@@ -579,17 +579,29 @@ def test_estimate_rejects_removed_variant_keys(tmp_path, key):
 
 @pytest.mark.parametrize("command", ["estimate", "eis"])
 @pytest.mark.parametrize("given, field", [
-    pytest.param({"excited_bins": [1e30]}, "bin_mask", id="excited_bins"),
-    pytest.param({"k_min": 1, "k_max": 1e30}, "bin_window", id="k_max"),
+    pytest.param({"excited_bins": [1e30]}, "excited_bins", id="excited_bins"),
+    pytest.param({"k_min": 1, "k_max": 1e30}, "k_min and k_max", id="k_max"),
 ])
 def test_bin_numbers_beyond_int64_exit_1_naming_the_field(tmp_path, capsys, command, given,
                                                           field):
+    # the config key, not the EstimationConfig field behind it
     record = str(_run_simulate(tmp_path) / "record.csv")
     config, out = _json(tmp_path, "c.json", given), tmp_path / "out"
     assert main([command, "--record", record, "--config", config, "--out", str(out),
                  "--quiet"]) == 1
-    assert capsys.readouterr().err == f"error: {field} must hold whole bin numbers\n"
+    assert capsys.readouterr().err == \
+        f"error: invalid config {config}: {field} must hold whole bin numbers\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "eis"])
+def test_inverted_bin_window_exit_1_naming_the_keys(tmp_path, capsys, command):
+    record = str(_run_simulate(tmp_path) / "record.csv")
+    config = _json(tmp_path, "c.json", {"k_min": 9, "k_max": 3})
+    assert main([command, "--record", record, "--config", config, "--out", str(tmp_path),
+                 "--quiet"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: invalid config {config}: k_min and k_max must satisfy 1 <= k_min <= k_max\n"
 
 
 def test_estimate_rejects_both_mask_sources(tmp_path):
@@ -718,7 +730,7 @@ def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path
 
     current, voltage, _ = read_record(record)
     spectra = per_period_spectra(current, voltage)
-    bins = wtls_estimate(spectra, cli._estimation_config(given)).bins
+    bins = wtls_estimate(spectra, cli._estimation_config(given, config)).bins
     expected = nonparametric_impedance(spectra, bins)
     table = np.loadtxt(out / "eis.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table[:, 0], spectra.freq_hz[bins])

@@ -802,6 +802,11 @@ def test_config_rejects_fractional_bins_naming_the_field(field, value):
         EstimationConfig(**{field: value})
 
 
+def test_config_counts_take_a_float_beyond_int64():
+    # the counts stay out of the whole-number rule: its int64 cast would reject this
+    assert EstimationConfig(iterations=1e30).iterations == 1e30
+
+
 # ---------------------------------------------------------------- evaluation helpers
 
 

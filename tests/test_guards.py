@@ -53,10 +53,18 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  "bin_mask must hold whole bin numbers", id="nonparametric fractional bins"),
     pytest.param(lambda: EstimationConfig(n_b=-1), "n_b must be >= 0", id="config n_b negative"),
     pytest.param(lambda: EstimationConfig(n_r=-1), "n_r must be >= 0", id="config n_r negative"),
+    pytest.param(lambda: EstimationConfig(n_a=_NAN), "n_a must be >= 1", id="config n_a nan"),
+    pytest.param(lambda: EstimationConfig(iterations=_NAN), "iterations must be >= 0",
+                 id="config iterations nan"),
+    # an int beyond the float range is no whole bin number either
+    pytest.param(lambda: EstimationConfig(bin_mask=[10**400]),
+                 "bin_mask must hold whole bin numbers", id="config bin_mask beyond float"),
     pytest.param(lambda: MultisineSpec(20.0, [0, 1], [1.0, 1.0], [0.0, 0.0]),
                  "harmonics must be >= 1 (DC is never excited)", id="multisine DC harmonic"),
     pytest.param(lambda: MultisineSpec(20.0, [1.5, 3.9], [1.0, 1.0], [0.0, 0.0]),
                  "harmonics must hold whole bin numbers", id="multisine fractional harmonics"),
+    pytest.param(lambda: MultisineSpec(20.0, [10**400], [1.0], [0.0]),
+                 "harmonics must hold whole bin numbers", id="multisine harmonic beyond float"),
     # an integer period beyond the float range overflows the product
     pytest.param(lambda: samples_per_period(10**400, 1.0),
                  "period_s*sample_rate_hz = inf is not a finite sample count per period that "

@@ -1,4 +1,6 @@
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from fracimp import (
     per_period_spectra,
     randles_impedance,
 )
+from fracimp import spectra as spectra_module
 
 from conftest import make_multisine_current, simulate_pair
 
@@ -155,6 +158,56 @@ def test_metadata_mismatch_errors():
     voltage = TimeRecord(samples=np.zeros(128), sample_rate_hz=32.0, period_s=2.0)
     with pytest.raises(ValueError, match="disagree"):
         per_period_spectra(current, voltage)
+
+
+# ---------------------------------------------------------------- the current channel's thread
+
+
+def _overflowing_pair():
+    """A current of amplitude 1e308, whose rfft overflows, and a finite noisy voltage."""
+    n = np.arange(128)
+    current = TimeRecord(1e308 * np.sin(2 * np.pi * n / 64), 64.0, 1.0)
+    voltage = TimeRecord(np.random.default_rng(9).normal(size=n.size), 64.0, 1.0)
+    return current, voltage
+
+
+def test_the_callers_errstate_holds_in_the_current_channel():
+    # numpy's errstate is a context variable, so a thread started without a
+    # copy of the caller's context returned a non-finite var_current here
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(FloatingPointError, match="overflow encountered in rfft"):
+            per_period_spectra(*_overflowing_pair())
+
+
+def test_a_warning_made_an_error_in_the_current_channel_reaches_the_caller():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow encountered in rfft"):
+            per_period_spectra(*_overflowing_pair())
+
+
+@pytest.mark.parametrize("failing", ["current", "voltage"])
+def test_an_error_in_one_channel_reaches_the_caller_and_no_thread_outlives_the_call(
+        monkeypatch, failing):
+    current = generate_periodic_noise(1.0, 64.0, 3, seed=10)
+    voltage = current.with_samples(2.0 * current.samples)
+    channel, error, ran_on = spectra_module._channel, LookupError("injected"), []
+
+    def one_channel_fails(record, p, m):
+        if record is {"current": current, "voltage": voltage}[failing]:
+            ran_on.append(threading.current_thread())
+            raise error
+        return channel(record, p, m)
+
+    monkeypatch.setattr(spectra_module, "_channel", one_channel_fails)
+    threads = threading.active_count()
+    with pytest.raises(LookupError) as raised:
+        per_period_spectra(current, voltage)
+    assert raised.value is error
+    assert threading.active_count() == threads
+    # the current channel runs on the extra thread, the voltage channel on the caller's
+    assert (ran_on[0] is threading.current_thread()) == (failing == "voltage")
 
 
 # ---------------------------------------------------------------- nonparametric EIS
