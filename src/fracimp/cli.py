@@ -12,7 +12,8 @@ Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
-strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
+strictly increasing harmonics, a_1 != 0, whole periods (in the sidecar) and
+the (3, 3) orders that `fit` needs.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -201,13 +203,29 @@ def cmd_simulate(args, cfg: dict) -> str:
     return f"simulated {current.n_samples} samples -> {out / 'record.csv'}"
 
 
-# the EstimationConfig fields that the estimate config spells as other keys
+# the EstimationConfig fields that the estimate config spells as other keys; the
+# schema keeps the others from failing EstimationConfig's checks
 _CONFIG_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
 
 
+@contextmanager
+def _config_errors(cfg: dict, path: str | None):
+    """A ValueError that starts with a bin field, as those of EstimationConfig and its
+    `selected_bins` do, re-raised as "invalid config <path>: <key> ..."."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        if field not in _CONFIG_KEYS:
+            raise
+        key = _CONFIG_KEYS[field]
+        if field == "bin_mask" and "multisine_path" in cfg:
+            key = "multisine_path harmonics"
+        raise SchemaError(f"invalid config {path}: {key} {rule}") from exc
+
+
 def _estimation_config(cfg: dict, path: str | None) -> EstimationConfig:
-    """EstimationConfig of the estimate config `cfg` read from `path`; its ValueError
-    reads "invalid config <path>: <key> ..." like every other config error."""
+    """EstimationConfig of the estimate config `cfg` read from `path`."""
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError("give excited_bins or multisine_path, not both")
     mask = cfg.get("excited_bins")  # EstimationConfig makes it an int array
@@ -215,12 +233,8 @@ def _estimation_config(cfg: dict, path: str | None) -> EstimationConfig:
         mask = _load_multisine(cfg["multisine_path"]).harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
-    try:
+    with _config_errors(cfg, path):
         return EstimationConfig(bin_window=window, bin_mask=mask, **given)
-    except ValueError as exc:  # every message starts with the field it names
-        field, _, rule = str(exc).partition(" ")
-        key = _CONFIG_KEYS.get(field, field)
-        raise SchemaError(f"invalid config {path}: {key} {rule}") from exc
 
 
 def _spectra(args):
@@ -231,7 +245,8 @@ def _spectra(args):
 def cmd_estimate(args, cfg: dict) -> str:
     est_cfg = _estimation_config(cfg, args.config)
     spectra = _spectra(args)
-    result = wtls_estimate(spectra, est_cfg)
+    with _config_errors(cfg, args.config):  # the config's bins on this record
+        result = wtls_estimate(spectra, est_cfg)
 
     out = _out(args)
     dump(out / "estimate.json", result.to_dict())
@@ -252,7 +267,8 @@ def cmd_estimate(args, cfg: dict) -> str:
 def cmd_eis(args, cfg: dict) -> str:
     est_cfg = _estimation_config(cfg, args.config)
     spectra = _spectra(args)
-    curve = nonparametric_impedance(spectra, est_cfg.selected_bins(spectra))
+    with _config_errors(cfg, args.config):
+        curve = nonparametric_impedance(spectra, est_cfg.selected_bins(spectra))
 
     out = _out(args)
     write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
@@ -261,9 +277,8 @@ def cmd_eis(args, cfg: dict) -> str:
 
 
 def cmd_fit(args, cfg: dict) -> str:
-    rational = load(args.estimate, RATIONAL_SCHEMA, "estimate file",
-                    lambda d: HalfOrderRational(a=d["a"], b=d["b"]))
-    result = fit_randles(rational)
+    result = load(args.estimate, RATIONAL_SCHEMA, "estimate file",
+                  lambda d: fit_randles(HalfOrderRational(a=d["a"], b=d["b"])))
     dump(_out(args) / "fit.json", result.to_dict())
     p = result.params
     rows = (("R_S [ohm]", p.r_s), ("R_CT [ohm]", p.r_ct), ("C_DL [F]", p.c_dl),

@@ -48,8 +48,8 @@ class EstimationConfig:
     """Model orders, bin selection, and iteration policy for the estimator.
 
     ``bin_window`` is an inclusive (k_min, k_max) interval of segment bins;
-    None means all bins except DC and Nyquist.  ``bin_mask`` restricts the
-    window to an explicit bin set (use the excited harmonics for multisine
+    None means every usable bin (no DC or Nyquist).  ``bin_mask`` restricts
+    the window to an explicit bin set (use the excited harmonics for multisine
     data; leave None for noise excitation).  A mask bin beyond the spectrum
     is an error; mask bins inside it but outside the window are dropped with
     a warning.  Bins are whole numbers (3.0 counts as 3).  ``iterations`` is
@@ -77,23 +77,25 @@ class EstimationConfig:
             object.__setattr__(self, "bin_mask", np.unique(_whole_bins(self.bin_mask, "bin_mask")))
 
     def selected_bins(self, spectra: SpectralSet) -> np.ndarray:
-        """Bins entering the regression: window intersected with the mask."""
-        top = spectra.n_bins - 2  # exclude DC and the segment Nyquist bin
+        """Window intersected with mask; of M samples per period, bins 1..(M-1)//2 are
+        usable (no DC, and no Nyquist bin M/2, which exists only for even M)."""
+        m = spectra.samples_per_period
+        top = (m - 1) // 2
         if self.bin_window is None:
             k_min, k_max = 1, top
         else:
             k_min, k_max = self.bin_window
             if k_max > top:
-                raise ValueError(f"bin_window exceeds available bins (max {top})")
+                raise ValueError(f"bin_window must lie within the usable bins 1..{top}")
         bins = np.arange(k_min, k_max + 1)
         if self.bin_mask is None:
             return bins
-        if self.bin_mask.size and self.bin_mask[-1] >= spectra.n_bins:
-            raise ValueError(f"excited bin {self.bin_mask[-1]} outside spectrum "
-                             f"(max {spectra.n_bins - 1})")
+        if self.bin_mask.size and self.bin_mask[-1] > m // 2:
+            raise ValueError(f"bin_mask must lie within the spectrum (max bin {m // 2}), "
+                             f"got {self.bin_mask[-1]}")
         bins = bins[np.isin(bins, self.bin_mask)]
         if bins.size == 0:
-            raise ValueError("bin selection is empty")
+            raise ValueError("bin_mask leaves no bin in the window")
         dropped = self.bin_mask.size - bins.size
         if dropped:
             warnings.warn(f"{dropped} of {self.bin_mask.size} mask bins outside the window",
@@ -124,10 +126,6 @@ class EstimateResult:
     converged: bool | None
     sigma_e: np.ndarray | None
     bins: np.ndarray
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.rational.a, self.rational.b, self.transient])
 
     def to_dict(self) -> dict:
         return {

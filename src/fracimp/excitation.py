@@ -134,9 +134,6 @@ class TimeRecord:
     def periods(self) -> int:
         return self.samples.size // self.samples_per_period
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
-
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.samples**2)))
 

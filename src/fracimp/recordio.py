@@ -1,6 +1,7 @@
 """CSV record files: `time_s,current_a,voltage_v` rows plus a JSON metadata sidecar.
 
-The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries
+Row k's time is k/sample_rate_hz (`write_record` writes it, `read_record` checks
+it).  The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries
 sample_rate_hz, periods, period_s and an optional ocv_v; the first three are
 checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  Values
 are written with 17 significant digits so float64 samples round-trip exactly.
@@ -11,7 +12,8 @@ CSV table, a record or a `compare` input, is read by `read_csv`: one C parse
 of the data rows (``np.loadtxt``), checked as a whole.  Only a file that
 fails is read again, by the one row-by-row parse (`_parse_rows`), whose
 errors name the file line and column.  It accepts no file with data rows
-that the C parse rejects.
+that the C parse rejects, and a row that ``float()`` rejects but the C parse
+reads (a number padded with the ASCII separators 0x1C-0x1F) passes too.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ def write_record(
     csv_path = Path(csv_path)
     if voltage is not None:
         check_shared_grid(current, voltage)
-    time_s = current.times()
+    time_s = np.arange(current.n_samples) / current.sample_rate_hz
     volt = np.zeros_like(time_s) if voltage is None else voltage.samples
     write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt))
 
@@ -139,10 +141,7 @@ def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.n
     try:
         with open(path) as fh:
             _read_header(path, fh, header)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                   max_rows=max_rows)
+            table = _loadtxt(fh, max_rows)
         if table.shape[1] == header.count(",") + 1 and np.isfinite(table).all():
             return table
     except FileNotFoundError as exc:
@@ -152,6 +151,13 @@ def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.n
     return _parse_rows(path, header)[0]
 
 
+def _loadtxt(lines, max_rows: int | None = None) -> np.ndarray:
+    """The C parse of data rows, for `read_csv` and for the lines `_parse_rows` doubts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+
+
 def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
     """The one row-by-row parse: the table and the file line of each row.
 
@@ -159,7 +165,8 @@ def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
     It accepts no data row that ``np.loadtxt`` rejects, so it rejects by name
     what ``float()`` alone would read: digit separators (``1_0``), non-ASCII
     digits and undecodable bytes (read as U+FFFD); and whitespace-only lines.
-    Only empty lines are skipped.
+    A row that ``float()`` rejects is kept if `_loadtxt` reads it.  Only
+    empty lines are skipped.
     """
     names = header.split(",")
     rows, lines = [], []
@@ -182,7 +189,10 @@ def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
             try:
                 values = [float(v) for v in parts]
             except ValueError as exc:
-                raise SchemaError(f"{where} is not numeric: {exc}") from exc
+                try:  # the C parse strips some characters around a number that float() keeps
+                    values = _loadtxt([line])[0].tolist()
+                except ValueError:
+                    raise SchemaError(f"{where} is not numeric: {exc}") from exc
             for name, x in zip(names, values):
                 if not math.isfinite(x):
                     raise SchemaError(f"{where} has a non-finite {name} value")

@@ -4,7 +4,7 @@ The DFT convention is X(k) = (1/M) sum_n x(n) exp(-j*2*pi*k*n/M) over each
 period of M samples; all downstream estimation formulas assume it, and
 `per_period_spectra` is its one implementation.  After splitting a record
 into P periods, segment bin k corresponds to frequency k/period_s
-(full-record bin P*k), and only bins 0..M/2 are kept (real signals).
+(full-record bin P*k), and only bins 0..M//2 are kept (real signals).
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ from .excitation import TimeRecord, check_shared_grid
 class SpectralSet:
     """Period-averaged spectra of a current/voltage pair, with noise covariances.
 
-    Arrays are indexed by segment bin k = 0..M/2 (M samples per period);
-    freq_hz[k] = k/period_s.  Covariance fields are None when only one period
-    was measured, and exactly 0 for a channel with bitwise identical periods.
+    Arrays are indexed by segment bin k = 0..M//2 of the record's grid, M =
+    `samples_per_period`, at freq_hz[k] = k/`period_s`.  Covariance fields are None
+    when only one period was measured, and exactly 0 for bitwise identical periods.
     """
 
-    freq_hz: np.ndarray
+    period_s: float
+    samples_per_period: int
     mean_current: np.ndarray
     mean_voltage: np.ndarray
     var_current: np.ndarray | None
@@ -35,9 +36,8 @@ class SpectralSet:
     covar_vi: np.ndarray | None
 
     def __post_init__(self):
-        n = self.freq_hz.size
         for name in ("mean_current", "mean_voltage"):
-            if getattr(self, name).shape != (n,):
+            if getattr(self, name).shape != (self.samples_per_period // 2 + 1,):
                 raise ValueError(f"{name} must have one entry per bin")
         if self.var_current is not None:
             if np.any(self.var_current < 0) or np.any(self.var_voltage < 0):
@@ -51,8 +51,8 @@ class SpectralSet:
         return self.var_current is not None
 
     @property
-    def n_bins(self) -> int:
-        return self.freq_hz.size
+    def freq_hz(self) -> np.ndarray:
+        return np.arange(self.mean_current.size) / self.period_s
 
 
 def _sum_sq(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -146,7 +146,8 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
         covar_vi = (d_cur.sum(axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
 
     return SpectralSet(
-        freq_hz=np.arange(mean_cur.size) / current.period_s,
+        period_s=current.period_s,
+        samples_per_period=m,
         mean_current=mean_cur,
         mean_voltage=mean_vol,
         var_current=var_cur,

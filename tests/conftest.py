@@ -36,11 +36,16 @@ def simulate_pair(spec_record, params=SIM_PARAMS):
 
 def spectral_set(period_s, mean_current, mean_voltage, var_current=None,
                  var_voltage=None, covar_vi=None):
-    """A SpectralSet on bins k/period_s from given per-bin means and noise."""
+    """A SpectralSet on bins k/period_s from given per-bin means and noise.
+
+    n bins are those of M = 2(n - 1) samples per period, so the last is the
+    Nyquist bin.
+    """
     mean_current = np.asarray(mean_current, dtype=complex)
     mean_voltage = np.asarray(mean_voltage, dtype=complex)
     return SpectralSet(
-        freq_hz=np.arange(mean_current.size) / period_s,
+        period_s=period_s,
+        samples_per_period=2 * (mean_current.size - 1),
         mean_current=mean_current,
         mean_voltage=mean_voltage,
         var_current=None if var_current is None else np.asarray(var_current, dtype=float),

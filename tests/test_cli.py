@@ -411,10 +411,22 @@ def test_mask_bins_outside_the_window_warn_on_one_stderr_line(tmp_path, capsys):
     harmonics = json.loads((out / "multisine.json").read_text())["harmonics"]
     est_cfg = _json(tmp_path, "est.json", {"excited_bins": harmonics, "k_min": 1,
                                            "k_max": harmonics[-3]})
-    assert main(["estimate", "--record", str(out / "record.csv"), "--config", est_cfg,
+    for command in ("estimate", "eis"):
+        assert main([command, "--record", str(out / "record.csv"), "--config", est_cfg,
+                     "--out", str(tmp_path / command), "--quiet"]) == 0
+        assert capsys.readouterr().err == (f"warning: 2 of {len(harmonics)} mask bins outside "
+                                           "the window\n")
+
+
+def test_estimate_reaches_the_top_bin_of_an_odd_record(tmp_path):
+    # M = 20 s * 20.05 Hz = 401 samples per period has no Nyquist bin, so bin 200 is usable
+    out = _run_simulate(tmp_path, extra={"excitation": {"type": "noise"},
+                                         "sample_rate_hz": 20.05})
+    config = _json(tmp_path, "est.json", {"k_min": 1, "k_max": 200})
+    assert main(["estimate", "--record", str(out / "record.csv"), "--config", config,
                  "--out", str(tmp_path / "est"), "--quiet"]) == 0
-    assert capsys.readouterr().err == (f"warning: 2 of {len(harmonics)} mask bins outside "
-                                       "the window\n")
+    bode = np.loadtxt(tmp_path / "est" / "bode.csv", delimiter=",", skiprows=1)
+    assert bode[-1, 0] == 200 / 20.0
 
 
 def test_a_warning_that_the_filters_make_an_error_propagates(tmp_path):
@@ -827,14 +839,29 @@ def _argv_and_message(tmp_path, case):
                            "harmonics must be a nonempty 1-D integer array"),
             "spec lengths": ({"amplitudes": [1.0]},
                              "amplitudes and phases must match harmonics in shape"),
-            "spec beyond": ({"harmonics": [1, 999]}, "excited bin 999 outside spectrum (max 200)"),
+            "spec beyond": ({"harmonics": [1, 999]},
+                            "must lie within the spectrum (max bin 200), got 999"),
         }[case]
         path = _json(tmp_path, "ms.json", {"period_s": 20.0, "harmonics": [1, 3],
                                            "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0],
                                            **change})
         config = _json(tmp_path, "eis.json", {"multisine_path": path})
-        prefix = "" if case == "spec beyond" else f"invalid multisine spec {path}: "
+        prefix = (f"invalid config {config}: multisine_path harmonics " if case == "spec beyond"
+                  else f"invalid multisine spec {path}: ")
         return ["eis", "--record", record, "--config", config], prefix + problem
+    if case.startswith("bins "):  # the record has M = 400 samples per period
+        given, problem = {
+            "bins window": ({"k_min": 1, "k_max": 200},
+                            "k_min and k_max must lie within the usable bins 1..199"),
+            "bins window with spec": ({"k_min": 1, "k_max": 200,
+                                       "multisine_path": str(tmp_path / "sim" / "multisine.json")},
+                                      "k_min and k_max must lie within the usable bins 1..199"),
+            "bins mask": ({"excited_bins": [3, 201]},
+                          "excited_bins must lie within the spectrum (max bin 200), got 201"),
+        }[case]
+        config = _json(tmp_path, "est.json", given)
+        return (["estimate", "--record", record, "--config", config],
+                f"invalid config {config}: {problem}")
     if case.startswith("band "):
         change, problem = {
             "band low": ({"f_min_hz": 0.01}, "f_min_hz must be at least the fundamental 1/period_s"),
@@ -842,16 +869,21 @@ def _argv_and_message(tmp_path, case):
         }[case]
         return ["design", "--config", _json(tmp_path, "d.json", {**_DESIGN_CONFIG, **change})], \
             problem
-    coefficient, problem = {"no a": ("a", "need at least denominator coefficient a_1"),
-                            "no b": ("b", "need numerator coefficient b_0")}[case]
-    path = _json(tmp_path, "estimate.json", {"a": [1.0, 0.07, 0.17],
-                                             "b": [0.05, 0.67, 0.04, 0.1], coefficient: []})
+    coefficients = {"a": [1.0, 0.07, 0.17], "b": [0.05, 0.67, 0.04, 0.1]}
+    coefficients, problem = {
+        "no a": ({**coefficients, "a": []}, "need at least denominator coefficient a_1"),
+        "no b": ({**coefficients, "b": []}, "need numerator coefficient b_0"),
+        "fit orders": ({"a": [1.0, 0.07], "b": [0.05, 0.67, 0.04]},
+                       "Randles recovery needs the (N_a, N_b) = (3, 3) structure"),
+    }[case]
+    path = _json(tmp_path, "estimate.json", coefficients)
     return ["fit", "--estimate", path], f"invalid estimate file {path}: {problem}"
 
 
 @pytest.mark.parametrize("case", ["no band", "no record", "spec period", "spec empty",
-                                  "spec lengths", "spec beyond", "band low", "band inverted",
-                                  "no a", "no b"])
+                                  "spec lengths", "spec beyond", "bins window",
+                                  "bins window with spec", "bins mask",
+                                  "band low", "band inverted", "no a", "no b", "fit orders"])
 def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
     _run_simulate(tmp_path)
     argv, message = _argv_and_message(tmp_path, case)

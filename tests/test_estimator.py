@@ -10,9 +10,11 @@ from fracimp import (
     EstimateResult,
     HalfOrderRational,
     NumericsError,
+    SpectralSet,
     TimeRecord,
     equation_error_sigma,
     eval_rational,
+    fit_randles,
     generate_periodic_noise,
     parametric_impedance,
     per_period_spectra,
@@ -43,6 +45,11 @@ _PIPE_KW = dict(period_s=200.0, f_min_hz=0.005, f_max_hz=5.0, points_per_decade=
 
 def _build_regressor(spectra, cfg):
     return _columns(spectra, cfg.selected_bins(spectra), cfg)[0]
+
+
+def _theta(result):
+    """theta = [a | b | c] of an estimate, in the layout of `_columns`."""
+    return np.concatenate([result.rational.a, result.rational.b, result.transient])
 
 
 def _tls(regressor):
@@ -89,7 +96,7 @@ def test_regressor_annihilates_true_parameters():
 def test_empty_bin_selection_errors():
     spectra = spectral_set(1.0, np.ones(8), np.ones(8))
     cfg = EstimationConfig(bin_window=(1, 6), bin_mask=[7], iterations=0)
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="^bin_mask leaves no bin in the window$"):
         _build_regressor(spectra, cfg)
 
 
@@ -277,7 +284,7 @@ def test_noise_table_quadratic_form_is_the_closed_form_variance(noise_spectra):
 def test_noise_table_is_exactly_zero_where_a_channel_has_no_noise():
     # exact voltage everywhere, and no current noise at every third bin
     spectra = _noise_excited_spectra(34, noisy=("current",))
-    silent = np.arange(spectra.n_bins) % 3 == 0
+    silent = np.arange(spectra.mean_current.size) % 3 == 0
     spectra = dataclasses.replace(spectra, var_current=np.where(silent, 0.0, spectra.var_current),
                                   covar_vi=np.where(silent, 0.0, spectra.covar_vi))
     cfg = EstimationConfig(bin_window=(1, 2000), n_r=1)
@@ -394,14 +401,14 @@ def test_wtls_with_uniform_weights_equals_unweighted_tls():
     spec, spectra = _noiseless_spectra(**_PIPE_KW)
     zeroed = dataclasses.replace(
         spectra,
-        var_current=np.zeros(spectra.n_bins),
-        var_voltage=np.zeros(spectra.n_bins),
-        covar_vi=np.zeros(spectra.n_bins, dtype=complex),
+        var_current=np.zeros(spectra.mean_current.size),
+        var_voltage=np.zeros(spectra.mean_current.size),
+        covar_vi=np.zeros(spectra.mean_current.size, dtype=complex),
     )
     cfg = EstimationConfig(bin_mask=spec.harmonics, iterations=7)
     weighted = wtls_estimate(zeroed, cfg)
     plain = _tls(_build_regressor(zeroed, cfg))
-    assert weighted.theta == pytest.approx(plain, rel=1e-13)
+    assert _theta(weighted) == pytest.approx(plain, rel=1e-13)
     assert weighted.iterations_run == 0
     assert weighted.sigma_e is None
 
@@ -446,7 +453,7 @@ def test_noiseless_record_is_solved_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics, iterations=10))
     assert len(calls) == 1
-    assert np.array_equal(result.theta, unweighted.theta)
+    assert np.array_equal(_theta(result), _theta(unweighted))
     assert result.weighted_cost == unweighted.weighted_cost
 
 
@@ -493,7 +500,7 @@ def test_noisy_record_is_solved_once_per_pass(monkeypatch):
     assert len(calls) == result.iterations_run + 1
     assert result.sigma_e.shape == result.bins.shape
     # sigma_e weighted the final pass, so it gives weighted_cost at the returned theta
-    errors = _build_regressor(spectra, cfg) @ result.theta
+    errors = _build_regressor(spectra, cfg) @ _theta(result)
     assert np.sum(np.abs(errors / result.sigma_e) ** 2) == pytest.approx(
         result.weighted_cost, rel=1e-12, abs=0)
 
@@ -590,6 +597,22 @@ def test_frequency_relabelling_scales_coefficients_by_half_powers(seed):
         assert (got.iterations_run, got.converged) == (base.iterations_run, base.converged)
 
 
+@pytest.mark.parametrize("noisy", [(), ("current", "voltage")], ids=["noiseless", "snr 100"])
+def test_frequency_relabelling_scales_the_circuit(noisy):
+    # relabelling by lam moves every corner by lam: R_s and R_ct stay, C_dl
+    # becomes C_dl/lam and sigma_w becomes sigma_w*sqrt(lam).  At a power of 4
+    # every half power scales by a power of 2, which is exact in floating point
+    spec, current, voltage = _noisy_records(64, snr=100.0, noisy=noisy)
+    cfg = EstimationConfig(bin_mask=spec.harmonics)
+    base = fit_randles(wtls_estimate(per_period_spectra(current, voltage), cfg).rational).params
+    for lam in (0.25, 4.0):
+        i, v = (TimeRecord(r.samples, lam * r.sample_rate_hz, r.period_s / lam)
+                for r in (current, voltage))
+        got = fit_randles(wtls_estimate(per_period_spectra(i, v), cfg).rational).params
+        assert (got.r_s, got.r_ct, got.c_dl, got.sigma_w) == (
+            base.r_s, base.r_ct, base.c_dl / lam, base.sigma_w * np.sqrt(lam))
+
+
 # ---------------------------------------------------------------- one noisy channel
 
 BAND_HZ = np.logspace(np.log10(0.005), np.log10(10.0), 200)  # the protocol band
@@ -646,7 +669,7 @@ def test_single_noisy_column_is_weighted_least_squares():
     weighted = _build_regressor(spectra, cfg) / result.sigma_e[:, None]
     stacked = np.vstack([weighted.real, weighted.imag])
     rest = -np.linalg.lstsq(stacked[:, 1:], stacked[:, 0], rcond=None)[0]
-    assert result.theta[1:] == pytest.approx(rest, rel=1e-10)
+    assert _theta(result)[1:] == pytest.approx(rest, rel=1e-10)
 
 
 def test_noiseless_direct_sum_record_recovers_coefficients():
@@ -701,7 +724,7 @@ def test_scaling_all_sigma_e_leaves_estimate_unchanged():
         covar_vi=spectra.covar_vi * c**2,
     )
     scaled = wtls_estimate(inflated, cfg)
-    assert scaled.theta == pytest.approx(base.theta, rel=1e-12)
+    assert _theta(scaled) == pytest.approx(_theta(base), rel=1e-12)
 
 
 def test_returned_coefficients_are_real_arrays():
@@ -738,7 +761,7 @@ def test_final_iteration_does_not_increase_weighted_cost():
         theta_ab = theta[:7]
         return np.sum(np.abs(weighted @ theta) ** 2) / (theta_ab @ ridged @ theta_ab)
 
-    assert quotient(last.theta) <= quotient(prev.theta) * (1 + 1e-10)
+    assert quotient(_theta(last)) <= quotient(_theta(prev)) * (1 + 1e-10)
     assert last.iterations_run == 4
 
 
@@ -768,9 +791,30 @@ def test_wtls_requires_some_data():
 
 
 def test_window_beyond_available_bins_errors():
-    spectra = spectral_set(1.0, np.ones(8), np.ones(8))
-    with pytest.raises(ValueError, match="exceeds"):
+    spectra = spectral_set(1.0, np.ones(8), np.ones(8))  # M = 14
+    with pytest.raises(ValueError, match=r"^bin_window must lie within the usable bins 1\.\.6$"):
         EstimationConfig(bin_window=(1, 7)).selected_bins(spectra)
+
+
+@pytest.mark.parametrize("m", [4000, 4001])
+def test_usable_bins_end_below_the_nyquist_bin_only_when_m_is_even(m):
+    # M = 4000 has its Nyquist bin at 2000; M = 4001 has none, and bin 2000 is usable
+    ones = np.ones(m // 2 + 1)
+    spectra = SpectralSet(1.0, m, ones, ones, None, None, None)
+    top = 2000 if m % 2 else 1999
+    assert EstimationConfig().selected_bins(spectra)[-1] == top
+    assert EstimationConfig(bin_window=(1, top)).selected_bins(spectra)[-1] == top
+    with pytest.raises(ValueError, match=f"^bin_window must lie within the usable bins 1..{top}$"):
+        EstimationConfig(bin_window=(1, top + 1)).selected_bins(spectra)
+    with warnings.catch_warnings(record=True) as dropped:
+        warnings.simplefilter("always")
+        kept = EstimationConfig(bin_mask=[5, 2000]).selected_bins(spectra)
+    assert kept.tolist() == ([5, 2000] if m % 2 else [5])
+    assert [str(w.message) for w in dropped] == ([] if m % 2 else
+                                                 ["1 of 2 mask bins outside the window"])
+    with pytest.raises(ValueError, match=r"^bin_mask must lie within the spectrum \(max bin "
+                                         r"2000\), got 2001$"):
+        EstimationConfig(bin_mask=[5, 2001]).selected_bins(spectra)
 
 
 def test_config_validation():

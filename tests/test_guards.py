@@ -45,10 +45,11 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  id="warburg sigma negative"),
     pytest.param(lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
                  "need at least 2 samples per period", id="spectra one sample per period"),
-    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, []), "bin selection is empty",
-                 id="nonparametric no bins"),
+    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, []),
+                 "bin_mask leaves no bin in the window", id="nonparametric no bins"),
     pytest.param(lambda: nonparametric_impedance(spectral_set(1.0, _ONES, _ONES), [5]),
-                 "excited bin 5 outside spectrum (max 2)", id="nonparametric bin beyond spectrum"),
+                 "bin_mask must lie within the spectrum (max bin 2), got 5",
+                 id="nonparametric bin beyond spectrum"),
     pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, [2.5, 3.9]),
                  "bin_mask must hold whole bin numbers", id="nonparametric fractional bins"),
     pytest.param(lambda: EstimationConfig(n_b=-1), "n_b must be >= 0", id="config n_b negative"),
@@ -80,7 +81,7 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  id="rational not finite"),
     pytest.param(lambda: ImpedanceCurve(freq_hz=[1.0, 2.0], z_ohm=[1.0]),
                  "freq_hz and z_ohm must have the same shape", id="curve shape mismatch"),
-    pytest.param(lambda: SpectralSet(np.arange(3.0), _ONES[:2], _ONES, None, None, None),
+    pytest.param(lambda: SpectralSet(1.0, 4, _ONES[:2], _ONES, None, None, None),
                  "mean_current must have one entry per bin", id="spectra mean length"),
     pytest.param(lambda: spectral_set(1.0, _ONES, _ONES, -_ONES, _ONES, 0 * _ONES),
                  "variances must be nonnegative", id="spectra negative variance"),

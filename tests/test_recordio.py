@@ -143,6 +143,22 @@ def test_rows_after_a_blank_line_are_named_by_file_line(tmp_path, column, value,
         read_record(path)
 
 
+def test_a_separator_the_c_parse_strips_does_not_hide_a_later_error(tmp_path):
+    # float() rejects "1.0\x1c" and np.loadtxt reads it, so row 5 is no error
+    # and the row parse goes on to blame the wrong time at row 12
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")  # file line 5
+    fields[1] += "\x1c"
+    lines[4] = ",".join(fields)
+    fields = lines[11].split(",")  # file line 12
+    fields[0] = "0.123"
+    lines[11] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match="non-uniform time column starting at row 12 "):
+        read_record(path)
+
+
 def test_row_with_trailing_comment_is_rejected(tmp_path):
     path, *_ = _write_pair(tmp_path, **_KW)
     lines = path.read_text().splitlines()
@@ -267,12 +283,18 @@ _MUTATIONS = {
     "time jitter within tolerance": _set_field(lambda v: repr(float(v) + 5e-10), only=0),
     "time jitter": _set_field(lambda v: repr(float(v) + 2e-9), only=0),
     "padding spaces": _set_field(lambda v: f"  {v} "),
+    # float() rejects these separators around a number, np.loadtxt strips them
+    **{f"padding {ord(c):#x}": _set_field(lambda v, c=c: f"{c}{v}{c}")
+       for c in "\x1c\x1d\x1e\x1f"},
 }
 
 
 def _read_by_rows(path):
-    """`read_record` with the C parse failing, so every row goes through the row parse."""
-    with mock.patch.object(recordio.np, "loadtxt", side_effect=ValueError("forced")):
+    """`read_record` with every table read by the row parse alone."""
+    def by_rows(path, header, max_rows=None):
+        return recordio._parse_rows(path, header)[0]
+
+    with mock.patch.object(recordio, "read_csv", by_rows):
         return read_record(path)
 
 

@@ -41,7 +41,7 @@ def test_single_sine_response_matches_sinusoid_arithmetic(sim_params):
 
     omega = 2 * np.pi * k / period_s
     z = randles_impedance(sim_params, omega)
-    t = current.times()
+    t = np.arange(current.n_samples) / current.sample_rate_hz
     expected = sim_params.ocv + abs(z) * alpha * np.sin(omega * t + phi + np.angle(z))
     assert np.abs(voltage.samples - expected).max() < 1e-10
 
