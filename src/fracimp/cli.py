@@ -6,15 +6,18 @@ calls the command and prints the progress text it returns unless --quiet.
 A library warning prints as one `warning: <message>` line on stderr, --quiet or not.
 A command makes --out only once its inputs are checked, and writes CSV files
 (`recordio.write_csv`) and JSON files (`schema.dump`) there.
-`estimate` and `eis` take the same config and select the same bins
-(`EstimationConfig.selected_bins`), so `compare` matches every `eis.csv` row.
+`estimate` and `eis` run one pipeline, `_estimate_on_record`: the config, the
+record's spectra, then the command's estimator (`wtls_estimate` or
+`nonparametric_impedance`) on that config, which selects the bins once; so
+`compare` matches every `eis.csv` row.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
 strictly increasing harmonics, a_1 != 0, whole periods (in the sidecar) and
 the (3, 3) orders that `fit` needs.
-Exit codes: 0 success, 1 usage or schema error, 2 numerical failure.
+Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
+(a NumericsError or a numpy linear-algebra error).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -208,24 +210,12 @@ def cmd_simulate(args, cfg: dict) -> str:
 _CONFIG_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
 
 
-@contextmanager
-def _config_errors(cfg: dict, path: str | None):
-    """A ValueError that starts with a bin field, as those of EstimationConfig and its
-    `selected_bins` do, re-raised as "invalid config <path>: <key> ..."."""
-    try:
-        yield
-    except ValueError as exc:
-        field, _, rule = str(exc).partition(" ")
-        if field not in _CONFIG_KEYS:
-            raise
-        key = _CONFIG_KEYS[field]
-        if field == "bin_mask" and "multisine_path" in cfg:
-            key = "multisine_path harmonics"
-        raise SchemaError(f"invalid config {path}: {key} {rule}") from exc
+def _estimate_on_record(args, cfg: dict, estimator):
+    """The spectra of --record and `estimator` of them under the estimate config `cfg`.
 
-
-def _estimation_config(cfg: dict, path: str | None) -> EstimationConfig:
-    """EstimationConfig of the estimate config `cfg` read from `path`."""
+    A ValueError that starts with a bin field, as those of EstimationConfig and
+    its `selected_bins` do, is re-raised as "invalid config <path>: <key> ...".
+    """
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError("give excited_bins or multisine_path, not both")
     mask = cfg.get("excited_bins")  # EstimationConfig makes it an int array
@@ -233,20 +223,23 @@ def _estimation_config(cfg: dict, path: str | None) -> EstimationConfig:
         mask = _load_multisine(cfg["multisine_path"]).harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
-    with _config_errors(cfg, path):
-        return EstimationConfig(bin_window=window, bin_mask=mask, **given)
-
-
-def _spectra(args):
-    current, voltage, _ = read_record(args.record)
-    return per_period_spectra(current, voltage)
+    try:
+        est_cfg = EstimationConfig(bin_window=window, bin_mask=mask, **given)
+        current, voltage, _ = read_record(args.record)
+        spectra = per_period_spectra(current, voltage)
+        return spectra, estimator(spectra, est_cfg)
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        if field not in _CONFIG_KEYS:
+            raise
+        key = _CONFIG_KEYS[field]
+        if field == "bin_mask" and "multisine_path" in cfg:
+            key = "multisine_path harmonics"
+        raise SchemaError(f"invalid config {args.config}: {key} {rule}") from exc
 
 
 def cmd_estimate(args, cfg: dict) -> str:
-    est_cfg = _estimation_config(cfg, args.config)
-    spectra = _spectra(args)
-    with _config_errors(cfg, args.config):  # the config's bins on this record
-        result = wtls_estimate(spectra, est_cfg)
+    spectra, result = _estimate_on_record(args, cfg, wtls_estimate)
 
     out = _out(args)
     dump(out / "estimate.json", result.to_dict())
@@ -265,10 +258,7 @@ def cmd_estimate(args, cfg: dict) -> str:
 
 
 def cmd_eis(args, cfg: dict) -> str:
-    est_cfg = _estimation_config(cfg, args.config)
-    spectra = _spectra(args)
-    with _config_errors(cfg, args.config):
-        curve = nonparametric_impedance(spectra, est_cfg.selected_bins(spectra))
+    _, curve = _estimate_on_record(args, cfg, nonparametric_impedance)
 
     out = _out(args)
     write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
@@ -384,12 +374,12 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 cfg["seed"] = check(args.seed, _SEED, "invalid option", "--seed")
             text = args.func(args, cfg)
+    except (NumericsError, np.linalg.LinAlgError) as exc:  # before its base, ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     if not args.quiet:
         print(text)
     return 0

@@ -20,8 +20,8 @@ equation-error standard deviation and take G as the noise Gram of the noisy
 columns, which yields the consistent estimate.  Both the equation-error
 variance and the noise Gram come from one per-bin table of regressor noise
 covariances, built once per estimate.  All half powers use the principal
-branch of sqrt(j*w).  The nonparametric estimate V(k)/I(k) is taken on the
-bins the config selects, the same bins the regression is fitted on.
+branch of sqrt(j*w).  The nonparametric estimate V(k)/I(k) takes the same
+EstimationConfig as the regression and so the same bins.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .excitation import _whole_bins
+from .excitation import _whole_bins, _whole_count
 from .model import HalfOrderRational, ImpedanceCurve, _sqrt_j_omega, eval_rational
 from .spectra import SpectralSet
 
@@ -52,9 +52,9 @@ class EstimationConfig:
     the window to an explicit bin set (use the excited harmonics for multisine
     data; leave None for noise excitation).  A mask bin beyond the spectrum
     is an error; mask bins inside it but outside the window are dropped with
-    a warning.  Bins are whole numbers (3.0 counts as 3).  ``iterations`` is
-    the maximum number of weighted passes; the reweighting stops earlier once
-    theta has settled.
+    a warning.  Bins, orders and ``iterations`` are whole numbers (3.0 counts
+    as 3).  ``iterations`` is the maximum number of weighted passes; the
+    reweighting stops earlier once theta has settled.
     """
 
     n_a: int = 3
@@ -68,6 +68,7 @@ class EstimationConfig:
         for name, least in (("n_a", 1), ("n_b", 0), ("n_r", 0), ("iterations", 0)):
             if not getattr(self, name) >= least:  # also NaN
                 raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, _whole_count(getattr(self, name), name))
         if self.bin_window is not None:
             k_min, k_max = _whole_bins(self.bin_window, "bin_window").tolist()
             if not (1 <= k_min <= k_max):
@@ -332,15 +333,14 @@ def parametric_impedance(result: EstimateResult, omegas) -> ImpedanceCurve:
     )
 
 
-def nonparametric_impedance(spectra: SpectralSet, bin_mask) -> ImpedanceCurve:
-    """Classical EIS estimate: averaged voltage over averaged current per mask bin.
+def nonparametric_impedance(spectra: SpectralSet, cfg: EstimationConfig) -> ImpedanceCurve:
+    """Classical EIS estimate: averaged voltage over averaged current per selected bin.
 
-    The bins are those an estimate with this `bin_mask` fits on,
-    ``EstimationConfig(bin_mask=bin_mask).selected_bins(spectra)``; bins
-    whose current magnitude is below 1e-12 of the strongest bin are skipped
-    with a warning.
+    The bins are those `wtls_estimate` fits on under the same config,
+    ``cfg.selected_bins(spectra)``; bins whose current magnitude is below
+    1e-12 of the strongest bin are skipped with a warning.
     """
-    bins = EstimationConfig(bin_mask=bin_mask).selected_bins(spectra)
+    bins = cfg.selected_bins(spectra)
     weak = np.abs(spectra.mean_current[bins]) <= 1e-12 * np.abs(spectra.mean_current).max()
     if np.any(weak):
         warnings.warn(

@@ -99,6 +99,17 @@ def _whole_bins(values, name: str) -> np.ndarray:
     return whole
 
 
+def _whole_count(value, name: str) -> int:
+    """`value` as an int by the rule of `_whole_bins`, cast through float (3.0 counts as
+    3) but with no int64 bound; anything else raises a ValueError naming `name`."""
+    try:
+        if float(value).is_integer():  # False for NaN and infinity
+            return int(float(value))
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"{name} must be a whole number")
+
+
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
     """Uniformly sampled record of whole periods: `periods` follows from its length."""
@@ -215,11 +226,12 @@ def design_odd_quasilog(
 
 
 def _tile(one_period: np.ndarray, periods: int) -> np.ndarray:
-    """`periods` copies of one period; ValueError if numpy cannot index that many samples."""
+    """`periods` copies of one period; ValueError if numpy cannot index that many samples
+    or `periods` is not a whole number (2.0 counts as 2)."""
     if one_period.size * periods > np.iinfo(np.intp).max:
         raise ValueError(f"periods={periods:.6g} makes a record of more than "
                          f"{np.iinfo(np.intp).max} samples")
-    return np.tile(one_period, periods)
+    return np.tile(one_period, _whole_count(periods, "periods"))
 
 
 def synthesize_multisine(spec: MultisineSpec, sample_rate_hz: float, periods: int) -> TimeRecord:

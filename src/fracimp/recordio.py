@@ -18,6 +18,7 @@ reads (a number padded with the ASCII separators 0x1C-0x1F) passes too.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -114,8 +115,10 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
     if len(table) != expected:
         raise SchemaError(f"{csv_path}: {len(table)} data rows, metadata implies {expected}")
     bad = np.nonzero(np.abs(table[:, 0] - np.arange(expected) / fs) > _TIME_TOL_S)[0]
-    if bad.size:
-        line = _parse_rows(csv_path, CSV_HEADER)[1][bad[0]]
+    if bad.size:  # its file line, counting lines as `_parse_rows` does: all but empty ones
+        with open(csv_path, errors="replace") as fh:
+            lines = (n for n, text in enumerate(fh, start=1) if text != "\n")
+            line = next(itertools.islice(lines, bad[0] + 1, None))  # after the header
         raise SchemaError(f"{csv_path}: non-uniform time column starting at row {line} "
                           f"(expected step {1.0 / fs})")
     return TimeRecord(table[:, 1], fs, period_s), TimeRecord(table[:, 2], fs, period_s), meta
@@ -148,7 +151,7 @@ def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.n
         raise SchemaError(f"file not found: {path}") from exc
     except ValueError:  # a malformed row, or undecodable bytes
         pass
-    return _parse_rows(path, header)[0]
+    return _parse_rows(path, header)
 
 
 def _loadtxt(lines, max_rows: int | None = None) -> np.ndarray:
@@ -158,8 +161,8 @@ def _loadtxt(lines, max_rows: int | None = None) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
 
 
-def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
-    """The one row-by-row parse: the table and the file line of each row.
+def _parse_rows(path: str | Path, header: str) -> np.ndarray:
+    """The one row-by-row parse of a table.
 
     Its SchemaErrors name the file line, and the column where there is one.
     It accepts no data row that ``np.loadtxt`` rejects, so it rejects by name
@@ -169,7 +172,7 @@ def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
     empty lines are skipped.
     """
     names = header.split(",")
-    rows, lines = [], []
+    rows = []
     with open(path, errors="replace") as fh:
         _read_header(path, fh, header)
         for lineno, line in enumerate(fh, start=2):
@@ -197,5 +200,4 @@ def _parse_rows(path: str | Path, header: str) -> tuple[np.ndarray, list[int]]:
                 if not math.isfinite(x):
                     raise SchemaError(f"{where} has a non-finite {name} value")
             rows.append(values)
-            lines.append(lineno)
-    return np.array(rows, dtype=float).reshape(-1, len(names)), lines
+    return np.array(rows, dtype=float).reshape(-1, len(names))

@@ -24,6 +24,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .errors import SchemaError
 
 SCHEMA_VERSION = "1"  # written by `dump` into every JSON output file
@@ -47,7 +49,7 @@ def load(path: str | Path, schema: dict, what: str, build=None):
     """The JSON value in `path`, checked, or `build` of it when given.
 
     Every failure is a SchemaError that reads "invalid <what> <path>: ...",
-    a ValueError from `build` included.
+    a ValueError from `build` included, except a numpy linear-algebra error.
     """
     context = f"invalid {what} {path}"
     try:
@@ -59,6 +61,8 @@ def load(path: str | Path, schema: dict, what: str, build=None):
     value = check(value, schema, context)
     try:
         return value if build is None else build(value)
+    except np.linalg.LinAlgError:  # a numerical failure, not a bad file
+        raise
     except ValueError as exc:
         raise SchemaError(f"{context}: {exc}") from exc
 

@@ -204,7 +204,7 @@ def test_criterion_7_nonparametric_parametric_agreement():
     spectra = per_period_spectra(current, voltage)
 
     result = wtls_estimate(spectra, EstimationConfig(bin_mask=spec.harmonics))
-    nonpar = nonparametric_impedance(spectra, spec.harmonics)
+    nonpar = nonparametric_impedance(spectra, EstimationConfig(bin_mask=spec.harmonics))
     par = parametric_impedance(result, 2 * np.pi * nonpar.freq_hz)
     error = relative_error_curve(nonpar, par)
     above_100mhz = float(error[nonpar.freq_hz > 0.1].max())

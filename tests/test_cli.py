@@ -8,7 +8,7 @@ import pytest
 
 from fracimp import cli
 from fracimp.cli import main
-from fracimp.estimator import nonparametric_impedance, wtls_estimate
+from fracimp.estimator import EstimationConfig, nonparametric_impedance, wtls_estimate
 from fracimp.recordio import read_record, write_csv
 from fracimp.spectra import per_period_spectra
 
@@ -663,6 +663,25 @@ def test_numerical_failure_exit_2(tmp_path, monkeypatch):
     assert main(["fit", "--estimate", str(est), "--out", str(tmp_path), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize("command, stage", [("estimate", "wtls_estimate"), ("fit", "fit_randles")])
+def test_a_linear_algebra_failure_exits_2(tmp_path, monkeypatch, capsys, command, stage):
+    # np.linalg.LinAlgError is a ValueError, which neither main nor the
+    # estimate file's loader may claim as an input error
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    if command == "estimate":
+        argv = ["--record", str(_run_simulate(tmp_path) / "record.csv")]
+    else:
+        argv = ["--estimate", _json(tmp_path, "estimate.json",
+                                    {"a": [1.0, 0.07, 0.17], "b": [0.05, 0.67, 0.04, 0.1]})]
+    monkeypatch.setattr(cli, stage, singular)
+    out = tmp_path / "out"
+    assert main([command, *argv, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+    assert not out.exists()
+
+
 def test_fit_inconsistent_coefficients_exit_2(tmp_path, capsys):
     from fracimp import randles_to_rational
 
@@ -730,9 +749,12 @@ def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path
     if excitation == "noise":
         out = _run_noise_simulate(tmp_path)
         given = {"k_min": 3, "k_max": 150}
+        est_cfg = EstimationConfig(bin_window=(3, 150))
     else:
         out = _run_simulate(tmp_path, extra={"snr": 50.0})
         given = {"multisine_path": str(out / "multisine.json")}
+        spec = json.loads((out / "multisine.json").read_text())
+        est_cfg = EstimationConfig(bin_mask=spec["harmonics"])
     record, config = str(out / "record.csv"), _json(tmp_path, "est.json", given)
     for command in ("estimate", "eis"):
         assert main([command, "--record", record, "--config", config,
@@ -742,8 +764,8 @@ def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path
 
     current, voltage, _ = read_record(record)
     spectra = per_period_spectra(current, voltage)
-    bins = wtls_estimate(spectra, cli._estimation_config(given, config)).bins
-    expected = nonparametric_impedance(spectra, bins)
+    bins = wtls_estimate(spectra, est_cfg).bins
+    expected = nonparametric_impedance(spectra, est_cfg)
     table = np.loadtxt(out / "eis.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table[:, 0], spectra.freq_hz[bins])
     np.testing.assert_array_equal(table[:, 1] + 1j * table[:, 2], expected.z_ohm)

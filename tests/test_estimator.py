@@ -847,8 +847,14 @@ def test_config_rejects_fractional_bins_naming_the_field(field, value):
 
 
 def test_config_counts_take_a_float_beyond_int64():
-    # the counts stay out of the whole-number rule: its int64 cast would reject this
+    # the counts take the whole-number rule of bins without its int64 bound
     assert EstimationConfig(iterations=1e30).iterations == 1e30
+
+
+def test_config_counts_take_integral_floats_as_ints():
+    cfg = EstimationConfig(n_a=3.0, n_b=2.0, n_r=1.0, iterations=10.0)
+    counts = (cfg.n_a, cfg.n_b, cfg.n_r, cfg.iterations)
+    assert counts == (3, 2, 1, 10) and all(type(n) is int for n in counts)
 
 
 # ---------------------------------------------------------------- evaluation helpers

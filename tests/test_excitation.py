@@ -206,6 +206,14 @@ def test_record_beyond_the_index_range_names_periods(make):
         make(1e25)
 
 
+@pytest.mark.parametrize("make", [
+    lambda periods: synthesize_multisine(MultisineSpec(10.0, [1], [1.0], [0.0]), 10.0, periods),
+    lambda periods: generate_periodic_noise(10.0, 10.0, periods, seed=0),
+], ids=["multisine", "noise"])
+def test_an_integral_float_period_count_counts(make):
+    assert make(3.0).samples.tolist() == make(3).samples.tolist()
+
+
 # ---------------------------------------------------------------- RMS scaling
 
 

@@ -14,9 +14,11 @@ from fracimp import (
     SpectralSet,
     TimeRecord,
     design_odd_quasilog,
+    generate_periodic_noise,
     nonparametric_impedance,
     per_period_spectra,
     scale_to_rms,
+    synthesize_multisine,
     warburg_impedance,
 )
 from fracimp.excitation import samples_per_period
@@ -45,18 +47,39 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  id="warburg sigma negative"),
     pytest.param(lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
                  "need at least 2 samples per period", id="spectra one sample per period"),
-    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, []),
+    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, EstimationConfig(bin_mask=[])),
                  "bin_mask leaves no bin in the window", id="nonparametric no bins"),
-    pytest.param(lambda: nonparametric_impedance(spectral_set(1.0, _ONES, _ONES), [5]),
+    pytest.param(lambda: nonparametric_impedance(spectral_set(1.0, _ONES, _ONES),
+                                                 EstimationConfig(bin_mask=[5])),
                  "bin_mask must lie within the spectrum (max bin 2), got 5",
                  id="nonparametric bin beyond spectrum"),
-    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, [2.5, 3.9]),
+    pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4,
+                                                 EstimationConfig(bin_mask=[2.5, 3.9])),
                  "bin_mask must hold whole bin numbers", id="nonparametric fractional bins"),
     pytest.param(lambda: EstimationConfig(n_b=-1), "n_b must be >= 0", id="config n_b negative"),
     pytest.param(lambda: EstimationConfig(n_r=-1), "n_r must be >= 0", id="config n_r negative"),
     pytest.param(lambda: EstimationConfig(n_a=_NAN), "n_a must be >= 1", id="config n_a nan"),
     pytest.param(lambda: EstimationConfig(iterations=_NAN), "iterations must be >= 0",
                  id="config iterations nan"),
+    # counts and periods take the whole-number rule of bins: 3.0 counts, 3.5 does not
+    pytest.param(lambda: EstimationConfig(n_a=3.5), "n_a must be a whole number",
+                 id="config n_a fractional"),
+    pytest.param(lambda: EstimationConfig(n_b=1.5), "n_b must be a whole number",
+                 id="config n_b fractional"),
+    pytest.param(lambda: EstimationConfig(n_r=0.5), "n_r must be a whole number",
+                 id="config n_r fractional"),
+    pytest.param(lambda: EstimationConfig(iterations=2.5), "iterations must be a whole number",
+                 id="config iterations fractional"),
+    pytest.param(lambda: EstimationConfig(iterations=np.inf), "iterations must be a whole number",
+                 id="config iterations inf"),
+    pytest.param(lambda: EstimationConfig(n_a=10**400), "n_a must be a whole number",
+                 id="config n_a beyond float"),
+    pytest.param(lambda: synthesize_multisine(MultisineSpec(1.0, [1], [1.0], [0.0]), 4.0, 2.5),
+                 "periods must be a whole number", id="multisine periods fractional"),
+    pytest.param(lambda: generate_periodic_noise(1.0, 4.0, 2.5, seed=0),
+                 "periods must be a whole number", id="noise periods fractional"),
+    pytest.param(lambda: generate_periodic_noise(1.0, 4.0, _NAN, seed=0),
+                 "periods must be a whole number", id="noise periods nan"),
     # an int beyond the float range is no whole bin number either
     pytest.param(lambda: EstimationConfig(bin_mask=[10**400]),
                  "bin_mask must hold whole bin numbers", id="config bin_mask beyond float"),

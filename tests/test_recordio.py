@@ -143,9 +143,26 @@ def test_rows_after_a_blank_line_are_named_by_file_line(tmp_path, column, value,
         read_record(path)
 
 
+def test_a_wrong_time_is_named_without_the_row_parse(tmp_path, monkeypatch):
+    # the C parse reads every row, so finding the wrong time's file line
+    # needs no second, row-by-row parse of the whole file
+    path, *_ = _write_pair(tmp_path, **_KW)
+    lines = path.read_text().splitlines()
+    lines.insert(3, "")  # blank file line 4
+    lines[11] = ",".join(["0.123", *lines[11].split(",")[1:]])  # file line 12
+    path.write_text("\n".join(lines) + "\n")
+
+    def no_row_parse(*args):
+        raise AssertionError("the row parse ran")
+
+    monkeypatch.setattr(recordio, "_parse_rows", no_row_parse)
+    with pytest.raises(SchemaError, match="non-uniform time column starting at row 12 "):
+        read_record(path)
+
+
 def test_a_separator_the_c_parse_strips_does_not_hide_a_later_error(tmp_path):
     # float() rejects "1.0\x1c" and np.loadtxt reads it, so row 5 is no error
-    # and the row parse goes on to blame the wrong time at row 12
+    # and the wrong time at row 12 is blamed
     path, *_ = _write_pair(tmp_path, **_KW)
     lines = path.read_text().splitlines()
     fields = lines[4].split(",")  # file line 5
@@ -292,7 +309,7 @@ _MUTATIONS = {
 def _read_by_rows(path):
     """`read_record` with every table read by the row parse alone."""
     def by_rows(path, header, max_rows=None):
-        return recordio._parse_rows(path, header)[0]
+        return recordio._parse_rows(path, header)
 
     with mock.patch.object(recordio, "read_csv", by_rows):
         return read_record(path)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracimp import (
+    EstimationConfig,
     TimeRecord,
     generate_periodic_noise,
     nonparametric_impedance,
@@ -217,7 +218,7 @@ def test_nonparametric_constant_ratio():
     current = generate_periodic_noise(2.0, 32.0, 3, seed=8)
     voltage = current.with_samples(2.0 * current.samples)
     spectra = per_period_spectra(current, voltage)
-    curve = nonparametric_impedance(spectra, np.arange(1, 30))
+    curve = nonparametric_impedance(spectra, EstimationConfig(bin_mask=np.arange(1, 30)))
     assert curve.z_ohm == pytest.approx(np.full(curve.z_ohm.size, 2.0 + 0j), rel=1e-12)
 
 
@@ -226,7 +227,7 @@ def test_nonparametric_matches_model_on_noiseless_simulation(sim_params):
         period_s=40.0, f_min_hz=1 / 40, f_max_hz=2.0, points_per_decade=8,
         sample_rate_hz=40.0, periods=3))
     spectra = per_period_spectra(current, voltage)
-    curve = nonparametric_impedance(spectra, spec.harmonics)
+    curve = nonparametric_impedance(spectra, EstimationConfig(bin_mask=spec.harmonics))
     oracle = randles_impedance(sim_params, 2 * np.pi * curve.freq_hz)
     assert np.abs(curve.z_ohm - oracle).max() < 1e-10 * np.abs(oracle).max()
 
@@ -239,8 +240,9 @@ def test_nonparametric_invariant_to_common_scaling(sim_params):
     s1 = per_period_spectra(current, voltage)
     s2 = per_period_spectra(current.with_samples(gamma * current.samples),
                             voltage.with_samples(gamma * voltage.samples))
-    c1 = nonparametric_impedance(s1, spec.harmonics)
-    c2 = nonparametric_impedance(s2, spec.harmonics)
+    cfg = EstimationConfig(bin_mask=spec.harmonics)
+    c1 = nonparametric_impedance(s1, cfg)
+    c2 = nonparametric_impedance(s2, cfg)
     assert c2.z_ohm == pytest.approx(c1.z_ohm, rel=1e-12)
 
 
@@ -270,10 +272,10 @@ def test_nonparametric_skips_weak_bins_with_warning():
     doctored = per_period_spectra(
         current.with_samples(current.samples - current.samples), voltage)
     with pytest.raises(ValueError), pytest.warns(UserWarning, match="vanishing"):
-        nonparametric_impedance(doctored, [1])
+        nonparametric_impedance(doctored, EstimationConfig(bin_mask=[1]))
     with pytest.warns(UserWarning, match="vanishing"):
         curve = nonparametric_impedance(
-            _doctor_weak_bin(spectra, bin_index=5), [4, 5])
+            _doctor_weak_bin(spectra, bin_index=5), EstimationConfig(bin_mask=[4, 5]))
     assert curve.freq_hz.size == 1
 
 
@@ -288,5 +290,6 @@ def test_nonparametric_drops_dc_and_nyquist_with_the_mask_warning():
     voltage = current.with_samples(current.samples)
     spectra = per_period_spectra(current, voltage)
     with pytest.warns(UserWarning, match="^2 of 3 mask bins outside the window$"):
-        curve = nonparametric_impedance(spectra, [0, 3, 16])  # 16 is the segment Nyquist bin
+        cfg = EstimationConfig(bin_mask=[0, 3, 16])  # 16 is the segment Nyquist bin
+        curve = nonparametric_impedance(spectra, cfg)
     assert curve.freq_hz.tolist() == [3.0]
