@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ecmfit import fit_randles
+from .ecmfit import fit_randles, init_from_coefficients
 from .errors import NumericsError, SchemaError
 from .estimator import EstimationConfig, nonparametric_impedance, parametric_impedance, \
     relative_error_curve, wtls_estimate
@@ -267,8 +267,12 @@ def cmd_eis(args, cfg: dict) -> str:
 
 
 def cmd_fit(args, cfg: dict) -> str:
-    result = load(args.estimate, RATIONAL_SCHEMA, "estimate file",
-                  lambda d: fit_randles(HalfOrderRational(a=d["a"], b=d["b"])))
+    def rational(d: dict) -> HalfOrderRational:  # ecmfit's (3, 3) check, reported as a bad file
+        r = HalfOrderRational(a=d["a"], b=d["b"])
+        init_from_coefficients(r)
+        return r
+
+    result = fit_randles(load(args.estimate, RATIONAL_SCHEMA, "estimate file", rational))
     dump(_out(args) / "fit.json", result.to_dict())
     p = result.params
     rows = (("R_S [ohm]", p.r_s), ("R_CT [ohm]", p.r_ct), ("C_DL [F]", p.c_dl),

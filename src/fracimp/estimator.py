@@ -147,8 +147,12 @@ def _columns(spectra: SpectralSet, bins: np.ndarray, cfg: EstimationConfig):
     [(jw)^{n/2} V(k)]_{n=1..Na} | [-(jw)^{n/2} I(k)]_{n=0..Nb} | [(jw)^{r/2}]_{r=0..Nr}.
     The (a/b columns, bins) multipliers carry a column's channel noise into
     the regressor: (jw)^{n/2} on a_n and -(jw)^{n/2} on b_n.  Each column's
-    channel is 0 for V, 1 for I and 2 for none (the transient c).
+    channel is 0 for V, 1 for I and 2 for none (the transient c).  Fewer than
+    n_a + n_b + n_r + 2 stacked rows (two per bin) raise before any array exists.
     """
+    if 2 * bins.size < (cols := cfg.n_a + cfg.n_b + cfg.n_r + 2):
+        raise ValueError(f"{2 * bins.size} stacked rows < {cols} columns; "
+                         "select more bins or reduce model orders")
     q = _sqrt_j_omega(2.0 * np.pi * spectra.freq_hz[bins])
     basis = np.stack([q**n for n in range(max(cfg.n_a, cfg.n_b, cfg.n_r) + 1)])
     a, b = basis[1: cfg.n_a + 1], -basis[: cfg.n_b + 1]
@@ -187,13 +191,8 @@ def _solve(stacked: np.ndarray, gram: np.ndarray, order: np.ndarray,
     correlation before the SVD.
     Plain TLS is the case G = _column_gram(K), where every column is noisy
     and a ridge would only rescale G; the weighted passes give the noise Gram
-    and _GRAM_RIDGE.
+    and _GRAM_RIDGE.  _columns has checked that K has no fewer rows than columns.
     """
-    if stacked.shape[0] < stacked.shape[1]:
-        raise ValueError(
-            f"{stacked.shape[0]} stacked rows < {stacked.shape[1]} columns; "
-            "select more bins or reduce model orders"
-        )
     r = np.linalg.qr(stacked, mode="r")
     f = order.size - gram.shape[0]  # the number of noise-free columns
     diag = np.sqrt(np.diag(gram))
@@ -246,8 +245,10 @@ def equation_error_sigma(spectra: SpectralSet, rational: HalfOrderRational,
     sigma_E^2 = |A|^2 var_V + |B|^2 var_I - 2 Re{A covar_VI B*}, evaluated as
     the quadratic form of [a | b] in the per-bin noise table; round-off
     negatives are clamped to zero and the result floored so weights stay
-    finite on noiseless bins.
+    finite on noiseless bins.  _columns checks the config's orders first.
     """
+    bins = cfg.selected_bins(spectra)
+    _, mix, channel = _columns(spectra, bins, cfg)
     if (rational.a.size, rational.b.size - 1) != (cfg.n_a, cfg.n_b):
         raise ValueError(f"rational has orders (n_a, n_b) = ({rational.a.size}, "
                          f"{rational.b.size - 1}) but the config has ({cfg.n_a}, {cfg.n_b})")
@@ -256,8 +257,6 @@ def equation_error_sigma(spectra: SpectralSet, rational: HalfOrderRational,
             "noise covariances unavailable (single period); only the unweighted "
             "estimate (iterations=0) applies"
         )
-    bins = cfg.selected_bins(spectra)
-    _, mix, channel = _columns(spectra, bins, cfg)
     table = _noise_table(spectra, bins, mix, channel[channel < 2])
     return _sigma_e(table, np.concatenate([rational.a, rational.b]))
 

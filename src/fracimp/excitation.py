@@ -226,8 +226,10 @@ def design_odd_quasilog(
 
 
 def _tile(one_period: np.ndarray, periods: int) -> np.ndarray:
-    """`periods` copies of one period; ValueError if numpy cannot index that many samples
-    or `periods` is not a whole number (2.0 counts as 2)."""
+    """`periods` copies of one period; ValueError naming `periods` unless it is a whole
+    number (2.0 counts as 2) from 1 up to as many periods as numpy can index."""
+    if periods < 1:  # NaN falls through to the whole-number rule
+        raise ValueError("periods must be >= 1")
     if one_period.size * periods > np.iinfo(np.intp).max:
         raise ValueError(f"periods={periods:.6g} makes a record of more than "
                          f"{np.iinfo(np.intp).max} samples")

@@ -2,7 +2,7 @@
 
 `load` also reports, in the same "invalid <what> <path>: <cause>" form, the
 rules a schema cannot state, which the caller's `build` enforces: strictly
-increasing harmonics, a_1 != 0, a whole number of samples per period.
+increasing harmonics, a_1 != 0, whole samples per period, (3, 3) fit orders.
 
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft
@@ -23,8 +23,6 @@ import json
 import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .errors import SchemaError
 
@@ -48,8 +46,8 @@ _TYPES = {
 def load(path: str | Path, schema: dict, what: str, build=None):
     """The JSON value in `path`, checked, or `build` of it when given.
 
-    Every failure is a SchemaError that reads "invalid <what> <path>: ...",
-    a ValueError from `build` included, except a numpy linear-algebra error.
+    Every failure is a SchemaError "invalid <what> <path>: ...", any ValueError
+    from `build` included (numpy's LinAlgError too), so `build` only checks.
     """
     context = f"invalid {what} {path}"
     try:
@@ -61,8 +59,6 @@ def load(path: str | Path, schema: dict, what: str, build=None):
     value = check(value, schema, context)
     try:
         return value if build is None else build(value)
-    except np.linalg.LinAlgError:  # a numerical failure, not a bad file
-        raise
     except ValueError as exc:
         raise SchemaError(f"{context}: {exc}") from exc
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -921,6 +922,22 @@ def test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["estimate", *argv[1:], "--out", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("order", ["n_a", "n_b", "n_r"])
+def test_estimate_refuses_huge_orders_before_building_the_regressor(tmp_path, capsys, order):
+    # 1e30 is a whole number to the schema; its columns would outnumber any record's rows
+    record = str(_run_simulate(tmp_path) / "record.csv")
+    config, out = _json(tmp_path, "est.json", {order: 1e30}), tmp_path / "out"
+    start = time.perf_counter()
+    assert main(["estimate", "--record", record, "--config", config,
+                 "--out", str(out), "--quiet"]) == 1
+    assert time.perf_counter() - start < 1.0
+    columns = sum({"n_a": 3, "n_b": 3, "n_r": 1, order: int(1e30)}.values()) + 2
+    # the default config takes bins 1..199, two rows each
+    assert capsys.readouterr().err == (f"error: 398 stacked rows < {columns} columns; "
+                                       "select more bins or reduce model orders\n")
     assert not out.exists()
 
 

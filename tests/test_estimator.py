@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 import warnings
 
 import numpy as np
@@ -65,8 +66,9 @@ def test_regressor_smallest_row():
     i_val, v_val = 0.3 - 0.1j, 0.2 + 0.5j
     spectra = spectral_set(2.0, [0, i_val, 0], [0, v_val, 0])
     cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, bin_window=(1, 1), iterations=0)
-    row, mix, channel = _columns(spectra, np.array([1]), cfg)
-    assert row.shape == (1, 3)
+    # two bins: one gives two stacked rows for the three columns, which _columns refuses
+    row, mix, channel = _columns(spectra, np.array([1, 2]), cfg)
+    assert row.shape == (2, 3)
     q = np.sqrt(2 * np.pi * 0.5) * Q45
     assert row[0] == pytest.approx([q * v_val, -i_val, 1.0], rel=1e-14)
     assert mix[:, 0] == pytest.approx([q, -1.0], rel=1e-14)  # (jw)^{1/2} on a_1, -1 on b_0
@@ -151,8 +153,27 @@ def test_tls_ambiguity_warning_on_two_dim_null_space():
 
 def test_tls_requires_enough_rows():
     # n_a = 1, n_b = 0, n_r = 0: three columns, one bin gives two stacked rows
-    with pytest.raises(ValueError, match="rows"):
-        _tls(np.ones((1, 3), dtype=complex))
+    spectra = spectral_set(2.0, [0, 1, 0], [0, 1, 0])
+    cfg = EstimationConfig(n_a=1, n_b=0, n_r=0, iterations=0)
+    with pytest.raises(ValueError, match=r"^2 stacked rows < 3 columns; select more bins "
+                                         r"or reduce model orders$"):
+        _columns(spectra, np.array([1]), cfg)
+
+
+@pytest.mark.parametrize("order", ["n_a", "n_b", "n_r"])
+def test_huge_model_orders_are_refused_before_any_array_is_built(order):
+    # 10**30 columns would start a basis of 10**30 powers; the rule comes first
+    spectra = spectral_set(1.0, np.ones(101), np.ones(101), var_current=np.ones(101),
+                           var_voltage=np.ones(101), covar_vi=np.zeros(101))
+    cfg = EstimationConfig(**{order: 10**30}, bin_window=(1, 50))
+    rational = HalfOrderRational(a=[1.0, 0.1, 0.01], b=[0.1, 0.2, 0.03, 0.004])
+    message = r"^100 stacked rows < 1\d{30} columns; select more bins or reduce model orders$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        wtls_estimate(spectra, cfg)
+    with pytest.raises(ValueError, match=message):
+        equation_error_sigma(spectra, rational, cfg)
+    assert time.perf_counter() - start < 1.0
 
 
 def _full_row_solve(stacked, gram, ridge=0.0):

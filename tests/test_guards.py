@@ -80,6 +80,13 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  "periods must be a whole number", id="noise periods fractional"),
     pytest.param(lambda: generate_periodic_noise(1.0, 4.0, _NAN, seed=0),
                  "periods must be a whole number", id="noise periods nan"),
+    # numpy would refuse -1 as a negative dimension and 0 as an empty record
+    pytest.param(lambda: generate_periodic_noise(1.0, 4.0, -1), "periods must be >= 1",
+                 id="noise periods negative"),
+    pytest.param(lambda: generate_periodic_noise(1.0, 4.0, 0), "periods must be >= 1",
+                 id="noise periods 0"),
+    pytest.param(lambda: synthesize_multisine(MultisineSpec(1.0, [1], [1.0], [0.0]), 4.0, 0),
+                 "periods must be >= 1", id="multisine periods 0"),
     # an int beyond the float range is no whole bin number either
     pytest.param(lambda: EstimationConfig(bin_mask=[10**400]),
                  "bin_mask must hold whole bin numbers", id="config bin_mask beyond float"),

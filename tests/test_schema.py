@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fracimp
@@ -239,6 +240,19 @@ def test_load_reports_a_build_value_error_naming_the_file(tmp_path):
         load(path, {"type": "object"}, "estimate file", build)
     assert str(info.value) == f"invalid estimate file {path}: a_1 must be nonzero, got 0.0"
     assert load(path, {"type": "object"}, "estimate file", lambda v: v["a"]) == [0.0]
+
+
+def test_load_reports_a_build_linalg_error_like_any_value_error(tmp_path):
+    # numpy's LinAlgError is a ValueError: a `build` that raises one has refused the file
+    path = tmp_path / "x.json"
+    path.write_text("{}")
+
+    def build(value):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with pytest.raises(SchemaError) as info:
+        load(path, {"type": "object"}, "estimate file", build)
+    assert str(info.value) == f"invalid estimate file {path}: Singular matrix"
 
 
 def test_load_passes_a_schema_error_through_without_building(tmp_path):
