@@ -303,6 +303,9 @@ def cmd_compare(args, cfg: dict) -> str:
     d_below, d_above = np.abs(f_par[below] - f_np), np.abs(f_par[above] - f_np)
     take_below = (d_below < d_above) | ((d_below == d_above) & (below < above))
     nearest = np.where(take_below, below, above)
+    # not an exact match: bode.csv holds parametric_impedance's omega / (2 pi),
+    # which differs from eis.csv's k / period_s in the last bit (241 of the 2 000
+    # rows of the README noise walkthrough, seed 1)
     idx_np = np.flatnonzero(np.abs(f_par[nearest] - f_np) <= 1e-9 * np.maximum(f_np, 1.0))
     if not idx_np.size:
         raise SchemaError("nonparametric and parametric grids share no frequencies")
@@ -381,7 +384,7 @@ def main(argv=None) -> int:
     except (NumericsError, np.linalg.LinAlgError) as exc:  # before its base, ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, ValueError) as exc:
+    except (SchemaError, ValueError, MemoryError) as exc:  # a record too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not args.quiet:

@@ -560,6 +560,24 @@ def test_simulate_periods_beyond_the_index_range_exit_1(tmp_path, capsys, excita
     assert not out.exists()
 
 
+# each record is above 2^57 bytes (128 PiB), beyond any address space numpy could map
+@pytest.mark.parametrize("command, payload", [
+    ("simulate", {**SIM_CONFIG, "excitation": {"type": "noise"}, "period_s": 200.0,
+                  "sample_rate_hz": 200.0, "periods": 1_000_000_000_000}),  # 284 PiB
+    ("design", {"period_s": 200.0, "f_min_hz": 0.005, "f_max_hz": 10.0,
+                "points_per_decade": 12, "seed": 1, "rms_a": 0.5,
+                "sample_rate_hz": 1e14, "periods": 1}),  # 142 PiB
+], ids=["simulate", "design"])
+def test_a_record_too_large_to_allocate_exits_1(tmp_path, capsys, command, payload):
+    config = _json(tmp_path, f"{command}.json", payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_design_nyquist_violation_exit_1(tmp_path):
     config = _json(tmp_path, "design.json", {
         "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,
