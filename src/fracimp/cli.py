@@ -16,6 +16,9 @@ unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
 strictly increasing harmonics, a_1 != 0, whole periods (in the sidecar) and
 the (3, 3) orders that `fit` needs.
+A multisine spec's period is checked against the config (`simulate`) or the
+record (`estimate`, `eis`) that it excites.  `main` reports the other input
+errors of `design` and `simulate` as the config's.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
 (a NumericsError or a numpy linear-algebra error).
 """
@@ -166,22 +169,34 @@ def _child_seed(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _check_spec_period(spec: MultisineSpec, spec_path: str, period_s: float, where: str):
+    """SchemaError unless the spec's period is `where`'s `period_s`, to 1e-12 relative."""
+    if not np.isclose(spec.period_s, period_s, rtol=1e-12, atol=0.0):
+        raise SchemaError(f"multisine spec {spec_path} period_s {spec.period_s} "
+                          f"disagrees with {where} period_s {period_s}")
+
+
 def _build_excitation(cfg: dict, seed: int, config_path: str):
     exc = cfg["excitation"]
-    if exc["type"] == "noise":
+    noise = exc["type"] == "noise"
+    # noise reads only its type; a multisine its spec file, or else its band
+    unread = [key for key in exc
+              if key != "type" and (noise or (key in _BAND and "multisine_path" in exc))]
+    if unread:
+        reader = "noise excitation" if noise else "a multisine from multisine_path"
+        raise ValueError(f"excitation.{unread[0]} is not read by {reader}")
+    if noise:
         record = generate_periodic_noise(cfg["period_s"], cfg["sample_rate_hz"], cfg["periods"],
                                          seed=seed)
         return scale_to_rms(record, cfg["rms_a"]), None
     if "multisine_path" in exc:
         spec = _load_multisine(exc["multisine_path"])
-        if not np.isclose(spec.period_s, cfg["period_s"], rtol=1e-12, atol=0.0):
-            raise SchemaError(f"multisine spec {exc['multisine_path']} period_s {spec.period_s} "
-                              f"disagrees with config {config_path} period_s {cfg['period_s']}")
+        _check_spec_period(spec, exc["multisine_path"], cfg["period_s"], f"config {config_path}")
     elif _BAND.keys() <= exc.keys():
         spec = _design(exc, cfg["period_s"], seed)
     else:
-        raise SchemaError("multisine excitation needs either multisine_path or "
-                          "f_min_hz/f_max_hz/points_per_decade")
+        raise ValueError("multisine excitation needs either multisine_path or "
+                         "f_min_hz/f_max_hz/points_per_decade")
     record = synthesize_multisine(spec, cfg["sample_rate_hz"], cfg["periods"])
     return scale_to_rms(record, cfg["rms_a"]), spec
 
@@ -217,15 +232,20 @@ def _estimate_on_record(args, cfg: dict, estimator):
     its `selected_bins` do, is re-raised as "invalid config <path>: <key> ...".
     """
     if "excited_bins" in cfg and "multisine_path" in cfg:
-        raise SchemaError("give excited_bins or multisine_path, not both")
+        raise SchemaError(f"invalid config {args.config}: give excited_bins or multisine_path, "
+                          "not both")
     mask = cfg.get("excited_bins")  # EstimationConfig makes it an int array
     if "multisine_path" in cfg:
-        mask = _load_multisine(cfg["multisine_path"]).harmonics
+        spec = _load_multisine(cfg["multisine_path"])
+        mask = spec.harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
     try:
         est_cfg = EstimationConfig(bin_window=window, bin_mask=mask, **given)
         current, voltage, _ = read_record(args.record)
+        if "multisine_path" in cfg:
+            _check_spec_period(spec, cfg["multisine_path"], current.period_s,
+                               f"record {args.record}")
         spectra = per_period_spectra(current, voltage)
         return spectra, estimator(spectra, est_cfg)
     except ValueError as exc:
@@ -368,6 +388,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_error(args, exc: Exception) -> str:
+    """The exit-1 message of `exc`.  A SchemaError names its file.  Every input of
+    design and simulate is a key of the config or of a spec file that its
+    SchemaError names, so their other errors are reported as the config's."""
+    message = str(exc)
+    if isinstance(exc, SchemaError) or args.func not in (cmd_design, cmd_simulate):
+        return message
+    if isinstance(exc, MemoryError):
+        message += " (a record has sample_rate_hz * period_s * periods samples)"
+    return f"invalid config {args.config}: {message}"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -385,7 +417,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, ValueError, MemoryError) as exc:  # a record too large to allocate
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_input_error(args, exc)}", file=sys.stderr)
         return 1
     if not args.quiet:
         print(text)

@@ -34,10 +34,15 @@ SIM_CONFIG = {
     "seed": 77,
 }
 
+_HUGE = 10**400  # json reads an integer of any size; no float holds this one
+_DESIGN_CONFIG = {"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8,
+                  "seed": 5, "rms_a": 0.5, "sample_rate_hz": 20.0, "periods": 2}
+
 
 def _json(tmp_path, name, payload):
+    """`payload` written to tmp_path / name, with "{tmp}" in it standing for tmp_path."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload).replace("{tmp}", str(tmp_path)))
     return str(path)
 
 
@@ -129,16 +134,11 @@ def test_seed_flag_overrides_config(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["design", "simulate"])
-@pytest.mark.parametrize("seed,message", [
-    ("-1", "error: invalid option: --seed must be >= 0, got -1\n"),
-    ("2.5", "error: argument --seed: invalid int value: '2.5'\n"),
-], ids=["negative", "fraction"])
-def test_seed_flag_outside_the_seed_rule_exit_1_naming_the_flag(tmp_path, capsys, command,
-                                                                  seed, message):
+def test_fractional_seed_flag_is_a_usage_error(tmp_path, capsys, command):
     config = _json(tmp_path, "c.json", _DESIGN_CONFIG if command == "design" else SIM_CONFIG)
     out = tmp_path / "out"
-    assert main([command, "--config", config, "--out", str(out), "--seed", seed, "--quiet"]) == 1
-    assert capsys.readouterr().err.endswith(message)
+    assert main([command, "--config", config, "--out", str(out), "--seed", "2.5", "--quiet"]) == 1
+    assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: '2.5'\n")
     assert not out.exists()
 
 
@@ -151,103 +151,6 @@ def test_seed_flag_outside_the_seed_rule_exit_1_naming_the_flag(tmp_path, capsys
 def test_seed_flag_is_a_usage_error_where_no_rng_runs(capsys, command, extra):
     assert main([command, *extra, "--seed", "3", "--quiet"]) == 1
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("given,missing", [
-    ({"sample_rate_hz": 20.0}, "periods"),
-    ({"periods": 2}, "sample_rate_hz"),
-    ({"rms_a": 0.5}, "sample_rate_hz"),
-    ({"rms_a": 0.5, "sample_rate_hz": 20.0}, "periods"),
-])
-def test_design_synthesis_keys_come_together(tmp_path, capsys, given, missing):
-    config = _json(tmp_path, "design.json", {
-        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8,
-        **given})
-    out = tmp_path / "design"
-    assert main(["design", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert f"invalid config {config}: missing key {missing}, required with" in \
-        capsys.readouterr().err
-    assert not out.exists()
-
-
-def _spec_mutations(spec):
-    """Bad specs and the problem each must name; all but the last pass an int()/float() cast."""
-    h, amp = spec["harmonics"], spec["amplitudes"]
-    return [
-        ({"harmonics": [h[0] + 0.5, *h[1:]]}, "harmonics[0] must be of type integer"),
-        ({"harmonics": [True, *h[1:]]}, "harmonics[0] must be of type integer"),
-        ({"period_s": str(spec["period_s"])}, "period_s must be of type number"),
-        ({"amplitudes": [str(a) for a in amp]}, "amplitudes[0] must be of type number"),
-        ({"harmonics": [*h[:-1], 1e30]}, "harmonics must hold whole bin numbers"),
-        ({"harmonics": h[::-1]}, "harmonics must be strictly increasing"),
-    ]
-
-
-@pytest.mark.parametrize("command", ["simulate", "estimate", "eis"])
-def test_bad_multisine_spec_exit_1_naming_file_and_key(tmp_path, capsys, command):
-    out = _run_simulate(tmp_path)
-    spec = json.loads((out / "multisine.json").read_text())
-    for i, (change, problem) in enumerate(_spec_mutations(spec)):
-        path = _json(tmp_path, f"ms{i}.json", {**spec, **change})
-        if command == "simulate":
-            config = _json(tmp_path, "c.json", {
-                **SIM_CONFIG, "excitation": {"type": "multisine", "multisine_path": path}})
-            argv = ["simulate", "--config", config]
-        else:
-            config = _json(tmp_path, "c.json", {"multisine_path": path})
-            argv = [command, "--record", str(out / "record.csv"), "--config", config]
-        assert main([*argv, "--out", str(tmp_path / f"o{i}"), "--quiet"]) == 1
-        assert f"error: invalid multisine spec {path}: {problem}" in capsys.readouterr().err
-
-
-def test_simulate_period_mismatch_names_spec_and_config(tmp_path, capsys):
-    out = _run_simulate(tmp_path)
-    spec = str(out / "multisine.json")
-    config = _json(tmp_path, "c.json", {
-        **SIM_CONFIG, "period_s": 40.0,
-        "excitation": {"type": "multisine", "multisine_path": spec}})
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 1
-    assert (f"error: multisine spec {spec} period_s 20.0 disagrees with config {config} "
-            "period_s 40.0") in capsys.readouterr().err
-
-
-def test_simulate_period_check_is_relative(tmp_path, capsys):
-    # 1e-11 relative is 5e-11 s at a 5 s period: under numpy's default 1e-8
-    # absolute tolerance, yet a period the config does not have
-    spec = _json(tmp_path, "ms.json", {"period_s": 5.0 * (1 + 1e-11), "harmonics": [1, 3],
-                                       "amplitudes": [1.0, 1.0], "phases": [0.0, 1.0]})
-    config = _json(tmp_path, "c.json", {
-        **SIM_CONFIG, "period_s": 5.0, "sample_rate_hz": 2.0,
-        "excitation": {"type": "multisine", "multisine_path": spec}})
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o"),
-                 "--quiet"]) == 1
-    assert f"disagrees with config {config} period_s 5.0" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key,bad,problem", [
-    ("a", lambda v: [str(x) for x in v], "a[0] must be of type number"),
-    ("a", lambda v: [True, *v[1:]], "a[0] must be of type number"),
-    ("b", lambda v: v[0], "b must be of type array"),
-    ("a", lambda v: [0.0, *v[1:]], "a_1 must be nonzero"),
-])
-def test_bad_estimate_file_exit_1_naming_file_and_key(tmp_path, capsys, key, bad, problem):
-    from fracimp import randles_to_rational
-    truth = randles_to_rational(SIM_PARAMS)
-    good = {"a": truth.a.tolist(), "b": truth.b.tolist()}
-    est = _json(tmp_path, "estimate.json", {**good, key: bad(good[key])})
-    assert main(["fit", "--estimate", est, "--out", str(tmp_path / "fit"), "--quiet"]) == 1
-    assert f"error: invalid estimate file {est}: {problem}" in capsys.readouterr().err
-    assert not (tmp_path / "fit").exists()
-
-
-def test_estimate_rejects_retired_grid_points_key(tmp_path, capsys):
-    out = _run_simulate(tmp_path)
-    est_cfg = _json(tmp_path, "est.json", {"grid_points": 50})
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
-    assert f"error: invalid config {est_cfg}: unknown key grid_points" in \
-        capsys.readouterr().err
 
 
 def test_eis_detects_excited_bins_and_matches_model(tmp_path):
@@ -277,57 +180,6 @@ def test_compare_produces_small_errors_on_noiseless_data(tmp_path):
     err = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1, ndmin=2)
     assert err.shape[0] > 0
     assert err[:, 1].max() < 1e-8
-
-
-def test_compare_disjoint_grids_exit_1(tmp_path):
-    a = tmp_path / "a.csv"
-    a.write_text("freq_hz,re_ohm,im_ohm\n1.0,1.0,0.0\n")
-    b = tmp_path / "b.csv"
-    b.write_text("freq_hz,mag_ohm,phase_deg\n2.0,1.0,0.0\n")
-    assert main(["compare", "--nonpar", str(a), "--par", str(b),
-                 "--out", str(tmp_path), "--quiet"]) == 1
-
-
-@pytest.mark.parametrize("par_rows, problem", [
-    ("0.005,1.0\n", "row 2 has 2 fields, expected 3"),
-    ("0.005,1,3 # x\n", "row 2 is not numeric"),
-    ("0.005,nan,3\n", "row 2 has a non-finite mag_ohm value"),
-    ("", "no data rows"),
-])
-def test_compare_rejects_bad_csv_naming_the_file(tmp_path, capsys, par_rows, problem):
-    nonpar = tmp_path / "eis.csv"
-    nonpar.write_text("freq_hz,re_ohm,im_ohm\n0.005,1.0,0.0\n")
-    par = tmp_path / "bode.csv"
-    par.write_text("freq_hz,mag_ohm,phase_deg\n" + par_rows)
-    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
-                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
-    assert f"error: {par}: {problem}" in capsys.readouterr().err
-    assert not (tmp_path / "cmp" / "error.csv").exists()
-
-
-@pytest.mark.parametrize("lines, problem", [
-    (["1.0,x,0.0", "2.0,1.0,0.0"], "row 2 is not numeric"),
-    (["1.0,1.0,0.0", "2.0,1.0,0.0", "3.0,1.0"], "row 4 has 2 fields, expected 3"),
-    (["1.0,1.0,0.0", "2.0,nan,0.0"], "row 3 has a non-finite re_ohm value"),
-    (["1.0,1.0,0.0", "", "2.0,nan,0.0"], "row 4 has a non-finite re_ohm value"),
-])
-def test_compare_names_the_file_line(tmp_path, capsys, lines, problem):
-    nonpar = tmp_path / "eis.csv"
-    nonpar.write_text("\n".join(["freq_hz,re_ohm,im_ohm", *lines]) + "\n")
-    par = tmp_path / "bode.csv"
-    par.write_text("freq_hz,mag_ohm,phase_deg\n1.0,1.0,0.0\n")
-    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
-                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
-    assert f"error: {nonpar}: {problem}" in capsys.readouterr().err
-
-
-def test_compare_missing_input_exit_1_naming_the_file(tmp_path, capsys):
-    par = tmp_path / "bode.csv"
-    par.write_text("freq_hz,mag_ohm,phase_deg\n1.0,1.0,0.0\n")
-    missing = tmp_path / "eis.csv"
-    assert main(["compare", "--nonpar", str(missing), "--par", str(par),
-                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 1
-    assert f"error: file not found: {missing}" in capsys.readouterr().err
 
 
 def _compare_by_argmin(f_np, z_np, f_par, z_par):
@@ -487,106 +339,6 @@ def test_simulation_protocol_row_count(tmp_path):
     assert n_rows == 200_000
 
 
-def test_schema_violation_exit_1(tmp_path):
-    config = _json(tmp_path, "bad.json", {**SIM_CONFIG, "unexpected_key": 1})
-    assert main(["simulate", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
-
-
-def test_infinite_snr_is_rejected_naming_the_key(tmp_path, capsys):
-    # Python's json reads Infinity; it used to write a silently noiseless record
-    config = _json(tmp_path, "inf.json", {**SIM_CONFIG, "snr": float("inf")})
-    assert "Infinity" in (tmp_path / "inf.json").read_text()
-    out = tmp_path / "inf"
-    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert "snr must be a finite number" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_nan_frequency_is_rejected_naming_the_key(tmp_path, capsys):
-    config = _json(tmp_path, "nan.json", {
-        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": float("nan"), "points_per_decade": 8})
-    assert main(["design", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
-    assert "f_max_hz must be a finite number" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key,value,problem", [
-    ("period_s", float("inf"), "must be a finite number"),
-    ("periods", 2.5, "must be of type integer"),
-    ("sample_rate_hz", float("nan"), "must be a finite number"),
-])
-def test_bad_sidecar_value_exit_1_naming_sidecar_and_key(tmp_path, capsys, key, value, problem):
-    out = _run_simulate(tmp_path)
-    meta_path = out / "record.meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta_path.write_text(json.dumps({**meta, key: value}))
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert f"invalid metadata sidecar {meta_path}: {key} {problem}" in err
-
-
-def test_overflowing_sidecar_exit_1_naming_sidecar(tmp_path, capsys):
-    out = _run_simulate(tmp_path)
-    meta_path = out / "record.meta.json"
-    meta = json.loads(meta_path.read_text())
-    meta_path.write_text(json.dumps({**meta, "sample_rate_hz": 1e200, "period_s": 1e200}))
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert f"invalid metadata sidecar {meta_path}: " in err
-    assert "not a finite sample count" in err
-
-
-@pytest.mark.parametrize("command", ["estimate", "eis"])
-def test_fractional_period_sidecar_exit_1_naming_sidecar(tmp_path, capsys, command):
-    # 9 rows = 2 periods of 4.5 samples: the row count agrees, the period split cannot
-    csv = tmp_path / "rec.csv"
-    write_csv(csv, "time_s,current_a,voltage_v", (np.arange(9) / 3.0, np.ones(9), np.ones(9)))
-    meta_path = tmp_path / "rec.meta.json"
-    meta_path.write_text(json.dumps({"sample_rate_hz": 3.0, "periods": 2, "period_s": 1.5}))
-    assert main([command, "--record", str(csv), "--out", str(tmp_path / "out"),
-                 "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert f"invalid metadata sidecar {meta_path}: period_s*sample_rate_hz = 4.5 is not" in err
-
-
-@pytest.mark.parametrize("excitation", [SIM_CONFIG["excitation"], {"type": "noise"}])
-def test_simulate_periods_beyond_the_index_range_exit_1(tmp_path, capsys, excitation):
-    config = _json(tmp_path, "sim.json", {**SIM_CONFIG, "excitation": excitation,
-                                          "periods": 1e25})
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err.startswith("error: periods=1e+25 makes a record of more")
-    assert not out.exists()
-
-
-# each record is above 2^57 bytes (128 PiB), beyond any address space numpy could map
-@pytest.mark.parametrize("command, payload", [
-    ("simulate", {**SIM_CONFIG, "excitation": {"type": "noise"}, "period_s": 200.0,
-                  "sample_rate_hz": 200.0, "periods": 1_000_000_000_000}),  # 284 PiB
-    ("design", {"period_s": 200.0, "f_min_hz": 0.005, "f_max_hz": 10.0,
-                "points_per_decade": 12, "seed": 1, "rms_a": 0.5,
-                "sample_rate_hz": 1e14, "periods": 1}),  # 142 PiB
-], ids=["simulate", "design"])
-def test_a_record_too_large_to_allocate_exits_1(tmp_path, capsys, command, payload):
-    config = _json(tmp_path, f"{command}.json", payload)
-    out = tmp_path / "out"
-    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-def test_design_nyquist_violation_exit_1(tmp_path):
-    config = _json(tmp_path, "design.json", {
-        "period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,
-        "points_per_decade": 6, "seed": 5,
-        "sample_rate_hz": 20.0, "periods": 1,
-    })
-    assert main(["design", "--config", config, "--out", str(tmp_path), "--quiet"]) == 1
-
-
 def test_estimate_with_explicit_excited_bins(tmp_path):
     out = _run_simulate(tmp_path)
     spec = json.loads((out / "multisine.json").read_text())
@@ -598,64 +350,6 @@ def test_estimate_with_explicit_excited_bins(tmp_path):
     assert estimate["a"][0] == 1.0
     nyquist = (est_out / "nyquist.csv").read_text().splitlines()
     assert nyquist[0] == "re_ohm,neg_im_ohm"
-
-
-@pytest.mark.parametrize("key", ["column_scaling", "noise_whitening"])
-def test_estimate_rejects_removed_variant_keys(tmp_path, key):
-    out = _run_simulate(tmp_path)
-    est_cfg = _json(tmp_path, "est.json", {key: True})
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
-
-
-@pytest.mark.parametrize("command", ["estimate", "eis"])
-@pytest.mark.parametrize("given, field", [
-    pytest.param({"excited_bins": [1e30]}, "excited_bins", id="excited_bins"),
-    pytest.param({"k_min": 1, "k_max": 1e30}, "k_min and k_max", id="k_max"),
-])
-def test_bin_numbers_beyond_int64_exit_1_naming_the_field(tmp_path, capsys, command, given,
-                                                          field):
-    # the config key, not the EstimationConfig field behind it
-    record = str(_run_simulate(tmp_path) / "record.csv")
-    config, out = _json(tmp_path, "c.json", given), tmp_path / "out"
-    assert main([command, "--record", record, "--config", config, "--out", str(out),
-                 "--quiet"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: invalid config {config}: {field} must hold whole bin numbers\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["estimate", "eis"])
-def test_inverted_bin_window_exit_1_naming_the_keys(tmp_path, capsys, command):
-    record = str(_run_simulate(tmp_path) / "record.csv")
-    config = _json(tmp_path, "c.json", {"k_min": 9, "k_max": 3})
-    assert main([command, "--record", record, "--config", config, "--out", str(tmp_path),
-                 "--quiet"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: invalid config {config}: k_min and k_max must satisfy 1 <= k_min <= k_max\n"
-
-
-def test_estimate_rejects_both_mask_sources(tmp_path):
-    out = _run_simulate(tmp_path)
-    est_cfg = _json(tmp_path, "est.json", {
-        "excited_bins": [1, 3], "multisine_path": str(out / "multisine.json")})
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--config", est_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
-
-
-def test_missing_config_exit_1(tmp_path):
-    assert main(["design", "--config", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path), "--quiet"]) == 1
-
-
-def test_malformed_record_exit_1(tmp_path):
-    out = _run_simulate(tmp_path)
-    csv = out / "record.csv"
-    lines = csv.read_text().splitlines()
-    lines[3] = "bogus"
-    csv.write_text("\n".join(lines) + "\n")
-    assert main(["estimate", "--record", str(csv),
-                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
 
 
 def test_usage_error_exit_1():
@@ -792,17 +486,7 @@ def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path
     np.testing.assert_array_equal(error[:, 0], table[:, 0])
 
 
-def test_eis_rejects_retired_detection_factor_key(tmp_path, capsys):
-    out = _run_simulate(tmp_path)
-    eis_cfg = _json(tmp_path, "eis.json", {"detection_factor": 0.01})
-    assert main(["eis", "--record", str(out / "record.csv"),
-                 "--config", eis_cfg, "--out", str(tmp_path / "e"), "--quiet"]) == 1
-    assert f"error: invalid config {eis_cfg}: unknown key detection_factor" in \
-        capsys.readouterr().err
-    assert not (tmp_path / "e").exists()
-
-
-def test_estimate_with_zero_numerator_order(tmp_path, capsys):
+def test_estimate_with_zero_numerator_order(tmp_path):
     out = _run_simulate(tmp_path)
     est_cfg = _json(tmp_path, "est.json", {"n_a": 2, "n_b": 0})
     est_out = tmp_path / "est"
@@ -810,45 +494,7 @@ def test_estimate_with_zero_numerator_order(tmp_path, capsys):
                  "--config", est_cfg, "--out", str(est_out), "--quiet"]) == 0
     estimate = json.loads((est_out / "estimate.json").read_text())
     assert len(estimate["a"]) == 2 and len(estimate["b"]) == 1
-    # the circuit fit still needs the (3, 3) structure
-    assert main(["fit", "--estimate", str(est_out / "estimate.json"),
-                 "--out", str(tmp_path / "fit"), "--quiet"]) == 1
-    assert "(3, 3)" in capsys.readouterr().err
-
-
-_HUGE = 10**400  # json reads an integer of any size; no float holds this one
-_DESIGN_CONFIG = {"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 2.0, "points_per_decade": 8,
-                  "seed": 5, "rms_a": 0.5, "sample_rate_hz": 20.0, "periods": 2}
-
-
-@pytest.mark.parametrize("command,key", [
-    *(("design", key) for key in _DESIGN_CONFIG),
-    *(("simulate", key) for key in ("period_s", "snr", "seed", "randles.r_s_ohm",
-                                    "randles.ocv_v", "excitation.f_max_hz")),
-])
-def test_number_beyond_the_float_range_exit_1_naming_the_key(tmp_path, capsys, command, key):
-    cfg = json.loads(json.dumps(_DESIGN_CONFIG if command == "design" else SIM_CONFIG))
-    *parents, name = key.split(".")
-    node = cfg
-    for parent in parents:
-        node = node[parent]
-    node[name] = _HUGE
-    config, out = _json(tmp_path, "c.json", cfg), tmp_path / "out"
-    assert main([command, "--config", config, "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: invalid config {config}: {key} must be a finite number\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key", ["sample_rate_hz", "periods"])
-def test_sidecar_number_beyond_the_float_range_exit_1_naming_the_key(tmp_path, capsys, key):
-    out = _run_simulate(tmp_path)
-    meta_path = out / "record.meta.json"
-    meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()), key: _HUGE}))
-    assert main(["estimate", "--record", str(out / "record.csv"),
-                 "--out", str(tmp_path / "est"), "--quiet"]) == 1
-    assert capsys.readouterr().err == \
-        f"error: invalid metadata sidecar {meta_path}: {key} must be a finite number\n"
+    # fit refuses these orders: the input error row "fit zero numerator"
 
 
 def test_compare_matches_below_1_hz_within_1e_9_hz(tmp_path):
@@ -860,87 +506,6 @@ def test_compare_matches_below_1_hz_within_1e_9_hz(tmp_path):
                  "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
     rows = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1, ndmin=2)
     assert rows.tolist() == [[0.005, 1.0]]
-
-
-def _argv_and_message(tmp_path, case):
-    record = str(tmp_path / "sim" / "record.csv")
-    if case == "no band":
-        config = _json(tmp_path, "c.json", {
-            **SIM_CONFIG, "excitation": {"type": "multisine", "f_min_hz": 0.05}})
-        return (["simulate", "--config", config],
-                "multisine excitation needs either multisine_path or "
-                "f_min_hz/f_max_hz/points_per_decade")
-    if case == "no record":
-        missing = tmp_path / "none.csv"
-        return ["estimate", "--record", str(missing)], f"record file not found: {missing}"
-    if case.startswith("spec "):
-        change, problem = {
-            "spec period": ({"period_s": -20.0}, "period_s must be positive"),
-            "spec empty": ({"harmonics": [], "amplitudes": [], "phases": []},
-                           "harmonics must be a nonempty 1-D integer array"),
-            "spec lengths": ({"amplitudes": [1.0]},
-                             "amplitudes and phases must match harmonics in shape"),
-            "spec beyond": ({"harmonics": [1, 999]},
-                            "must lie within the spectrum (max bin 200), got 999"),
-        }[case]
-        path = _json(tmp_path, "ms.json", {"period_s": 20.0, "harmonics": [1, 3],
-                                           "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0],
-                                           **change})
-        config = _json(tmp_path, "eis.json", {"multisine_path": path})
-        prefix = (f"invalid config {config}: multisine_path harmonics " if case == "spec beyond"
-                  else f"invalid multisine spec {path}: ")
-        return ["eis", "--record", record, "--config", config], prefix + problem
-    if case.startswith("bins "):  # the record has M = 400 samples per period
-        given, problem = {
-            "bins window": ({"k_min": 1, "k_max": 200},
-                            "k_min and k_max must lie within the usable bins 1..199"),
-            "bins window with spec": ({"k_min": 1, "k_max": 200,
-                                       "multisine_path": str(tmp_path / "sim" / "multisine.json")},
-                                      "k_min and k_max must lie within the usable bins 1..199"),
-            "bins mask": ({"excited_bins": [3, 201]},
-                          "excited_bins must lie within the spectrum (max bin 200), got 201"),
-        }[case]
-        config = _json(tmp_path, "est.json", given)
-        return (["estimate", "--record", record, "--config", config],
-                f"invalid config {config}: {problem}")
-    if case.startswith("band "):
-        change, problem = {
-            "band low": ({"f_min_hz": 0.01}, "f_min_hz must be at least the fundamental 1/period_s"),
-            "band inverted": ({"f_min_hz": 1.0, "f_max_hz": 0.5}, "f_max_hz must be >= f_min_hz"),
-        }[case]
-        return ["design", "--config", _json(tmp_path, "d.json", {**_DESIGN_CONFIG, **change})], \
-            problem
-    coefficients = {"a": [1.0, 0.07, 0.17], "b": [0.05, 0.67, 0.04, 0.1]}
-    coefficients, problem = {
-        "no a": ({**coefficients, "a": []}, "need at least denominator coefficient a_1"),
-        "no b": ({**coefficients, "b": []}, "need numerator coefficient b_0"),
-        "fit orders": ({"a": [1.0, 0.07], "b": [0.05, 0.67, 0.04]},
-                       "Randles recovery needs the (N_a, N_b) = (3, 3) structure"),
-    }[case]
-    path = _json(tmp_path, "estimate.json", coefficients)
-    return ["fit", "--estimate", path], f"invalid estimate file {path}: {problem}"
-
-
-@pytest.mark.parametrize("case", ["no band", "no record", "spec period", "spec empty",
-                                  "spec lengths", "spec beyond", "bins window",
-                                  "bins window with spec", "bins mask",
-                                  "band low", "band inverted", "no a", "no b", "fit orders"])
-def test_outside_input_guards_exit_1_naming_the_cause(tmp_path, capsys, case):
-    _run_simulate(tmp_path)
-    argv, message = _argv_and_message(tmp_path, case)
-    out = tmp_path / "out"
-    assert main([*argv, "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
-def test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis(tmp_path, capsys):
-    _run_simulate(tmp_path)
-    argv, message = _argv_and_message(tmp_path, "spec beyond")  # an eis argv
-    out = tmp_path / "out"
-    assert main(["estimate", *argv[1:], "--out", str(out), "--quiet"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("order", ["n_a", "n_b", "n_r"])
@@ -1040,3 +605,412 @@ def test_every_stage_is_called_through_its_cli_module_global(tmp_path, monkeypat
     assert main(["fit", "--estimate", str(tmp_path / "multisine" / "estimate.json"),
                  "--out", str(tmp_path / "fit"), "--quiet"]) == 0
     assert called == set(_STAGES)
+
+
+# Input errors.  Every row of `_EXIT_1` is an argv builder, which writes the
+# row's inputs under tmp_path, and the exact message of the one `error:` line
+# that argv must print; `_assert_exit_1` checks each row's whole exit-1
+# contract.  "{tmp}" in a message or a written JSON file stands for tmp_path,
+# and the inputs take fixed names there: the config c.json, the multisine spec
+# ms.json, the estimate file estimate.json, compare's eis.csv and bode.csv, and
+# the simulated record sim/record.csv with its sidecar.
+
+def _argv(command, *flags, config=None, spec=None, record=False):
+    """A builder of [command, *flags], with `config` as --config c.json, `spec` in
+    ms.json and, when `record`, a simulated --record."""
+    def build(tmp_path):
+        argv = [command, *flags]
+        if record:
+            argv += ["--record", str(_run_simulate(tmp_path) / "record.csv")]
+        if spec is not None:
+            _json(tmp_path, "ms.json", spec)
+        if config is not None:
+            argv += ["--config", _json(tmp_path, "c.json", config)]
+        return argv
+    return build
+
+
+def _fit(coefficients):
+    return lambda tmp_path: ["fit", "--estimate", _json(tmp_path, "estimate.json", coefficients)]
+
+
+def _compare(nonpar_rows, par_rows):
+    """A builder of compare on eis.csv and bode.csv, which hold the given rows
+    after their headers; eis.csv is not written when `nonpar_rows` is None."""
+    def build(tmp_path):
+        nonpar, par = tmp_path / "eis.csv", tmp_path / "bode.csv"
+        if nonpar_rows is not None:
+            nonpar.write_text("freq_hz,re_ohm,im_ohm\n" + nonpar_rows)
+        par.write_text("freq_hz,mag_ohm,phase_deg\n" + par_rows)
+        return ["compare", "--nonpar", str(nonpar), "--par", str(par)]
+    return build
+
+
+def _sidecar(**changes):
+    """A builder of estimate on a simulated record whose sidecar takes `changes`."""
+    def build(tmp_path):
+        argv = _argv("estimate", record=True)(tmp_path)
+        meta = tmp_path / "sim" / "record.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), **changes}))
+        return argv
+    return build
+
+
+def _fractional_period(command):
+    # 9 rows = 2 periods of 4.5 samples: the row count agrees, the period split cannot
+    def build(tmp_path):
+        write_csv(tmp_path / "rec.csv", "time_s,current_a,voltage_v",
+                  (np.arange(9) / 3.0, np.ones(9), np.ones(9)))
+        _json(tmp_path, "rec.meta.json", {"sample_rate_hz": 3.0, "periods": 2, "period_s": 1.5})
+        return [command, "--record", str(tmp_path / "rec.csv")]
+    return build
+
+
+def _malformed_record(tmp_path):
+    argv = _argv("estimate", record=True)(tmp_path)
+    lines = (tmp_path / "sim" / "record.csv").read_text().splitlines()
+    lines[3] = "bogus"
+    (tmp_path / "sim" / "record.csv").write_text("\n".join(lines) + "\n")
+    return argv
+
+
+def _infinite_snr(tmp_path):
+    # Python's json reads Infinity; it used to write a silently noiseless record
+    argv = _argv("simulate", config={**SIM_CONFIG, "snr": float("inf")})(tmp_path)
+    assert "Infinity" in (tmp_path / "c.json").read_text()
+    return argv
+
+
+def _fit_zero_numerator(tmp_path):
+    argv = _argv("estimate", "--out", str(tmp_path / "est"), "--quiet", record=True,
+                 config={"n_a": 2, "n_b": 0})(tmp_path)
+    assert main(argv) == 0
+    return ["fit", "--estimate", str(tmp_path / "est" / "estimate.json")]
+
+
+def _with_key(cfg: dict, key: str, value) -> dict:
+    """A deep copy of `cfg` with `value` at the dotted key path `key`."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, name = key.split(".")
+    node = cfg
+    for parent in parents:
+        node = node[parent]
+    node[name] = value
+    return cfg
+
+
+_SPEC = {"period_s": 20.0, "harmonics": [1, 3], "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0]}
+_SPEC_MUTATIONS = {  # all but the last pass an int()/float() cast
+    "fractional harmonic": ({"harmonics": [1.5, 3]},
+                            "harmonics[0] must be of type integer, got 1.5"),
+    "boolean harmonic": ({"harmonics": [True, 3]},
+                         "harmonics[0] must be of type integer, got True"),
+    "string period": ({"period_s": "20.0"}, "period_s must be of type number, got '20.0'"),
+    "string amplitudes": ({"amplitudes": ["1.0", "0.5"]},
+                          "amplitudes[0] must be of type number, got '1.0'"),
+    "harmonic beyond int64": ({"harmonics": [1, 1e30]}, "harmonics must hold whole bin numbers"),
+    "decreasing harmonics": ({"harmonics": [3, 1]},
+                             "harmonics must be strictly increasing without duplicates"),
+}
+_MULTISINE_FROM_SPEC = {"type": "multisine", "multisine_path": "{tmp}/ms.json"}
+_COEFFICIENTS = {"a": [1.0, 0.07, 0.17], "b": [0.05, 0.67, 0.04, 0.1]}
+
+
+def _spec_argv(command, spec):
+    """A builder of `command` reading `spec` from ms.json as its multisine_path."""
+    if command == "simulate":
+        return _argv(command, spec=spec, config={**SIM_CONFIG, "excitation": _MULTISINE_FROM_SPEC})
+    return _argv(command, spec=spec, config={"multisine_path": "{tmp}/ms.json"}, record=True)
+
+
+# test name -> row id -> (argv builder, message); a lone row of id None is an
+# unparametrized test.  The ids of cases that were parametrized before this
+# table keep their old spelling, pytest's own ids included, so a test id names
+# the same check across versions.
+_EXIT_1 = {
+    "test_seed_flag_outside_the_seed_rule_exit_1_naming_the_flag": {
+        f"negative-{command}": (_argv(command, "--seed", "-1", config=base),
+                                "invalid option: --seed must be >= 0, got -1")
+        for command, base in (("design", _DESIGN_CONFIG), ("simulate", SIM_CONFIG))
+    },
+    "test_design_synthesis_keys_come_together": {
+        f"given{i}-{missing}": (
+            _argv("design", config={**{key: _DESIGN_CONFIG[key] for key in (
+                "period_s", "f_min_hz", "f_max_hz", "points_per_decade")}, **given}),
+            f"invalid config {{tmp}}/c.json: missing key {missing}, required with {given_key}")
+        for i, (given, missing, given_key) in enumerate([
+            ({"sample_rate_hz": 20.0}, "periods", "sample_rate_hz"),
+            ({"periods": 2}, "sample_rate_hz", "periods"),
+            ({"rms_a": 0.5}, "sample_rate_hz", "rms_a"),
+            ({"rms_a": 0.5, "sample_rate_hz": 20.0}, "periods", "sample_rate_hz"),
+        ])
+    },
+    "test_bad_multisine_spec_exit_1_naming_file_and_key": {
+        f"{command}-{name}": (_spec_argv(command, {**_SPEC, **change}),
+                              f"invalid multisine spec {{tmp}}/ms.json: {problem}")
+        for command in ("simulate", "estimate", "eis")
+        for name, (change, problem) in _SPEC_MUTATIONS.items()
+    },
+    "test_simulate_period_mismatch_names_spec_and_config": {None: (
+        _argv("simulate", spec=_SPEC,
+              config={**SIM_CONFIG, "period_s": 40.0, "excitation": _MULTISINE_FROM_SPEC}),
+        "multisine spec {tmp}/ms.json period_s 20.0 disagrees with config {tmp}/c.json "
+        "period_s 40.0")},
+    # 1e-11 relative is 5e-11 s at a 5 s period: under numpy's default 1e-8
+    # absolute tolerance, yet a period the config does not have
+    "test_simulate_period_check_is_relative": {None: (
+        _argv("simulate", spec={**_SPEC, "period_s": 5.0 * (1 + 1e-11)},
+              config={**SIM_CONFIG, "period_s": 5.0, "sample_rate_hz": 2.0,
+                      "excitation": _MULTISINE_FROM_SPEC}),
+        "multisine spec {tmp}/ms.json period_s 5.00000000005 disagrees with config "
+        "{tmp}/c.json period_s 5.0")},
+    "test_bad_estimate_file_exit_1_naming_file_and_key": {
+        f"{key}-<lambda>-{id_problem}": (
+            _fit({**_COEFFICIENTS, key: bad}),
+            f"invalid estimate file {{tmp}}/estimate.json: {problem}")
+        for key, bad, id_problem, problem in [
+            ("a", ["1.0", "0.07", "0.17"], "a[0] must be of type number0",
+             "a[0] must be of type number, got '1.0'"),
+            ("a", [True, 0.07, 0.17], "a[0] must be of type number1",
+             "a[0] must be of type number, got True"),
+            ("b", 0.05, "b must be of type array", "b must be of type array, got 0.05"),
+            ("a", [0.0, 0.07, 0.17], "a_1 must be nonzero", "a_1 must be nonzero"),
+        ]
+    },
+    "test_estimate_rejects_retired_grid_points_key": {None: (
+        _argv("estimate", config={"grid_points": 50}, record=True),
+        "invalid config {tmp}/c.json: unknown key grid_points")},
+    "test_compare_disjoint_grids_exit_1": {None: (
+        _compare("1.0,1.0,0.0\n", "2.0,1.0,0.0\n"),
+        "nonparametric and parametric grids share no frequencies")},
+    "test_compare_rejects_bad_csv_naming_the_file": {
+        f"{par_rows}-{id_problem}": (_compare("0.005,1.0,0.0\n", par_rows),
+                                     f"{{tmp}}/bode.csv: {problem}")
+        for par_rows, id_problem, problem in [
+            ("0.005,1.0\n", "row 2 has 2 fields, expected 3", "row 2 has 2 fields, expected 3"),
+            ("0.005,1,3 # x\n", "row 2 is not numeric",
+             "row 2 is not numeric: could not convert string to float: '3 # x'"),
+            ("0.005,nan,3\n", "row 2 has a non-finite mag_ohm value",
+             "row 2 has a non-finite mag_ohm value"),
+            ("", "no data rows", "no data rows"),
+        ]
+    },
+    "test_compare_names_the_file_line": {
+        f"lines{i}-{id_problem}": (_compare("\n".join(lines) + "\n", "1.0,1.0,0.0\n"),
+                                   f"{{tmp}}/eis.csv: {problem}")
+        for i, (lines, id_problem, problem) in enumerate([
+            (["1.0,x,0.0", "2.0,1.0,0.0"], "row 2 is not numeric",
+             "row 2 is not numeric: could not convert string to float: 'x'"),
+            (["1.0,1.0,0.0", "2.0,1.0,0.0", "3.0,1.0"], "row 4 has 2 fields, expected 3",
+             "row 4 has 2 fields, expected 3"),
+            (["1.0,1.0,0.0", "2.0,nan,0.0"], "row 3 has a non-finite re_ohm value",
+             "row 3 has a non-finite re_ohm value"),
+            (["1.0,1.0,0.0", "", "2.0,nan,0.0"], "row 4 has a non-finite re_ohm value",
+             "row 4 has a non-finite re_ohm value"),
+        ])
+    },
+    "test_compare_missing_input_exit_1_naming_the_file": {None: (
+        _compare(None, "1.0,1.0,0.0\n"), "file not found: {tmp}/eis.csv")},
+    "test_schema_violation_exit_1": {None: (
+        _argv("simulate", config={**SIM_CONFIG, "unexpected_key": 1}),
+        "invalid config {tmp}/c.json: unknown key unexpected_key")},
+    "test_infinite_snr_is_rejected_naming_the_key": {None: (
+        _infinite_snr, "invalid config {tmp}/c.json: snr must be a finite number")},
+    "test_nan_frequency_is_rejected_naming_the_key": {None: (
+        _argv("design", config={"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": float("nan"),
+                                "points_per_decade": 8}),
+        "invalid config {tmp}/c.json: f_max_hz must be a finite number")},
+    "test_bad_sidecar_value_exit_1_naming_sidecar_and_key": {
+        f"{key}-{value}-{problem}": (
+            _sidecar(**{key: value}),
+            f"invalid metadata sidecar {{tmp}}/sim/record.meta.json: {key} {problem}{got}")
+        for key, value, problem, got in [
+            ("period_s", float("inf"), "must be a finite number", ""),
+            ("periods", 2.5, "must be of type integer", ", got 2.5"),
+            ("sample_rate_hz", float("nan"), "must be a finite number", ""),
+        ]
+    },
+    "test_overflowing_sidecar_exit_1_naming_sidecar": {None: (
+        _sidecar(sample_rate_hz=1e200, period_s=1e200),
+        "invalid metadata sidecar {tmp}/sim/record.meta.json: period_s*sample_rate_hz = inf "
+        "is not a finite sample count per period that is a positive integer, so no record "
+        "length is whole periods (period_s=1e+200, sample_rate_hz=1e+200)")},
+    "test_fractional_period_sidecar_exit_1_naming_sidecar": {
+        command: (_fractional_period(command),
+                  "invalid metadata sidecar {tmp}/rec.meta.json: period_s*sample_rate_hz = 4.5 "
+                  "is not a finite sample count per period that is a positive integer, so no "
+                  "record length is whole periods (period_s=1.5, sample_rate_hz=3.0)")
+        for command in ("estimate", "eis")
+    },
+    "test_sidecar_number_beyond_the_float_range_exit_1_naming_the_key": {
+        key: (_sidecar(**{key: _HUGE}),
+              f"invalid metadata sidecar {{tmp}}/sim/record.meta.json: {key} must be a finite "
+              "number")
+        for key in ("sample_rate_hz", "periods")
+    },
+    "test_simulate_periods_beyond_the_index_range_exit_1": {
+        f"excitation{i}": (_argv("simulate", config={**SIM_CONFIG, "excitation": excitation,
+                                                     "periods": 1e25}),
+                           "invalid config {tmp}/c.json: periods=1e+25 makes a record of more "
+                           f"than {np.iinfo(np.intp).max} samples")
+        for i, excitation in enumerate([SIM_CONFIG["excitation"], {"type": "noise"}])
+    },
+    # each record is above 2^57 bytes (128 PiB), beyond any address space numpy could map
+    "test_a_record_too_large_to_allocate_exits_1": {
+        "simulate": (_argv("simulate", config={
+            **SIM_CONFIG, "excitation": {"type": "noise"}, "period_s": 200.0,
+            "sample_rate_hz": 200.0, "periods": 1_000_000_000_000}),
+            "invalid config {tmp}/c.json: Unable to allocate 284. PiB for an array with shape "
+            "(1000000000000, 40000) and data type float64 (a record has sample_rate_hz * "
+            "period_s * periods samples)"),
+        "design": (_argv("design", config={
+            "period_s": 200.0, "f_min_hz": 0.005, "f_max_hz": 10.0, "points_per_decade": 12,
+            "seed": 1, "rms_a": 0.5, "sample_rate_hz": 1e14, "periods": 1}),
+            "invalid config {tmp}/c.json: Unable to allocate 142. PiB for an array with shape "
+            "(10000000000000001,) and data type complex128 (a record has sample_rate_hz * "
+            "period_s * periods samples)"),
+    },
+    "test_design_nyquist_violation_exit_1": {None: (
+        _argv("design", config={"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,
+                                "points_per_decade": 6, "seed": 5, "sample_rate_hz": 20.0,
+                                "periods": 1}),
+        "invalid config {tmp}/c.json: sample_rate_hz=20.0 violates the Nyquist bound for "
+        "harmonic 799 (39.95 Hz)")},
+    "test_estimate_rejects_removed_variant_keys": {
+        key: (_argv("estimate", config={key: True}, record=True),
+              f"invalid config {{tmp}}/c.json: unknown key {key}")
+        for key in ("column_scaling", "noise_whitening")
+    },
+    # the config key, not the EstimationConfig field behind it
+    "test_bin_numbers_beyond_int64_exit_1_naming_the_field": {
+        f"{name}-{command}": (_argv(command, config=given, record=True),
+                              f"invalid config {{tmp}}/c.json: {field} must hold whole bin numbers")
+        for name, given, field in [("excited_bins", {"excited_bins": [1e30]}, "excited_bins"),
+                                   ("k_max", {"k_min": 1, "k_max": 1e30}, "k_min and k_max")]
+        for command in ("estimate", "eis")
+    },
+    "test_inverted_bin_window_exit_1_naming_the_keys": {
+        command: (_argv(command, config={"k_min": 9, "k_max": 3}, record=True),
+                  "invalid config {tmp}/c.json: k_min and k_max must satisfy 1 <= k_min <= k_max")
+        for command in ("estimate", "eis")
+    },
+    "test_estimate_rejects_both_mask_sources": {None: (
+        _argv("estimate", record=True,
+              config={"excited_bins": [1, 3], "multisine_path": "{tmp}/sim/multisine.json"}),
+        "invalid config {tmp}/c.json: give excited_bins or multisine_path, not both")},
+    "test_missing_config_exit_1": {None: (
+        lambda tmp_path: ["design", "--config", str(tmp_path / "nope.json")],
+        "invalid config {tmp}/nope.json: No such file or directory")},
+    "test_malformed_record_exit_1": {None: (
+        _malformed_record, "{tmp}/sim/record.csv: row 4 has 1 fields, expected 3")},
+    "test_eis_rejects_retired_detection_factor_key": {None: (
+        _argv("eis", config={"detection_factor": 0.01}, record=True),
+        "invalid config {tmp}/c.json: unknown key detection_factor")},
+    "test_number_beyond_the_float_range_exit_1_naming_the_key": {
+        f"{command}-{key}": (_argv(command, config=_with_key(base, key, _HUGE)),
+                             f"invalid config {{tmp}}/c.json: {key} must be a finite number")
+        for command, base, keys in [
+            ("design", _DESIGN_CONFIG, list(_DESIGN_CONFIG)),
+            ("simulate", SIM_CONFIG, ["period_s", "snr", "seed", "randles.r_s_ohm",
+                                      "randles.ocv_v", "excitation.f_max_hz"]),
+        ]
+        for key in keys
+    },
+    "test_outside_input_guards_exit_1_naming_the_cause": {
+        "no band": (
+            _argv("simulate", config={**SIM_CONFIG, "excitation": {"type": "multisine",
+                                                                   "f_min_hz": 0.05}}),
+            "invalid config {tmp}/c.json: multisine excitation needs either multisine_path or "
+            "f_min_hz/f_max_hz/points_per_decade"),
+        "no record": (lambda tmp_path: ["estimate", "--record", str(tmp_path / "none.csv")],
+                      "record file not found: {tmp}/none.csv"),
+        **{name: (_spec_argv("eis", {**_SPEC, **change}),
+                  f"invalid multisine spec {{tmp}}/ms.json: {problem}")
+           for name, change, problem in [
+               ("spec period", {"period_s": -20.0}, "period_s must be positive"),
+               ("spec empty", {"harmonics": [], "amplitudes": [], "phases": []},
+                "harmonics must be a nonempty 1-D integer array"),
+               ("spec lengths", {"amplitudes": [1.0]},
+                "amplitudes and phases must match harmonics in shape"),
+           ]},
+        "spec beyond": (_spec_argv("eis", {**_SPEC, "harmonics": [1, 999]}),
+                        "invalid config {tmp}/c.json: multisine_path harmonics must lie within "
+                        "the spectrum (max bin 200), got 999"),
+        # the record has M = 400 samples per period
+        **{name: (_argv("estimate", config=given, record=True),
+                  f"invalid config {{tmp}}/c.json: {problem}")
+           for name, given, problem in [
+               ("bins window", {"k_min": 1, "k_max": 200},
+                "k_min and k_max must lie within the usable bins 1..199"),
+               ("bins window with spec",
+                {"k_min": 1, "k_max": 200, "multisine_path": "{tmp}/sim/multisine.json"},
+                "k_min and k_max must lie within the usable bins 1..199"),
+               ("bins mask", {"excited_bins": [3, 201]},
+                "excited_bins must lie within the spectrum (max bin 200), got 201"),
+           ]},
+        **{name: (_argv("design", config={**_DESIGN_CONFIG, **change}),
+                  f"invalid config {{tmp}}/c.json: {problem}")
+           for name, change, problem in [
+               ("band low", {"f_min_hz": 0.01},
+                "f_min_hz must be at least the fundamental 1/period_s"),
+               ("band inverted", {"f_min_hz": 1.0, "f_max_hz": 0.5},
+                "f_max_hz must be >= f_min_hz"),
+           ]},
+        **{name: (_fit(coefficients), f"invalid estimate file {{tmp}}/estimate.json: {problem}")
+           for name, coefficients, problem in [
+               ("no a", {**_COEFFICIENTS, "a": []}, "need at least denominator coefficient a_1"),
+               ("no b", {**_COEFFICIENTS, "b": []}, "need numerator coefficient b_0"),
+               ("fit orders", {"a": [1.0, 0.07], "b": [0.05, 0.67, 0.04]},
+                "Randles recovery needs the (N_a, N_b) = (3, 3) structure"),
+           ]},
+        "fit zero numerator": (
+            _fit_zero_numerator, "invalid estimate file {tmp}/est/estimate.json: Randles "
+            "recovery needs the (N_a, N_b) = (3, 3) structure"),
+        # the record's period is 20 s
+        **{f"record period {command}": (
+            _spec_argv(command, {**_SPEC, "period_s": 10.0}),
+            "multisine spec {tmp}/ms.json period_s 10.0 disagrees with record "
+            "{tmp}/sim/record.csv period_s 20.0") for command in ("estimate", "eis")},
+        **{name: (_argv("simulate", spec=_SPEC, config={**SIM_CONFIG, "excitation": excitation}),
+                  f"invalid config {{tmp}}/c.json: excitation.{key} is not read by {reader}")
+           for name, excitation, key, reader in [
+               ("noise band", {**SIM_CONFIG["excitation"], "type": "noise"}, "f_min_hz",
+                "noise excitation"),
+               ("noise spec", {"type": "noise", "multisine_path": "{tmp}/ms.json"},
+                "multisine_path", "noise excitation"),
+               ("spec and band", {**_MULTISINE_FROM_SPEC, "points_per_decade": 8},
+                "points_per_decade", "a multisine from multisine_path"),
+           ]},
+    },
+    "test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis": {None: (
+        _spec_argv("estimate", {**_SPEC, "harmonics": [1, 999]}),
+        "invalid config {tmp}/c.json: multisine_path harmonics must lie within the spectrum "
+        "(max bin 200), got 999")},
+}
+
+
+def _assert_exit_1(row, tmp_path, capsys):
+    """The exit-1 contract: exit 1, no stdout under --quiet, stderr exactly the
+    row's one `error:` line, and no --out directory."""
+    build, message = row
+    argv, out = build(tmp_path), tmp_path / "out"
+    assert main([*argv, "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
+    assert not out.exists()
+
+
+def _exit_1_test(name: str, rows: dict):
+    """The test `name`, which runs each of `rows` through `_assert_exit_1`."""
+    if list(rows) == [None]:
+        def test(tmp_path, capsys):
+            _assert_exit_1(rows[None], tmp_path, capsys)
+    else:
+        @pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))
+        def test(tmp_path, capsys, row):
+            _assert_exit_1(row, tmp_path, capsys)
+    test.__name__ = test.__qualname__ = name
+    return test
+
+
+for _name, _rows in _EXIT_1.items():
+    globals()[_name] = _exit_1_test(_name, _rows)
