@@ -144,13 +144,31 @@ def _out(args) -> Path:
     return out
 
 
-def _design(band: dict, period_s: float, seed) -> MultisineSpec:
-    return design_odd_quasilog(period_s, band["f_min_hz"], band["f_max_hz"],
-                               band["points_per_decade"], seed=seed)
+def _raise_as_config_key(exc: ValueError, config_path, keys: dict) -> None:
+    """A SchemaError "invalid config <path>: <key> ..." from `exc` when its message
+    starts with a field of `keys` (field -> config key); otherwise nothing."""
+    field, _, rule = str(exc).partition(" ")
+    if field in keys:
+        raise SchemaError(f"invalid config {config_path}: {keys[field]} {rule}") from exc
+
+
+def _design(band: dict, period_s: float, seed, config_path, prefix: str = "") -> MultisineSpec:
+    """The multisine of the band keys in `band`, which the config holds under `prefix`;
+    a band error or a grid too large to allocate names them as config keys."""
+    try:
+        return design_odd_quasilog(period_s, band["f_min_hz"], band["f_max_hz"],
+                                   band["points_per_decade"], seed=seed)
+    except MemoryError as exc:  # the frequency grid, not a record
+        raise SchemaError(f"invalid config {config_path}: {exc} (the design grid is sized by "
+                          f"period_s, {prefix}f_min_hz, {prefix}f_max_hz and "
+                          f"{prefix}points_per_decade)") from exc
+    except ValueError as exc:
+        _raise_as_config_key(exc, config_path, {key: prefix + key for key in _BAND})
+        raise
 
 
 def cmd_design(args, cfg: dict) -> str:
-    spec = _design(cfg, cfg["period_s"], cfg.get("seed"))
+    spec = _design(cfg, cfg["period_s"], cfg.get("seed"), args.config)
     record = None
     if "periods" in cfg:  # sample_rate_hz comes with it
         record = synthesize_multisine(spec, cfg["sample_rate_hz"], cfg["periods"])
@@ -193,7 +211,7 @@ def _build_excitation(cfg: dict, seed: int, config_path: str):
         spec = _load_multisine(exc["multisine_path"])
         _check_spec_period(spec, exc["multisine_path"], cfg["period_s"], f"config {config_path}")
     elif _BAND.keys() <= exc.keys():
-        spec = _design(exc, cfg["period_s"], seed)
+        spec = _design(exc, cfg["period_s"], seed, config_path, "excitation.")
     else:
         raise ValueError("multisine excitation needs either multisine_path or "
                          "f_min_hz/f_max_hz/points_per_decade")
@@ -249,13 +267,11 @@ def _estimate_on_record(args, cfg: dict, estimator):
         spectra = per_period_spectra(current, voltage)
         return spectra, estimator(spectra, est_cfg)
     except ValueError as exc:
-        field, _, rule = str(exc).partition(" ")
-        if field not in _CONFIG_KEYS:
-            raise
-        key = _CONFIG_KEYS[field]
-        if field == "bin_mask" and "multisine_path" in cfg:
-            key = "multisine_path harmonics"
-        raise SchemaError(f"invalid config {args.config}: {key} {rule}") from exc
+        keys = _CONFIG_KEYS
+        if "multisine_path" in cfg:
+            keys = {**keys, "bin_mask": "multisine_path harmonics"}
+        _raise_as_config_key(exc, args.config, keys)
+        raise
 
 
 def cmd_estimate(args, cfg: dict) -> str:
@@ -395,7 +411,7 @@ def _input_error(args, exc: Exception) -> str:
     message = str(exc)
     if isinstance(exc, SchemaError) or args.func not in (cmd_design, cmd_simulate):
         return message
-    if isinstance(exc, MemoryError):
+    if isinstance(exc, MemoryError):  # `_design` names the keys of a grid too large
         message += " (a record has sample_rate_hz * period_s * periods samples)"
     return f"invalid config {args.config}: {message}"
 

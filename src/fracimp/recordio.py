@@ -3,11 +3,14 @@
 Row k's time is k/sample_rate_hz (`write_record` writes it, `read_record` checks
 it).  The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries
 sample_rate_hz, periods, period_s and an optional ocv_v; the first three are
-checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  Values
-are written with 17 significant digits so float64 samples round-trip exactly.
+checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  The
+time column is written in its shortest round-trip form (``%r``, Python's float
+repr: ``0.005`` rather than ``0.0050000000000000001``) and the samples with 17
+significant digits, so every float64 reads back bitwise.
 
 Tables are written by a block writer (`write_csv`): one ``%`` format per block
-of rows, byte-identical to ``np.savetxt(fmt="%.17g", delimiter=",")``.  Every
+of rows.  With its default ``%.17g`` for every column it writes the bytes of
+``np.savetxt(fmt="%.17g", delimiter=",")``.  Every
 CSV table, a record or a `compare` input, is read by `read_csv`: one C parse
 of the data rows (``np.loadtxt``), checked as a whole.  Only a file that
 fails is read again, by the one row-by-row parse (`_parse_rows`), whose
@@ -32,6 +35,8 @@ from .schema import POSITIVE_NUMBER, dump, load
 CSV_HEADER = "time_s,current_a,voltage_v"
 _TIME_TOL_S = 1e-9
 _BLOCK_ROWS = 8192
+# the derived time k/fs in its shortest round-trip form, the samples at 17 digits
+_RECORD_FORMATS = ("%r", "%.17g", "%.17g")
 
 SIDECAR_SCHEMA = {
     "type": "object",
@@ -49,15 +54,17 @@ def sidecar_path(csv_path: str | Path) -> Path:
     return p.with_name(p.stem + ".meta.json")
 
 
-def write_csv(path: str | Path, header: str, columns) -> None:
-    """Write equal-length float columns as a header line plus `%.17g` rows.
+def write_csv(path: str | Path, header: str, columns, formats=None) -> None:
+    """Write equal-length float columns as a header line plus comma-separated rows.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",",
-    comments="", newline="\\n")``; rows are stacked and formatted a block at a
-    time, so neither a copy of the whole table nor a Python float list of it
-    is built.
+    `formats` holds one ``%`` format per column, ``%.17g`` for each by default;
+    the default bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",",
+    comments="", newline="\\n")``.  The values formatted are Python floats, so
+    ``%r`` gives the shortest text that reads back to the same float64.  Rows
+    are stacked and formatted a block at a time, so neither a copy of the whole
+    table nor a Python float list of it is built.
     """
-    block_fmt = ",".join(["%.17g"] * len(columns)) + "\n"
+    block_fmt = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -80,7 +87,7 @@ def write_record(
         check_shared_grid(current, voltage)
     time_s = np.arange(current.n_samples) / current.sample_rate_hz
     volt = np.zeros_like(time_s) if voltage is None else voltage.samples
-    write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt))
+    write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt), _RECORD_FORMATS)
 
     meta = {
         "sample_rate_hz": current.sample_rate_hz,

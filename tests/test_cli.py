@@ -870,6 +870,19 @@ _EXIT_1 = {
             "(10000000000000001,) and data type complex128 (a record has sample_rate_hz * "
             "period_s * periods samples)"),
     },
+    # the quasi-log grid, not the record, is what could not be allocated
+    "test_a_design_grid_too_large_to_allocate_exits_1_naming_its_keys": {
+        command: (_argv(command, config=config),
+                  "invalid config {tmp}/c.json: Unable to allocate 52.4 PiB for an array with "
+                  "shape (7377758908227875,) and data type float64 (the design grid is sized by "
+                  f"period_s, {prefix}f_min_hz, {prefix}f_max_hz and {prefix}points_per_decade)")
+        for command, prefix, config in [
+            ("design", "", {"period_s": 1e15, "f_min_hz": 0.05, "f_max_hz": 2.0,
+                            "points_per_decade": 1e17}),
+            ("simulate", "excitation.", {**SIM_CONFIG, "period_s": 1e15, "excitation": {
+                **SIM_CONFIG["excitation"], "points_per_decade": 1e17}}),
+        ]
+    },
     "test_design_nyquist_violation_exit_1": {None: (
         _argv("design", config={"period_s": 20.0, "f_min_hz": 0.05, "f_max_hz": 40.0,
                                 "points_per_decade": 6, "seed": 5, "sample_rate_hz": 20.0,
@@ -955,6 +968,15 @@ _EXIT_1 = {
                 "f_min_hz must be at least the fundamental 1/period_s"),
                ("band inverted", {"f_min_hz": 1.0, "f_max_hz": 0.5},
                 "f_max_hz must be >= f_min_hz"),
+           ]},
+        # the same band errors, named by their key under excitation
+        **{f"simulate {name}": (
+            _argv("simulate", config={**SIM_CONFIG, "excitation": {
+                **SIM_CONFIG["excitation"], "f_min_hz": f_min, "f_max_hz": f_max}}),
+            f"invalid config {{tmp}}/c.json: excitation.{problem}")
+           for name, f_min, f_max, problem in [
+               ("band low", 0.01, 2.0, "f_min_hz must be at least the fundamental 1/period_s"),
+               ("band inverted", 1.0, 0.5, "f_max_hz must be >= f_min_hz"),
            ]},
         **{name: (_fit(coefficients), f"invalid estimate file {{tmp}}/estimate.json: {problem}")
            for name, coefficients, problem in [

@@ -336,6 +336,34 @@ def test_noiseless_smallest_singular_value_is_negligible():
     assert s[-1] < 1e-8 * s[0]
 
 
+def _leaky_window(seed, start=281_234, window_s=200.0, long_period_s=4000.0, fs=200.0):
+    """A noiseless window of the steady state on a long period of periodic noise,
+    read as a one-period record: it starts `start` samples in and is not periodic
+    in its own length, so its DFT leaks."""
+    current = scale_to_rms(generate_periodic_noise(long_period_s, fs, 1, seed=seed), 0.5)
+    voltage = simulate_response(SIM_PARAMS, current)
+    cut = slice(start, start + int(window_s * fs))
+    return per_period_spectra(*(TimeRecord(x.samples[cut], fs, window_s)
+                                for x in (current, voltage)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transient_columns_absorb_leakage(seed):
+    # n_r = 2 gives 36x, 65x and 411x less band-max error than n_r = 0 on seeds 1-3
+    spectra = _leaky_window(seed)
+    bins = np.arange(1, 2001)
+    omega = 2 * np.pi * spectra.freq_hz[bins]
+    reference = ImpedanceCurve(freq_hz=spectra.freq_hz[bins],
+                               z_ohm=randles_impedance(SIM_PARAMS, omega))
+
+    def band_max_error(n_r):
+        cfg = EstimationConfig(bin_window=(1, 2000), n_r=n_r, iterations=0)
+        estimate = parametric_impedance(wtls_estimate(spectra, cfg), omega)
+        return relative_error_curve(reference, estimate).max()
+
+    assert band_max_error(2) * 5 <= band_max_error(0)
+
+
 # ---------------------------------------------------------------- sigma_E
 
 

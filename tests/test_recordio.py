@@ -249,9 +249,19 @@ def _savetxt_bytes(path, header, table):
     return path.read_bytes()
 
 
+def _repr_first_bytes(path, header, table):
+    """A table whose first column is Python's float repr of each value and whose
+    others are as ``np.savetxt`` writes them at ``%.17g``."""
+    rest = _savetxt_bytes(path, header, table[:, 1:]).decode().split("\n")[1:-1]
+    rows = (f"{x!r},{row}\n" for x, row in zip(table[:, 0].tolist(), rest))
+    return (header + "\n" + "".join(rows)).encode()
+
+
 @pytest.mark.parametrize("paired", [True, False])
 @pytest.mark.parametrize("rows", [_BLOCK_ROWS, _BLOCK_ROWS + 1, 1])
 def test_writer_bytes_equal_savetxt(tmp_path, rows, paired):
+    # a record's time column is in its shortest round-trip form, every other
+    # column and every other table at savetxt's %.17g
     rng = np.random.default_rng(rows)
     samples = rng.standard_normal((2, rows)) * 10.0 ** rng.integers(-300, 300, (2, rows))
     specials = np.array([-0.0, 5e-324, 1e300, -1e300])
@@ -263,11 +273,31 @@ def test_writer_bytes_equal_savetxt(tmp_path, rows, paired):
     volt = voltage.samples if paired else np.zeros(rows)
     path = write_record(tmp_path / "rec.csv", current, voltage if paired else None)
     reference = np.column_stack([np.arange(rows) / fs, current.samples, volt])
-    assert path.read_bytes() == _savetxt_bytes(tmp_path / "ref.csv", CSV_HEADER, reference)
+    assert path.read_bytes() == _repr_first_bytes(tmp_path / "ref.csv", CSV_HEADER, reference)
 
     write_csv(tmp_path / "two.csv", "a,b", (current.samples, volt))
     assert (tmp_path / "two.csv").read_bytes() == _savetxt_bytes(
         tmp_path / "ref2.csv", "a,b", np.column_stack([current.samples, volt]))
+    # the special values in the repr column too
+    write_csv(tmp_path / "repr.csv", "a,b", (current.samples, volt), ("%r", "%.17g"))
+    assert (tmp_path / "repr.csv").read_bytes() == _repr_first_bytes(
+        tmp_path / "ref3.csv", "a,b", np.column_stack([current.samples, volt]))
+
+
+@pytest.mark.parametrize("fs", [200.0, 1024.0, 48_000.0])
+def test_record_round_trip_writes_time_in_its_shortest_form(tmp_path, fs):
+    n = 3 * _BLOCK_ROWS + 5
+    rng = np.random.default_rng(int(fs))
+    current, voltage = (TimeRecord(rng.standard_normal(n) * scale, fs, n / fs)
+                        for scale in (0.5, 1e-3))
+    path = write_record(tmp_path / "rec.csv", current, voltage)
+    current2, voltage2, _ = read_record(path)
+    assert current2.samples.tobytes() == current.samples.tobytes()
+    assert voltage2.samples.tobytes() == voltage.samples.tobytes()
+    fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [f[0] for f in fields] == [repr(k / fs) for k in range(n)]
+    assert [f[1:] for f in fields] == [["%.17g" % i, "%.17g" % v] for i, v in
+                                       zip(current.samples.tolist(), voltage.samples.tolist())]
 
 
 _FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
