@@ -14,11 +14,13 @@ Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema below (numbers outside the float range and
 unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
-strictly increasing harmonics, a_1 != 0, whole periods (in the sidecar) and
-the (3, 3) orders that `fit` needs.
+strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
 A multisine spec's period is checked against the config (`simulate`) or the
-record (`estimate`, `eis`) that it excites.  `main` reports the other input
-errors of `design` and `simulate` as the config's.
+record (`estimate`, `eis`) that it excites.  `_input_error` alone turns a
+library error into the exit-1 line: a field in its table `_CONFIG_KEYS` is named
+by its config key ("rms_target ..." reads "invalid config <path>: rms_a ..."),
+the other errors of `design` and `simulate` are the config's, and those of
+`fit` the estimate file's.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
 (a NumericsError or a numpy linear-algebra error).
 """
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ecmfit import fit_randles, init_from_coefficients
+from .ecmfit import fit_randles
 from .errors import NumericsError, SchemaError
 from .estimator import EstimationConfig, nonparametric_impedance, parametric_impedance, \
     relative_error_curve, wtls_estimate
@@ -144,17 +146,9 @@ def _out(args) -> Path:
     return out
 
 
-def _raise_as_config_key(exc: ValueError, config_path, keys: dict) -> None:
-    """A SchemaError "invalid config <path>: <key> ..." from `exc` when its message
-    starts with a field of `keys` (field -> config key); otherwise nothing."""
-    field, _, rule = str(exc).partition(" ")
-    if field in keys:
-        raise SchemaError(f"invalid config {config_path}: {keys[field]} {rule}") from exc
-
-
 def _design(band: dict, period_s: float, seed, config_path, prefix: str = "") -> MultisineSpec:
     """The multisine of the band keys in `band`, which the config holds under `prefix`;
-    a band error or a grid too large to allocate names them as config keys."""
+    a grid too large to allocate names the keys that size it."""
     try:
         return design_odd_quasilog(period_s, band["f_min_hz"], band["f_max_hz"],
                                    band["points_per_decade"], seed=seed)
@@ -162,9 +156,6 @@ def _design(band: dict, period_s: float, seed, config_path, prefix: str = "") ->
         raise SchemaError(f"invalid config {config_path}: {exc} (the design grid is sized by "
                           f"period_s, {prefix}f_min_hz, {prefix}f_max_hz and "
                           f"{prefix}points_per_decade)") from exc
-    except ValueError as exc:
-        _raise_as_config_key(exc, config_path, {key: prefix + key for key in _BAND})
-        raise
 
 
 def cmd_design(args, cfg: dict) -> str:
@@ -238,17 +229,8 @@ def cmd_simulate(args, cfg: dict) -> str:
     return f"simulated {current.n_samples} samples -> {out / 'record.csv'}"
 
 
-# the EstimationConfig fields that the estimate config spells as other keys; the
-# schema keeps the others from failing EstimationConfig's checks
-_CONFIG_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
-
-
 def _estimate_on_record(args, cfg: dict, estimator):
-    """The spectra of --record and `estimator` of them under the estimate config `cfg`.
-
-    A ValueError that starts with a bin field, as those of EstimationConfig and
-    its `selected_bins` do, is re-raised as "invalid config <path>: <key> ...".
-    """
+    """The spectra of --record and `estimator` of them under the estimate config `cfg`."""
     if "excited_bins" in cfg and "multisine_path" in cfg:
         raise SchemaError(f"invalid config {args.config}: give excited_bins or multisine_path, "
                           "not both")
@@ -258,20 +240,12 @@ def _estimate_on_record(args, cfg: dict, estimator):
         mask = spec.harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
     given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
-    try:
-        est_cfg = EstimationConfig(bin_window=window, bin_mask=mask, **given)
-        current, voltage, _ = read_record(args.record)
-        if "multisine_path" in cfg:
-            _check_spec_period(spec, cfg["multisine_path"], current.period_s,
-                               f"record {args.record}")
-        spectra = per_period_spectra(current, voltage)
-        return spectra, estimator(spectra, est_cfg)
-    except ValueError as exc:
-        keys = _CONFIG_KEYS
-        if "multisine_path" in cfg:
-            keys = {**keys, "bin_mask": "multisine_path harmonics"}
-        _raise_as_config_key(exc, args.config, keys)
-        raise
+    est_cfg = EstimationConfig(bin_window=window, bin_mask=mask, **given)
+    current, voltage, _ = read_record(args.record)
+    if "multisine_path" in cfg:
+        _check_spec_period(spec, cfg["multisine_path"], current.period_s, f"record {args.record}")
+    spectra = per_period_spectra(current, voltage)
+    return spectra, estimator(spectra, est_cfg)
 
 
 def cmd_estimate(args, cfg: dict) -> str:
@@ -303,12 +277,8 @@ def cmd_eis(args, cfg: dict) -> str:
 
 
 def cmd_fit(args, cfg: dict) -> str:
-    def rational(d: dict) -> HalfOrderRational:  # ecmfit's (3, 3) check, reported as a bad file
-        r = HalfOrderRational(a=d["a"], b=d["b"])
-        init_from_coefficients(r)
-        return r
-
-    result = fit_randles(load(args.estimate, RATIONAL_SCHEMA, "estimate file", rational))
+    result = fit_randles(load(args.estimate, RATIONAL_SCHEMA, "estimate file",
+                              lambda d: HalfOrderRational(a=d["a"], b=d["b"])))
     dump(_out(args) / "fit.json", result.to_dict())
     p = result.params
     rows = (("R_S [ohm]", p.r_s), ("R_CT [ohm]", p.r_ct), ("C_DL [F]", p.c_dl),
@@ -404,12 +374,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_error(args, exc: Exception) -> str:
-    """The exit-1 message of `exc`.  A SchemaError names its file.  Every input of
-    design and simulate is a key of the config or of a spec file that its
+# library field -> the config key that spells it, per command; an estimate config
+# with multisine_path takes bin_mask from the spec's harmonics
+_BIN_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
+_CONFIG_KEYS = {
+    "design": {"rms_target": "rms_a"},
+    "simulate": {"rms_target": "rms_a", **{key: f"excitation.{key}" for key in _BAND}},
+    "estimate": _BIN_KEYS,
+    "eis": _BIN_KEYS,
+}
+
+
+def _input_error(args, cfg: dict, exc: Exception) -> str:
+    """The exit-1 message of `exc`, raised by `args.command` under the config `cfg`.
+    A SchemaError names its file; any other error of fit is the estimate file's, and
+    one that starts with a field of `_CONFIG_KEYS` is the config's, under its key.
+    Every input of design and simulate is a config key or a spec file that its
     SchemaError names, so their other errors are reported as the config's."""
     message = str(exc)
-    if isinstance(exc, SchemaError) or args.func not in (cmd_design, cmd_simulate):
+    if isinstance(exc, SchemaError):
+        return message
+    if args.command == "fit":
+        return f"invalid estimate file {args.estimate}: {message}"
+    keys = _CONFIG_KEYS.get(args.command, {})
+    if "multisine_path" in cfg:
+        keys = {**keys, "bin_mask": "multisine_path harmonics"}
+    field, _, rule = message.partition(" ")
+    if field in keys:
+        return f"invalid config {args.config}: {keys[field]} {rule}"
+    if args.command not in ("design", "simulate"):
         return message
     if isinstance(exc, MemoryError):  # `_design` names the keys of a grid too large
         message += " (a record has sample_rate_hz * period_s * periods samples)"
@@ -422,6 +415,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    cfg = {}  # until the config is loaded
     try:
         with warnings.catch_warnings():
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
@@ -433,7 +427,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (SchemaError, ValueError, MemoryError) as exc:  # a record too large to allocate
-        print(f"error: {_input_error(args, exc)}", file=sys.stderr)
+        print(f"error: {_input_error(args, cfg, exc)}", file=sys.stderr)
         return 1
     if not args.quiet:
         print(text)

@@ -276,9 +276,10 @@ def wtls_estimate(spectra: SpectralSet, cfg: EstimationConfig) -> EstimateResult
     returned as it is (iterations_run 0, converged and sigma_e None) when
     cfg.iterations is 0, when no selected bin has measured noise (unit
     weights would repeat the same solve), and with a warning when only one
-    period is available.
+    period is available.  Weak-current bins stay in the fit, but a selection
+    of weak bins only raises as `nonparametric_impedance` does (`_current_bins`).
     """
-    bins = cfg.selected_bins(spectra)
+    bins = _current_bins(spectra, cfg.selected_bins(spectra), skip=False)
     regressor, mix, channel = _columns(spectra, bins, cfg)
     noisy = np.array([spectra.has_covariances and spectra.var_voltage[bins].any(),
                       spectra.has_covariances and spectra.var_current[bins].any(), False])[channel]
@@ -332,24 +333,27 @@ def parametric_impedance(result: EstimateResult, omegas) -> ImpedanceCurve:
     )
 
 
+def _current_bins(spectra: SpectralSet, bins: np.ndarray, skip: bool) -> np.ndarray:
+    """`bins`, less (when `skip`) those whose current magnitude is at most 1e-12 of the
+    strongest bin's, which a warning counts.  When every bin is that weak, neither
+    estimator has data: the warning, then a ValueError, whether or not `skip`."""
+    weak = np.abs(spectra.mean_current[bins]) <= 1e-12 * np.abs(spectra.mean_current).max()
+    if weak.any() and (skip or weak.all()):
+        warnings.warn(f"skipping {int(weak.sum())} excited bin(s) with vanishing current "
+                      "spectrum", stacklevel=3)
+        if weak.all():
+            raise ValueError("all excited bins have vanishing current spectrum")
+    return bins[~weak] if skip else bins
+
+
 def nonparametric_impedance(spectra: SpectralSet, cfg: EstimationConfig) -> ImpedanceCurve:
     """Classical EIS estimate: averaged voltage over averaged current per selected bin.
 
     The bins are those `wtls_estimate` fits on under the same config,
-    ``cfg.selected_bins(spectra)``; bins whose current magnitude is below
-    1e-12 of the strongest bin are skipped with a warning.
+    ``cfg.selected_bins(spectra)``, less those whose current is too weak to
+    divide by (`_current_bins`), which are skipped with a warning.
     """
-    bins = cfg.selected_bins(spectra)
-    weak = np.abs(spectra.mean_current[bins]) <= 1e-12 * np.abs(spectra.mean_current).max()
-    if np.any(weak):
-        warnings.warn(
-            f"skipping {int(weak.sum())} excited bin(s) with vanishing current spectrum",
-            stacklevel=2,
-        )
-        bins = bins[~weak]
-        if bins.size == 0:
-            raise ValueError("all excited bins have vanishing current spectrum")
-
+    bins = _current_bins(spectra, cfg.selected_bins(spectra), skip=True)
     z = spectra.mean_voltage[bins] / spectra.mean_current[bins]
     return ImpedanceCurve(freq_hz=spectra.freq_hz[bins], z_ohm=z)
 

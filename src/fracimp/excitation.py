@@ -9,11 +9,14 @@ periodic, so downstream period-averaged spectra are leakage free.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_RMS_MIN = math.sqrt(sys.float_info.min)  # the smallest RMS whose square is a normal float
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +281,22 @@ def generate_periodic_noise(
 
 
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:
-    """Rescale a record so its RMS equals rms_target exactly."""
+    """Rescale a record so its RMS equals rms_target exactly.
+
+    The record's mean square must be a finite normal float: below sqrt(smallest
+    normal) the squares underflow (the RMS reads 0), and above sqrt(largest float /
+    (2 n_samples)) their sum can overflow (the 2 covers its rounding), so either
+    bound raises before any sample is scaled.
+    """
     if not rms_target > 0:
         raise ValueError("rms_target must be positive")
+    if rms_target < _RMS_MIN:
+        raise ValueError(f"rms_target must be at least {_RMS_MIN:.6g}, or the record's squares "
+                         "underflow")
+    rms_max = math.sqrt(sys.float_info.max / (2 * record.n_samples))
+    if rms_target > rms_max:
+        raise ValueError(f"rms_target must be at most {rms_max:.6g} for {record.n_samples} "
+                         "samples, or the sum of their squares can overflow")
     rms = record.rms()
     if rms == 0.0:
         raise ValueError("cannot scale an identically zero record")

@@ -2,7 +2,7 @@
 
 `load` also reports, in the same "invalid <what> <path>: <cause>" form, the
 rules a schema cannot state, which the caller's `build` enforces: strictly
-increasing harmonics, a_1 != 0, whole samples per period, (3, 3) fit orders.
+increasing harmonics, a_1 != 0, whole samples per period.
 
 Keywords: type, properties, required, dependentRequired, additionalProperties
 (false only), minimum, exclusiveMinimum, enum and items.  Types follow Draft

@@ -9,6 +9,7 @@ the OCV.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,11 @@ def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:
     """Add white Gaussian noise with sigma = RMS(record - mean)/snr.
 
     The SNR is referenced to the AC part so a large DC level (OCV on the
-    voltage channel) does not inflate the noise.
+    voltage channel) does not inflate the noise.  A record whose AC part is
+    zero or squares to infinity has no SNR, and an snr so small that 16 sigma
+    (numpy's standard normal never draws beyond +-12.3) does not fit in the
+    float range beside the mean would make samples infinite: each raises a
+    ValueError before any noise is drawn.
 
     Memory: a call allocates one record-sized buffer, which becomes the
     noisy record.  It holds the squared AC part, then the standard normal
@@ -74,12 +79,20 @@ def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:
     same draws and bitwise the same sum as
     ``samples + rng.normal(0.0, sigma, n)``.
     """
-    buf = record.samples - record.samples.mean()
-    buf **= 2
-    rms_ac = float(np.sqrt(np.mean(buf)))
+    mean = record.samples.mean()
+    buf = record.samples - mean
+    with np.errstate(over="ignore"):  # an AC power that overflows raises below
+        buf **= 2
+        rms_ac = float(np.sqrt(np.mean(buf)))
     if rms_ac == 0.0:
         raise ValueError("record has no AC content; SNR is undefined")
+    if rms_ac == np.inf:
+        raise ValueError("record's AC power overflows; SNR is undefined")
     sigma = rms_ac / spec.snr
+    headroom = sys.float_info.max - abs(mean)
+    if not 16.0 * sigma <= headroom:
+        raise ValueError(f"snr must be at least {16.0 * rms_ac / headroom:.6g} for a record of "
+                         f"AC RMS {rms_ac:.6g}, or its noise overflows")
     np.random.default_rng(spec.seed).standard_normal(out=buf)
     buf *= sigma
     buf += record.samples

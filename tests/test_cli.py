@@ -10,7 +10,7 @@ import pytest
 from fracimp import cli
 from fracimp.cli import main
 from fracimp.estimator import EstimationConfig, nonparametric_impedance, wtls_estimate
-from fracimp.recordio import read_record, write_csv
+from fracimp.recordio import read_record, write_csv, write_record
 from fracimp.spectra import per_period_spectra
 
 from conftest import SIM_PARAMS
@@ -337,6 +337,22 @@ def test_simulation_protocol_row_count(tmp_path):
     with open(out / "record.csv") as fh:
         n_rows = sum(1 for _ in fh) - 1
     assert n_rows == 200_000
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_estimate_and_eis_agree_on_a_record_whose_current_vanishes(tmp_path, capsys):
+    # the rule warns before it raises, so this is no `_EXIT_1` row
+    record = _run_simulate(tmp_path, extra={"snr": 50.0}) / "record.csv"
+    current, voltage, meta = read_record(record)
+    write_record(record, current.with_samples(np.zeros(current.n_samples)), voltage,
+                 ocv_v=meta["ocv_v"])
+    out = tmp_path / "out"
+    for command in ("estimate", "eis"):
+        assert main([command, "--record", str(record), "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr() == (
+            "", "warning: skipping 199 excited bin(s) with vanishing current spectrum\n"
+                "error: all excited bins have vanishing current spectrum\n")
+    assert not out.exists()
 
 
 def test_estimate_with_explicit_excited_bins(tmp_path):
@@ -949,9 +965,10 @@ _EXIT_1 = {
         "spec beyond": (_spec_argv("eis", {**_SPEC, "harmonics": [1, 999]}),
                         "invalid config {tmp}/c.json: multisine_path harmonics must lie within "
                         "the spectrum (max bin 200), got 999"),
-        # the record has M = 400 samples per period
-        **{name: (_argv("estimate", config=given, record=True),
-                  f"invalid config {{tmp}}/c.json: {problem}")
+        # the record has M = 400 samples per period; eis looks its keys up as estimate does
+        **{f"{prefix}{name}": (_argv(command, config=given, record=True),
+                               f"invalid config {{tmp}}/c.json: {problem}")
+           for command, prefix in (("estimate", ""), ("eis", "eis "))
            for name, given, problem in [
                ("bins window", {"k_min": 1, "k_max": 200},
                 "k_min and k_max must lie within the usable bins 1..199"),
@@ -1003,6 +1020,30 @@ _EXIT_1 = {
                ("spec and band", {**_MULTISINE_FROM_SPEC, "points_per_decade": 8},
                 "points_per_decade", "a multisine from multisine_path"),
            ]},
+    },
+    # a scale or a noise level that would make a record the chain cannot use
+    "test_a_record_whose_squares_or_noise_leave_the_float_range_exits_1_naming_the_cause": {
+        name: (_argv(command, config=config), f"invalid config {{tmp}}/c.json: {problem}")
+        for name, command, config, problem in [
+            ("snr 1e-310", "simulate", {**SIM_CONFIG, "snr": 1e-310},
+             "snr must be at least 4.45015e-308 for a record of AC RMS 0.5, or its noise "
+             "overflows"),
+            ("rms_a 1e300", "simulate", {**SIM_CONFIG, "rms_a": 1e300, "snr": 50.0},
+             "rms_a must be at most 2.73686e+152 for 1200 samples, or the sum of their squares "
+             "can overflow"),
+            ("rms_a 1e-320", "simulate", {**SIM_CONFIG, "rms_a": 1e-320, "snr": 50.0},
+             "rms_a must be at least 1.49167e-154, or the record's squares underflow"),
+            ("design rms_a 1e300", "design", {**_DESIGN_CONFIG, "rms_a": 1e300},
+             "rms_a must be at most 3.35195e+152 for 800 samples, or the sum of their squares "
+             "can overflow"),
+            ("design rms_a 1e-320", "design", {**_DESIGN_CONFIG, "rms_a": 1e-320},
+             "rms_a must be at least 1.49167e-154, or the record's squares underflow"),
+            # a current within its bound, through a 1 kOhm series resistance
+            ("voltage overflow", "simulate", {
+                **SIM_CONFIG, "rms_a": 2.7e152, "snr": 50.0,
+                "randles": {**SIM_CONFIG["randles"], "r_s_ohm": 1000.0}},
+             "record's AC power overflows; SNR is undefined"),
+        ]
     },
     "test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis": {None: (
         _spec_argv("estimate", {**_SPEC, "harmonics": [1, 999]}),

@@ -1,6 +1,8 @@
 """Library-level guards that the CLI schemas or earlier checks shadow."""
 
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from fracimp import (
     RandlesParams,
     SpectralSet,
     TimeRecord,
+    add_noise,
     design_odd_quasilog,
     generate_periodic_noise,
     nonparametric_impedance,
@@ -43,6 +46,20 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  "points_per_decade must be >= 1", id="design points_per_decade 0"),
     pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 0.0), "rms_target must be positive",
                  id="scale rms 0"),
+    # a scale or a noise draw that would leave a record whose squares or samples
+    # are not finite normal floats
+    pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 1e-155),
+                 "rms_target must be at least 1.49167e-154, or the record's squares underflow",
+                 id="scale rms underflow"),
+    pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 1e154),
+                 "rms_target must be at most 6.7039e+153 for 2 samples, or the sum of their "
+                 "squares can overflow", id="scale rms overflow"),
+    pytest.param(lambda: add_noise(_ONE_SAMPLE_PERIODS, NoiseSpec(snr=1e-308)),
+                 "snr must be at least 8.9003e-308 for a record of AC RMS 1, or its noise "
+                 "overflows", id="noise sigma overflow"),
+    pytest.param(lambda: add_noise(TimeRecord(np.array([1e300, -1e300]), 1.0, 1.0),
+                                   NoiseSpec(snr=50.0)),
+                 "record's AC power overflows; SNR is undefined", id="noise AC power overflow"),
     pytest.param(lambda: warburg_impedance(-0.1, 1.0), "sigma_w must be nonnegative",
                  id="warburg sigma negative"),
     pytest.param(lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
@@ -145,3 +162,20 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
 def test_library_guard_raises_naming_its_rule(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scale_and_noise_at_their_bounds_keep_the_record_usable(seed):
+    """At each bound of scale_to_rms the RMS reads back without a warning (which
+    the suite makes an error) and the next float beyond it raises; noise just
+    above the smallest snr keeps every sample finite."""
+    record = generate_periodic_noise(1.0, 64.0, 3, seed=seed)
+    for rms, beyond in ((math.sqrt(sys.float_info.min), 0.0),
+                        (math.sqrt(sys.float_info.max / (2 * record.n_samples)), np.inf)):
+        assert scale_to_rms(record, rms).rms() == pytest.approx(rms, rel=1e-12)
+        with pytest.raises(ValueError, match="^rms_target must be at"):
+            scale_to_rms(record, np.nextafter(rms, beyond))
+    # just above the smallest snr, 16 sigma of noise nearly fills the float range
+    noisy = add_noise(record, NoiseSpec(snr=16.001 * record.rms() / sys.float_info.max,
+                                        seed=seed))
+    assert np.isfinite(noisy.samples).all()

@@ -12,6 +12,7 @@ from fracimp import (
     nonparametric_impedance,
     per_period_spectra,
     randles_impedance,
+    wtls_estimate,
 )
 from fracimp import spectra as spectra_module
 
@@ -277,6 +278,23 @@ def test_nonparametric_skips_weak_bins_with_warning():
         curve = nonparametric_impedance(
             _doctor_weak_bin(spectra, bin_index=5), EstimationConfig(bin_mask=[4, 5]))
     assert curve.freq_hz.size == 1
+
+
+def test_wtls_shares_the_weak_current_rule_of_the_nonparametric_estimate():
+    current = generate_periodic_noise(2.0, 32.0, 3, seed=9)
+    voltage = current.with_samples(1.5 * current.samples)
+    doctored = per_period_spectra(
+        current.with_samples(current.samples - current.samples), voltage)
+    for estimator in (wtls_estimate, nonparametric_impedance):
+        with pytest.raises(ValueError, match="^all excited bins have vanishing current spectrum$"), \
+                pytest.warns(UserWarning, match="^skipping 31 excited bin"):
+            estimator(doctored, EstimationConfig())
+    # a partly weak selection: the fit keeps the weak bin, without a warning
+    cfg = EstimationConfig(bin_window=(1, 12), n_r=0, iterations=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = wtls_estimate(_doctor_weak_bin(per_period_spectra(current, voltage), 5), cfg)
+    assert result.bins.tolist() == list(range(1, 13))
 
 
 def _doctor_weak_bin(spectra, bin_index):
