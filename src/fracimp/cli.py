@@ -379,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
 _BIN_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
 _CONFIG_KEYS = {
     "design": {"rms_target": "rms_a"},
-    "simulate": {"rms_target": "rms_a", **{key: f"excitation.{key}" for key in _BAND}},
+    "simulate": {"rms_target": "rms_a", "ocv": "randles.ocv_v",
+                 **{key: f"excitation.{key}" for key in _BAND}},
     "estimate": _BIN_KEYS,
     "eis": _BIN_KEYS,
 }

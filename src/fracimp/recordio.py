@@ -12,7 +12,10 @@ Tables are written by a block writer (`write_csv`): one ``%`` format per block
 of rows.  With its default ``%.17g`` for every column it writes the bytes of
 ``np.savetxt(fmt="%.17g", delimiter=",")``.  Every
 CSV table, a record or a `compare` input, is read by `read_csv`: one C parse
-of the data rows (``np.loadtxt``), checked as a whole.  Only a file that
+of the data rows (``np.loadtxt``), checked as a whole.  The parse is given the
+file's absolute name, so numpy reads the file in large chunks rather than a
+Python line at a time; a name that numpy would decompress, and a file that is
+not regular, are parsed through the open file instead.  Only a file that
 fails is read again, by the one row-by-row parse (`_parse_rows`), whose
 errors name the file line and column.  It accepts no file with data rows
 that the C parse rejects, and a row that ``float()`` rejects but the C parse
@@ -23,6 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import stat
 import warnings
 from pathlib import Path
 
@@ -37,6 +42,8 @@ _TIME_TOL_S = 1e-9
 _BLOCK_ROWS = 8192
 # the derived time k/fs in its shortest round-trip form, the samples at 17 digits
 _RECORD_FORMATS = ("%r", "%.17g", "%.17g")
+# the suffixes of the names that np.loadtxt decompresses when it opens them itself
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
 
 SIDECAR_SCHEMA = {
     "type": "object",
@@ -140,32 +147,45 @@ def _read_header(path: str | Path, fh, header: str) -> None:
 def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.ndarray:
     """Data rows of a CSV with the given header: one finite column per header field.
 
-    The data rows are parsed in one C call.  ``comments=None`` keeps ``#``
+    The data rows are parsed in one C call.  A regular file is parsed by its
+    absolute name, which numpy reads in large chunks; a relative name such as
+    ``http://host/t.csv`` would be fetched as a URL.  A file that is not
+    regular (a pipe, whose rows the header read has taken) or whose suffix
+    np.loadtxt would decompress is parsed through the open file, a line at a
+    time.  ``comments=None`` keeps ``#``
     text in a field, so a row such as ``0.2,1.0,0.0 # note`` is malformed
     rather than silently truncated.  A file that fails the parse or the
     column and finiteness checks goes to `_parse_rows`, which raises a
     SchemaError naming the file line; a header-only file gives an empty table.
     With `max_rows`, the C parse reads and checks only the first `max_rows`
-    data rows, into a table allocated at that many rows.
+    data rows, into a table allocated at that many rows.  A file that cannot
+    be opened or read is a SchemaError naming it.
     """
     try:
         with open(path) as fh:
             _read_header(path, fh, header)
-            table = _loadtxt(fh, max_rows)
+            if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                    and os.path.splitext(path)[1] not in _DECOMPRESSED_SUFFIXES):
+                table = _loadtxt(os.fspath(Path(path).absolute()), max_rows, skiprows=1)
+            else:
+                table = _loadtxt(fh, max_rows)
         if table.shape[1] == header.count(",") + 1 and np.isfinite(table).all():
             return table
     except FileNotFoundError as exc:
         raise SchemaError(f"file not found: {path}") from exc
+    except OSError as exc:  # a directory, a file without read permission
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError:  # a malformed row, or undecodable bytes
         pass
     return _parse_rows(path, header)
 
 
-def _loadtxt(lines, max_rows: int | None = None) -> np.ndarray:
+def _loadtxt(lines, max_rows: int | None = None, skiprows: int = 0) -> np.ndarray:
     """The C parse of data rows, for `read_csv` and for the lines `_parse_rows` doubts."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=max_rows,
+                          skiprows=skiprows)
 
 
 def _parse_rows(path: str | Path, header: str) -> np.ndarray:

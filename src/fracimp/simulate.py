@@ -4,11 +4,13 @@ Simulation happens in the frequency domain on one period: the current record
 must be exactly periodic, so multiplying the spectrum of one period by the
 impedance gives the periodic steady-state voltage with no transient.  The
 impedance is never evaluated at DC (it diverges there); the DC voltage bin is
-the OCV.
+the OCV.  An OCV so large that the voltage's rounding swamps the response is
+refused (see `simulate_response`).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -16,6 +18,11 @@ import numpy as np
 
 from .excitation import TimeRecord
 from .model import RandlesParams, randles_impedance
+
+
+# the OCV's rounding may be at most this fraction of the response's AC RMS:
+# criterion 1's tolerance for the noiseless recovery of the coefficients
+_OCV_ROUNDING = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,17 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     periodic steady state, and tiled over the record.  The Nyquist bin (if
     present) is scaled by Re(Z) so that the sampled response of a real
     sinusoid at Nyquist comes out correctly real.
+
+    The OCV is refused, with a ValueError that starts with ``ocv``, when its
+    DC bin ocv * M overflows or when its rounding swamps the response.  Each
+    voltage sample is a float near the OCV, so it is rounded to a step of
+    about ulp(ocv), an error that acts as uniform noise of RMS
+    ulp(ocv) / sqrt(12).  A noiseless record is meant to give the
+    coefficients back to criterion 1's 1e-6 relative, so that noise may be at
+    most 1e-6 of the response's AC RMS: ulp(ocv) <= sqrt(12) * 1e-6 * RMS.
+    The AC RMS is taken from the response's spectrum by Parseval, so the
+    check makes no pass over the record.  A response with no AC part loses
+    nothing to rounding and is not refused.
     """
     m = current.samples_per_period
     per_period = current.samples.reshape(current.periods, m)
@@ -51,6 +69,10 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
                 "steady-state only"
             )
 
+    dc = p.ocv * m  # unnormalized rfft convention: DC bin = M * mean
+    if not math.isfinite(dc):
+        raise ValueError(f"ocv must be at most {sys.float_info.max / m:.6g} in magnitude for "
+                         f"{m} samples per period, or its DC bin overflows")
     spec = np.fft.rfft(per_period[0])
     k = np.arange(1, spec.size)
     omega = 2.0 * np.pi * k * current.sample_rate_hz / m
@@ -58,8 +80,17 @@ def simulate_response(p: RandlesParams, current: TimeRecord) -> TimeRecord:
     if m % 2 == 0:
         z[-1] = z[-1].real
     out = np.empty_like(spec)
-    out[0] = p.ocv * m  # unnormalized rfft convention: DC bin = M * mean
+    out[0] = dc
     out[1:] = spec[1:] * z
+    # Parseval: M^2 times the AC power is twice the power of bins 1.., the Nyquist bin once
+    power = 2.0 * np.vdot(out[1:], out[1:]).real - (abs(out[-1]) ** 2 if m % 2 == 0 else 0.0)
+    rms_ac = math.sqrt(power) / m
+    largest_step = math.sqrt(12.0) * _OCV_ROUNDING * rms_ac
+    if rms_ac > 0.0 and math.ulp(p.ocv) > largest_step:
+        _, exp = math.frexp(largest_step)  # ulp(x) <= largest_step exactly for |x| < 2^(exp + 52)
+        raise ValueError(f"ocv must be less than {math.ldexp(1.0, exp + 52):.6g} in magnitude "
+                         f"for a response of AC RMS {rms_ac:.6g}, or its rounding swamps the "
+                         "response")
     return current.with_samples(np.tile(np.fft.irfft(out, n=m), current.periods))
 
 

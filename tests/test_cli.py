@@ -690,6 +690,20 @@ def _malformed_record(tmp_path):
     return argv
 
 
+def _record_directory(tmp_path):
+    # a directory rec.csv beside a valid sidecar
+    _run_simulate(tmp_path)
+    (tmp_path / "rec.csv").mkdir()
+    (tmp_path / "rec.meta.json").write_text((tmp_path / "sim" / "record.meta.json").read_text())
+    return ["estimate", "--record", str(tmp_path / "rec.csv")]
+
+
+def _nonpar_directory(tmp_path):
+    argv = _compare(None, "1.0,1.0,0.0\n")(tmp_path)
+    (tmp_path / "eis.csv").mkdir()
+    return argv
+
+
 def _infinite_snr(tmp_path):
     # Python's json reads Infinity; it used to write a silently noiseless record
     argv = _argv("simulate", config={**SIM_CONFIG, "snr": float("inf")})(tmp_path)
@@ -1049,6 +1063,25 @@ _EXIT_1 = {
         _spec_argv("estimate", {**_SPEC, "harmonics": [1, 999]}),
         "invalid config {tmp}/c.json: multisine_path harmonics must lie within the spectrum "
         "(max bin 200), got 999")},
+    "test_a_table_that_cannot_be_opened_exits_1_naming_the_file": {
+        "record": (_record_directory, "{tmp}/rec.csv: Is a directory"),
+        "nonpar": (_nonpar_directory, "{tmp}/eis.csv: Is a directory"),
+    },
+    # the response's AC RMS is 0.319717, so a float step above sqrt(12) * 1e-6 of it,
+    # from an OCV of 2^33 up, swamps it; 400 samples per period overflow the DC bin
+    "test_an_ocv_whose_rounding_swamps_the_response_exits_1_naming_the_key": {
+        name: (_argv("simulate", config=_with_key({**SIM_CONFIG, **extra}, "randles.ocv_v", ocv)),
+               f"invalid config {{tmp}}/c.json: randles.ocv_v {problem}")
+        for name, ocv, extra, problem in [
+            *((name, ocv, extra, "must be less than 8.58993e+09 in magnitude for a response of "
+                                 "AC RMS 0.319717, or its rounding swamps the response")
+              for name, ocv, extra in [("1e15", 1e15, {}), ("1e20", 1e20, {}),
+                                       ("1e20 snr 50", 1e20, {"snr": 50.0}),
+                                       ("1e305", 1e305, {})]),
+            ("1e308", 1e308, {}, "must be at most 4.49423e+305 in magnitude for 400 samples per "
+                                 "period, or its DC bin overflows"),
+        ]
+    },
 }
 
 

@@ -1,4 +1,7 @@
+import gzip
 import json
+import os
+import re
 import warnings
 from unittest import mock
 
@@ -372,3 +375,80 @@ def test_fast_read_matches_row_loop_on_a_mutated_row(clean_record, name, lineno,
         # no mutated file loads through the row loop alone
         with mock.patch.object(recordio, "_parse_rows", side_effect=AssertionError("row loop")):
             read_record(path)
+
+
+def test_a_table_is_parsed_by_its_absolute_name(tmp_path, monkeypatch):
+    # np.loadtxt reads a str name in large chunks, and an open handle a line at a time
+    path, current, _ = _write_pair(tmp_path, **_KW)
+    monkeypatch.chdir(tmp_path)
+    with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        current2, _, _ = read_record("rec.csv")
+    assert loadtxt.call_count == 1
+    assert loadtxt.call_args.args == (str(path),)
+    assert loadtxt.call_args.kwargs["skiprows"] == 1
+    assert np.array_equal(current2.samples, current.samples)
+
+
+_TABLE_HEADER = "freq_hz,re_ohm,im_ohm"
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_tables_under_compressed_looking_names_read_as_under_csv(tmp_path, suffix):
+    # np.loadtxt decompresses a name with these suffixes that it opens itself
+    path, current, voltage = _write_pair(tmp_path, **_KW)
+    renamed = path.rename(path.with_suffix(suffix))
+    current2, voltage2, _ = read_record(renamed)
+    assert current2.samples.tobytes() == current.samples.tobytes()
+    assert voltage2.samples.tobytes() == voltage.samples.tobytes()
+
+    table = np.column_stack([np.arange(1.0, 6.0), current.samples[:5], voltage.samples[:5]])
+    write_csv(tmp_path / "eis.csv", _TABLE_HEADER, table.T)
+    write_csv(tmp_path / f"eis{suffix}", _TABLE_HEADER, table.T)
+    assert (recordio.read_csv(tmp_path / f"eis{suffix}", _TABLE_HEADER).tobytes()
+            == recordio.read_csv(tmp_path / "eis.csv", _TABLE_HEADER).tobytes()
+            == table.tobytes())
+
+
+def test_the_compressed_suffixes_are_those_numpy_opens_by_name():
+    from numpy.lib import _datasource
+
+    assert set(_datasource._file_openers.keys()) - {None} == set(recordio._DECOMPRESSED_SUFFIXES)
+
+
+def test_a_gzip_compressed_record_fails_its_header_check(tmp_path):
+    path, *_ = _write_pair(tmp_path, **_KW)
+    gz = path.with_suffix(".gz")
+    gz.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+    message = f"{gz}: expected header '{CSV_HEADER}', got "
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        read_record(gz)
+
+
+def test_a_url_looking_name_reads_the_local_file(tmp_path, monkeypatch):
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    write_csv(tmp_path / "http:" / "host" / "t.csv", _TABLE_HEADER, ([1.0, 2.0], [3.0, 4.0],
+                                                                     [5.0, 6.0]))
+    monkeypatch.chdir(tmp_path)
+    with mock.patch("urllib.request.urlopen", side_effect=AssertionError("a download")):
+        table = recordio.read_csv("http://host/t.csv", _TABLE_HEADER)
+    assert table.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_table_from_a_pipe_is_read_through_its_handle(tmp_path):
+    # opening the pipe's name again would not see the rows the header read consumed
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(f"{_TABLE_HEADER}\n1,3,5\n2,4,6\n")
+    try:
+        table = recordio.read_csv(f"/dev/fd/{read_end}", _TABLE_HEADER)
+    finally:
+        os.close(read_end)
+    assert table.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+
+
+def test_a_table_that_cannot_be_opened_is_named(tmp_path):
+    (tmp_path / "eis.csv").mkdir()
+    message = f"{tmp_path / 'eis.csv'}: Is a directory"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        recordio.read_csv(tmp_path / "eis.csv", _TABLE_HEADER)

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,7 @@ from fracimp import (
     RandlesParams,
     TimeRecord,
     add_noise,
+    generate_periodic_noise,
     randles_impedance,
     scale_to_rms,
     simulate_response,
@@ -158,3 +164,36 @@ def test_add_noise_rejects_pure_dc():
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(snr=0.0)
+
+
+@pytest.mark.parametrize("current", [
+    make_multisine_current(period_s=10.0, f_min_hz=0.1, f_max_hz=1.0, points_per_decade=5,
+                           sample_rate_hz=20.0, periods=2)[1],
+    make_multisine_current(period_s=10.0, f_min_hz=0.1, f_max_hz=1.0, points_per_decade=5,
+                           sample_rate_hz=2.1, periods=2)[1],  # 21 samples, no Nyquist bin
+    scale_to_rms(generate_periodic_noise(1.0, 64.0, 3, seed=4), 0.5),  # Nyquist bin excited
+], ids=["even", "odd", "noise"])
+def test_an_ocv_is_refused_exactly_where_its_float_step_exceeds_the_bound(sim_params, current):
+    """The bound is ulp(ocv) <= sqrt(12) * 1e-6 * AC RMS, so the refused OCVs start at a
+    power of two; the RMS in the message is the record's, though taken from its spectrum."""
+    response = simulate_response(dataclasses.replace(sim_params, ocv=0.0), current).samples
+    rms = math.sqrt(np.mean((response - response.mean()) ** 2))
+    largest_step = math.sqrt(12.0) * 1e-6 * rms
+    limit = 2.0 ** math.floor(math.log2(largest_step) + 53)
+    assert math.ulp(np.nextafter(limit, 0.0)) <= largest_step < math.ulp(limit)
+
+    simulate_response(dataclasses.replace(sim_params, ocv=np.nextafter(limit, 0.0)), current)
+    message = (f"ocv must be less than {limit:.6g} in magnitude for a response of AC RMS "
+               f"{rms:.6g}, or its rounding swamps the response")
+    for ocv in (limit, -limit, 1e300):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate_response(dataclasses.replace(sim_params, ocv=ocv), current)
+
+
+def test_an_ocv_whose_dc_bin_overflows_is_refused(sim_params):
+    _, current = make_multisine_current(period_s=10.0, f_min_hz=0.1, f_max_hz=1.0,
+                                        points_per_decade=5, sample_rate_hz=20.0, periods=2)
+    message = (f"ocv must be at most {sys.float_info.max / 200:.6g} in magnitude for 200 "
+               "samples per period, or its DC bin overflows")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_response(dataclasses.replace(sim_params, ocv=-1e307), current)
