@@ -47,6 +47,8 @@ from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import per_period_spectra
 
 _BODE_GRID_POINTS = 200
+_EIS_HEADER = "freq_hz,re_ohm,im_ohm"
+_BODE_HEADER = "freq_hz,mag_ohm,phase_deg"
 
 _COUNT = {"type": "integer", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0}
@@ -258,7 +260,7 @@ def cmd_estimate(args, cfg: dict) -> str:
     grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), _BODE_GRID_POINTS)
     freqs = np.unique(np.concatenate([grid, f_sel]))
     curve = parametric_impedance(result, 2.0 * np.pi * freqs)
-    write_csv(out / "bode.csv", "freq_hz,mag_ohm,phase_deg",
+    write_csv(out / "bode.csv", _BODE_HEADER,
               (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
     write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
               (curve.z_ohm.real, -curve.z_ohm.imag))
@@ -271,8 +273,7 @@ def cmd_eis(args, cfg: dict) -> str:
     _, curve = _estimate_on_record(args, cfg, nonparametric_impedance)
 
     out = _out(args)
-    write_csv(out / "eis.csv", "freq_hz,re_ohm,im_ohm",
-              (curve.freq_hz, curve.z_ohm.real, curve.z_ohm.imag))
+    write_csv(out / "eis.csv", _EIS_HEADER, (curve.freq_hz, curve.z_ohm.real, curve.z_ohm.imag))
     return f"nonparametric impedance at {curve.freq_hz.size} bins -> {out / 'eis.csv'}"
 
 
@@ -289,8 +290,8 @@ def cmd_fit(args, cfg: dict) -> str:
 
 
 def cmd_compare(args, cfg: dict) -> str:
-    nonpar = read_csv(args.nonpar, "freq_hz,re_ohm,im_ohm")
-    par = read_csv(args.par, "freq_hz,mag_ohm,phase_deg")
+    nonpar = read_csv(args.nonpar, _EIS_HEADER)
+    par = read_csv(args.par, _BODE_HEADER)
     for path, table in ((args.nonpar, nonpar), (args.par, par)):
         if not len(table):
             raise SchemaError(f"{path}: no data rows")

@@ -10,14 +10,14 @@ significant digits, so every float64 reads back bitwise.
 
 Tables are written by a block writer (`write_csv`): one ``%`` format per block
 of rows.  With its default ``%.17g`` for every column it writes the bytes of
-``np.savetxt(fmt="%.17g", delimiter=",")``.  Every
-CSV table, a record or a `compare` input, is read by `read_csv`: one C parse
-of the data rows (``np.loadtxt``), checked as a whole.  The parse is given the
-file's absolute name, so numpy reads the file in large chunks rather than a
-Python line at a time; a name that numpy would decompress, and a file that is
-not regular, are parsed through the open file instead.  Only a file that
-fails is read again, by the one row-by-row parse (`_parse_rows`), whose
-errors name the file line and column.  It accepts no file with data rows
+``np.savetxt(fmt="%.17g", delimiter=",")``.  Every CSV table, a record or a
+`compare` input, is read by `read_csv`, which opens it once: one C parse of
+the data rows (``np.loadtxt``), checked as a whole.  A regular file is parsed
+by its absolute name, so numpy reads it in large chunks rather than a Python
+line at a time; any other file (a pipe, a name that numpy would decompress)
+is parsed from its lines.  A table that fails goes on, as the rest of the
+same open file, to the one row-by-row parse (`_parse_rows`), whose errors
+name the file line and column.  It accepts no file with data rows
 that the C parse rejects, and a row that ``float()`` rejects but the C parse
 reads (a number padded with the ASCII separators 0x1C-0x1F) passes too.
 """
@@ -117,67 +117,64 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
         d, samples_per_period(float(d["period_s"]), float(d["sample_rate_hz"]))))
     fs, period_s = float(meta["sample_rate_hz"]), float(meta["period_s"])
     expected = meta["periods"] * m
-    # np.loadtxt allocates max_rows rows up front, so one row past the
-    # sidecar's count gives the table its final size in one allocation rather
-    # than a series of growing reallocations.  A file too short to hold the
-    # count (a data row takes at least 6 bytes) or longer than it is read
-    # whole, so a wrong sidecar neither sizes the table nor hides the true count.
-    fits = 6 * expected <= csv_path.stat().st_size
-    table = read_csv(csv_path, CSV_HEADER, max_rows=expected + 1 if fits else None)
+    # one row past the sidecar's count sizes the table in one allocation; a
+    # longer file is read whole, so a wrong sidecar does not hide the true count
+    table = read_csv(csv_path, CSV_HEADER, max_rows=expected + 1)
     if len(table) > expected:
         table = read_csv(csv_path, CSV_HEADER)
     if len(table) != expected:
         raise SchemaError(f"{csv_path}: {len(table)} data rows, metadata implies {expected}")
     bad = np.nonzero(np.abs(table[:, 0] - np.arange(expected) / fs) > _TIME_TOL_S)[0]
-    if bad.size:  # its file line, counting lines as `_parse_rows` does: all but empty ones
+    if bad.size:  # its file line
         with open(csv_path, errors="replace") as fh:
-            lines = (n for n, text in enumerate(fh, start=1) if text != "\n")
-            line = next(itertools.islice(lines, bad[0] + 1, None))  # after the header
+            fh.readline()  # the header
+            line, _ = next(itertools.islice(_data_lines(fh), bad[0], None))
         raise SchemaError(f"{csv_path}: non-uniform time column starting at row {line} "
                           f"(expected step {1.0 / fs})")
     return TimeRecord(table[:, 1], fs, period_s), TimeRecord(table[:, 2], fs, period_s), meta
 
 
-def _read_header(path: str | Path, fh, header: str) -> None:
-    found = fh.readline().strip()
-    if found != header:
-        raise SchemaError(f"{path}: expected header '{header}', got '{found}'")
-
-
 def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.ndarray:
     """Data rows of a CSV with the given header: one finite column per header field.
 
-    The data rows are parsed in one C call.  A regular file is parsed by its
-    absolute name, which numpy reads in large chunks; a relative name such as
-    ``http://host/t.csv`` would be fetched as a URL.  A file that is not
-    regular (a pipe, whose rows the header read has taken) or whose suffix
-    np.loadtxt would decompress is parsed through the open file, a line at a
-    time.  ``comments=None`` keeps ``#``
-    text in a field, so a row such as ``0.2,1.0,0.0 # note`` is malformed
-    rather than silently truncated.  A file that fails the parse or the
-    column and finiteness checks goes to `_parse_rows`, which raises a
-    SchemaError naming the file line; a header-only file gives an empty table.
-    With `max_rows`, the C parse reads and checks only the first `max_rows`
-    data rows, into a table allocated at that many rows.  A file that cannot
-    be opened or read is a SchemaError naming it.
+    The file is opened once and its header checked, then its data rows are
+    parsed in one C call: a regular file by its absolute name (a relative name
+    such as ``http://host/t.csv`` would be fetched as a URL), any other from
+    its lines, read once.  ``comments=None`` keeps ``#`` text in a field, so
+    ``0.2,1.0,0.0 # note`` is malformed rather than silently truncated.  A
+    file that fails the parse or the column and finiteness checks goes to
+    `_parse_rows`, which raises a SchemaError naming the file line; a
+    header-only file gives an empty table.  With `max_rows`, the C parse reads
+    only the first `max_rows` data rows, into a table allocated at that many
+    rows unless the file is too short to hold them (a row of n fields takes at
+    least 2n bytes).  A file that cannot be opened or read is a SchemaError naming it.
     """
+    columns = header.count(",") + 1
     try:
-        with open(path) as fh:
-            _read_header(path, fh, header)
-            if (stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        with open(path, errors="replace") as fh:
+            found = fh.readline().strip()
+            if found != header:
+                raise SchemaError(f"{path}: expected header '{header}', got '{found}'")
+            info = os.fstat(fh.fileno())
+            if max_rows is not None and 2 * columns * max_rows > info.st_size:
+                max_rows = None
+            if (stat.S_ISREG(info.st_mode)
                     and os.path.splitext(path)[1] not in _DECOMPRESSED_SUFFIXES):
-                table = _loadtxt(os.fspath(Path(path).absolute()), max_rows, skiprows=1)
+                source, lines, skiprows = os.fspath(Path(path).absolute()), fh, 1
             else:
-                table = _loadtxt(fh, max_rows)
-        if table.shape[1] == header.count(",") + 1 and np.isfinite(table).all():
-            return table
+                source = lines = fh.readlines()
+                skiprows = 0
+            try:
+                table = _loadtxt(source, max_rows, skiprows)
+                if table.shape[1] == columns and np.isfinite(table).all():
+                    return table
+            except ValueError:  # a malformed row, or bytes numpy cannot decode
+                pass
+            return _parse_rows(path, header, lines)
     except FileNotFoundError as exc:
         raise SchemaError(f"file not found: {path}") from exc
     except OSError as exc:  # a directory, a file without read permission
         raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError:  # a malformed row, or undecodable bytes
-        pass
-    return _parse_rows(path, header)
 
 
 def _loadtxt(lines, max_rows: int | None = None, skiprows: int = 0) -> np.ndarray:
@@ -188,43 +185,45 @@ def _loadtxt(lines, max_rows: int | None = None, skiprows: int = 0) -> np.ndarra
                           skiprows=skiprows)
 
 
-def _parse_rows(path: str | Path, header: str) -> np.ndarray:
-    """The one row-by-row parse of a table.
+def _data_lines(lines):
+    """(file line, text) of each data row, given the lines after the header: each non-empty one."""
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if line:
+            yield lineno, line
+
+
+def _parse_rows(path: str | Path, header: str, lines) -> np.ndarray:
+    """The one row-by-row parse of a table, given its lines after the header.
 
     Its SchemaErrors name the file line, and the column where there is one.
     It accepts no data row that ``np.loadtxt`` rejects, so it rejects by name
     what ``float()`` alone would read: digit separators (``1_0``), non-ASCII
     digits and undecodable bytes (read as U+FFFD); and whitespace-only lines.
-    A row that ``float()`` rejects is kept if `_loadtxt` reads it.  Only
-    empty lines are skipped.
+    A row that ``float()`` rejects is kept if `_loadtxt` reads it.
     """
     names = header.split(",")
     rows = []
-    with open(path, errors="replace") as fh:
-        _read_header(path, fh, header)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            where = f"{path}: row {lineno}"
-            if not line.strip():
-                raise SchemaError(f"{where} holds only whitespace")
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise SchemaError(f"{where} has {len(parts)} fields, expected {len(names)}")
-            for name, v in zip(names, parts):
-                if "_" in v or not v.isascii():
-                    raise SchemaError(f"{where} {name} field {v.strip()!r} is not a plain "
-                                      "ASCII number")
-            try:
-                values = [float(v) for v in parts]
-            except ValueError as exc:
-                try:  # the C parse strips some characters around a number that float() keeps
-                    values = _loadtxt([line])[0].tolist()
-                except ValueError:
-                    raise SchemaError(f"{where} is not numeric: {exc}") from exc
-            for name, x in zip(names, values):
-                if not math.isfinite(x):
-                    raise SchemaError(f"{where} has a non-finite {name} value")
-            rows.append(values)
+    for lineno, line in _data_lines(lines):
+        where = f"{path}: row {lineno}"
+        if not line.strip():
+            raise SchemaError(f"{where} holds only whitespace")
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise SchemaError(f"{where} has {len(parts)} fields, expected {len(names)}")
+        for name, v in zip(names, parts):
+            if "_" in v or not v.isascii():
+                raise SchemaError(f"{where} {name} field {v.strip()!r} is not a plain "
+                                  "ASCII number")
+        try:
+            values = [float(v) for v in parts]
+        except ValueError as exc:
+            try:  # the C parse strips some characters around a number that float() keeps
+                values = _loadtxt([line])[0].tolist()
+            except ValueError:
+                raise SchemaError(f"{where} is not numeric: {exc}") from exc
+        for name, x in zip(names, values):
+            if not math.isfinite(x):
+                raise SchemaError(f"{where} has a non-finite {name} value")
+        rows.append(values)
     return np.array(rows, dtype=float).reshape(-1, len(names))

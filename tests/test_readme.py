@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracimp import EstimationConfig, MultisineSpec, fit_randles, per_period_spectra, \
+    read_record, wtls_estimate
 from fracimp.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -57,9 +59,15 @@ def _listed_outputs():
 
 
 @pytest.fixture(scope="module")
-def walkthrough(tmp_path_factory):
+def readme_dir(tmp_path_factory):
+    """The directory the multisine walkthrough runs in."""
+    return tmp_path_factory.mktemp("readme")
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory, readme_dir):
     with pytest.MonkeyPatch.context() as mp:
-        base = tmp_path_factory.mktemp("readme")
+        base = readme_dir
         mp.chdir(base)
         multisine, noise = _walkthrough_blocks()
         ran = {"multisine": _replay(multisine)}
@@ -96,3 +104,23 @@ def test_noise_walkthrough_matches_the_readme_claim(walkthrough):
     error = np.loadtxt(run / "error.csv", delimiter=",", skiprows=1)
     assert eis.shape[0] == error.shape[0] == rows
     assert round(100 * float(np.median(error[:, 1])), 1) == median_pct
+
+
+_PARAMS = ("r_s_ohm", "r_ct_ohm", "c_dl_f", "sigma_w_ohm_per_sqrt_s")
+
+
+def test_multisine_outputs_match_the_library_on_the_record_read_back(walkthrough, readme_dir):
+    # estimate.json and fit.json against wtls_estimate and fit_randles run
+    # in process on run/record.csv, with est.json's settings
+    cfg = json.loads((readme_dir / "est.json").read_text())
+    spec = MultisineSpec.from_dict(json.loads((readme_dir / cfg["multisine_path"]).read_text()))
+    current, voltage, _ = read_record(readme_dir / "run" / "record.csv")
+    result = wtls_estimate(per_period_spectra(current, voltage), EstimationConfig(
+        bin_mask=spec.harmonics, iterations=cfg["iterations"], n_r=cfg["n_r"]))
+    params = fit_randles(result.rational).params.to_dict()
+    estimate = json.loads((readme_dir / "run" / "estimate.json").read_text())
+    fit = json.loads((readme_dir / "run" / "fit.json").read_text())["params"]
+    for got, want in ((estimate["a"], result.rational.a), (estimate["b"], result.rational.b),
+                      (estimate["c"], result.transient),
+                      ([fit[k] for k in _PARAMS], [params[k] for k in _PARAMS])):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)

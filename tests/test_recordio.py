@@ -342,7 +342,9 @@ _MUTATIONS = {
 def _read_by_rows(path):
     """`read_record` with every table read by the row parse alone."""
     def by_rows(path, header, max_rows=None):
-        return recordio._parse_rows(path, header)
+        with open(path, errors="replace") as fh:
+            fh.readline()  # the header, which no mutation touches
+            return recordio._parse_rows(path, header, fh)
 
     with mock.patch.object(recordio, "read_csv", by_rows):
         return read_record(path)
@@ -445,6 +447,44 @@ def test_a_table_from_a_pipe_is_read_through_its_handle(tmp_path):
     finally:
         os.close(read_end)
     assert table.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_bad_row_in_a_pipe_is_named():
+    # the row parse reads the rest of the same open pipe, not the drained name
+    read_end, write_end = os.pipe()
+    with os.fdopen(write_end, "w") as fh:
+        fh.write(f"{_TABLE_HEADER}\n1,3,5\n1,x,6\n")
+    message = f"/dev/fd/{read_end}: row 3 is not numeric: could not convert string to float: 'x'"
+    try:
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            recordio.read_csv(f"/dev/fd/{read_end}", _TABLE_HEADER)
+    finally:
+        os.close(read_end)
+
+
+def test_a_malformed_table_is_opened_once(tmp_path):
+    # np.loadtxt opens the name through the `open` that numpy kept at import,
+    # which the mock does not replace, so the count is of the reader's own opens
+    path = tmp_path / "eis.csv"
+    path.write_text(f"{_TABLE_HEADER}\n1,3,5\n1,x,6\n")
+    with mock.patch("builtins.open", wraps=open) as opened:
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: row 3 is not numeric")):
+            recordio.read_csv(path, _TABLE_HEADER)
+    assert opened.call_count == 1
+
+
+def test_a_max_rows_the_file_cannot_hold_is_not_allocated(tmp_path):
+    # a row of three fields takes at least 6 bytes, so a file of S bytes holds
+    # at most S // 6 rows; a larger max_rows would size the table from no data
+    path = tmp_path / "eis.csv"
+    write_csv(path, _TABLE_HEADER, ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
+    most = path.stat().st_size // 6
+    for max_rows, given in ((most, most), (most + 1, None), (10**15, None)):
+        with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            table = recordio.read_csv(path, _TABLE_HEADER, max_rows=max_rows)
+        assert table.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
+        assert loadtxt.call_args.kwargs["max_rows"] == given
 
 
 def test_a_table_that_cannot_be_opened_is_named(tmp_path):
