@@ -16,11 +16,11 @@ unknown config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
 strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
 A multisine spec's period is checked against the config (`simulate`) or the
-record (`estimate`, `eis`) that it excites.  `_input_error` alone turns a
-library error into the exit-1 line: a field in its table `_CONFIG_KEYS` is named
-by its config key ("rms_target ..." reads "invalid config <path>: rms_a ..."),
-the other errors of `design` and `simulate` are the config's, and those of
-`fit` the estimate file's.
+record (`estimate`, `eis`) that it excites.  `_input_error` turns a library
+error into the exit-1 line (a design grid's MemoryError is `_design`'s own SchemaError):
+a field in its table `_CONFIG_KEYS` is named by its config key ("rms_target
+..." reads "invalid config <path>: rms_a ..."), the other errors of `design`
+and `simulate` are the config's, and those of `fit` the estimate file's.
 Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
 (a NumericsError or a numpy linear-algebra error).
 """

@@ -71,7 +71,8 @@ def monte_carlo(draw, count):
 
 def noisy_spectra(current, voltage, snr, seed):
     """Per-period spectra of `current` and `voltage`, each with white noise at `snr`
-    drawn from one of the two children of `seed`, as `fracimp simulate` draws them."""
+    seeded by one of the first two children of `SeedSequence(seed)`, children 0 and 1
+    (`fracimp simulate` seeds its noise from children 1 and 2, after the excitation's)."""
     i_seed, v_seed = (int(child.generate_state(1, np.uint64)[0])
                       for child in np.random.SeedSequence(seed).spawn(2))
     return per_period_spectra(add_noise(current, NoiseSpec(snr=snr, seed=i_seed)),

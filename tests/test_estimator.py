@@ -833,12 +833,6 @@ def test_dropped_mask_bins_warn_once_per_estimate():
     assert str(dropped[0].message) == f"1 of {spec.harmonics.size} mask bins outside the window"
 
 
-def test_wtls_requires_some_data():
-    spectra = spectral_set(1.0, np.ones(4), np.ones(4))
-    with pytest.raises(ValueError):
-        wtls_estimate(spectra, EstimationConfig(bin_window=(1, 2), bin_mask=[3]))
-
-
 def test_window_beyond_available_bins_errors():
     spectra = spectral_set(1.0, np.ones(8), np.ones(8))  # M = 14
     with pytest.raises(ValueError, match=r"^bin_window must lie within the usable bins 1\.\.6$"):
@@ -864,15 +858,6 @@ def test_usable_bins_end_below_the_nyquist_bin_only_when_m_is_even(m):
     with pytest.raises(ValueError, match=r"^bin_mask must lie within the spectrum \(max bin "
                                          r"2000\), got 2001$"):
         EstimationConfig(bin_mask=[5, 2001]).selected_bins(spectra)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimationConfig(n_a=0)
-    with pytest.raises(ValueError):
-        EstimationConfig(iterations=-1)
-    with pytest.raises(ValueError):
-        EstimationConfig(bin_window=(3, 2))
 
 
 def test_config_takes_integral_float_bins_as_ints():

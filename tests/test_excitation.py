@@ -244,18 +244,7 @@ def test_scale_to_rms_idempotent():
     assert once.rms() == pytest.approx(0.37, rel=1e-15)
 
 
-def test_scale_zero_record_errors():
-    record = TimeRecord(samples=np.zeros(4), sample_rate_hz=4.0, period_s=1.0)
-    with pytest.raises(ValueError, match="zero"):
-        scale_to_rms(record, 1.0)
-
-
 # ---------------------------------------------------------------- types
-
-
-def test_time_record_length_invariant():
-    with pytest.raises(ValueError, match="length"):
-        TimeRecord(samples=np.zeros(7), sample_rate_hz=4.0, period_s=1.0)
 
 
 @pytest.mark.parametrize("n", [0, 9])
@@ -342,15 +331,6 @@ def test_time_record_names_the_first_non_finite_sample():
     samples[[3, 6]] = np.inf, np.nan
     with pytest.raises(ValueError, match=r"^sample 3 is not finite \(inf\)$"):
         TimeRecord(samples=samples, sample_rate_hz=4.0, period_s=1.0)
-
-
-def test_multisine_spec_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        MultisineSpec(period_s=1.0, harmonics=[2, 2], amplitudes=[1, 1], phases=[0, 0])
-    with pytest.raises(ValueError):
-        MultisineSpec(period_s=1.0, harmonics=[1], amplitudes=[-1.0], phases=[0.0])
-    with pytest.raises(ValueError):
-        MultisineSpec(period_s=1.0, harmonics=[1], amplitudes=[1.0], phases=[7.0])
 
 
 def test_multisine_spec_json_roundtrip():

@@ -20,14 +20,16 @@ from fracimp import (
     generate_periodic_noise,
     nonparametric_impedance,
     per_period_spectra,
+    randles_impedance,
     scale_to_rms,
     synthesize_multisine,
     warburg_impedance,
+    wtls_estimate,
 )
 from fracimp.excitation import samples_per_period
 from fracimp.model import ImpedanceCurve
 
-from conftest import spectral_set
+from conftest import SIM_PARAMS, spectral_set
 
 _ONE_SAMPLE_PERIODS = TimeRecord(np.array([1.0, -1.0]), 1.0, 1.0)
 _ONES = np.ones(3)
@@ -46,6 +48,8 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  "points_per_decade must be >= 1", id="design points_per_decade 0"),
     pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 0.0), "rms_target must be positive",
                  id="scale rms 0"),
+    pytest.param(lambda: scale_to_rms(TimeRecord(np.zeros(4), 4.0, 1.0), 1.0),
+                 "cannot scale an identically zero record", id="scale zero record"),
     # a scale or a noise draw that would leave a record whose squares or samples
     # are not finite normal floats
     pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 1e-155),
@@ -60,8 +64,18 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
     pytest.param(lambda: add_noise(TimeRecord(np.array([1e300, -1e300]), 1.0, 1.0),
                                    NoiseSpec(snr=50.0)),
                  "record's AC power overflows; SNR is undefined", id="noise AC power overflow"),
+    pytest.param(lambda: add_noise(TimeRecord(np.full(16, 3.6), 4.0, 4.0), NoiseSpec(snr=10.0)),
+                 "record has no AC content; SNR is undefined", id="noise pure DC"),
+    pytest.param(lambda: NoiseSpec(snr=0.0), "snr must be positive", id="noise snr 0"),
     pytest.param(lambda: warburg_impedance(-0.1, 1.0), "sigma_w must be nonnegative",
                  id="warburg sigma negative"),
+    pytest.param(lambda: warburg_impedance(0.03, -1.0),
+                 "omega must be strictly positive (Warburg diverges at DC)",
+                 id="warburg omega negative"),
+    pytest.param(lambda: randles_impedance(SIM_PARAMS, 0.0),
+                 "omega must be strictly positive (Warburg diverges at DC)", id="randles omega 0"),
+    pytest.param(lambda: RandlesParams(0.0, 0.1, 1.0, 0.1), "r_s must be strictly positive",
+                 id="randles r_s 0"),
     pytest.param(lambda: per_period_spectra(_ONE_SAMPLE_PERIODS, _ONE_SAMPLE_PERIODS),
                  "need at least 2 samples per period", id="spectra one sample per period"),
     pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4, EstimationConfig(bin_mask=[])),
@@ -73,6 +87,14 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
     pytest.param(lambda: nonparametric_impedance(_SPECTRUM_OF_4,
                                                  EstimationConfig(bin_mask=[2.5, 3.9])),
                  "bin_mask must hold whole bin numbers", id="nonparametric fractional bins"),
+    pytest.param(lambda: wtls_estimate(spectral_set(1.0, np.ones(4), np.ones(4)),
+                                       EstimationConfig(bin_window=(1, 2), bin_mask=[3])),
+                 "bin_mask leaves no bin in the window", id="wtls no bins"),
+    pytest.param(lambda: EstimationConfig(n_a=0), "n_a must be >= 1", id="config n_a 0"),
+    pytest.param(lambda: EstimationConfig(iterations=-1), "iterations must be >= 0",
+                 id="config iterations negative"),
+    pytest.param(lambda: EstimationConfig(bin_window=(3, 2)),
+                 "bin_window must satisfy 1 <= k_min <= k_max", id="config bin_window inverted"),
     pytest.param(lambda: EstimationConfig(n_b=-1), "n_b must be >= 0", id="config n_b negative"),
     pytest.param(lambda: EstimationConfig(n_r=-1), "n_r must be >= 0", id="config n_r negative"),
     pytest.param(lambda: EstimationConfig(n_a=_NAN), "n_a must be >= 1", id="config n_a nan"),
@@ -109,6 +131,13 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  "bin_mask must hold whole bin numbers", id="config bin_mask beyond float"),
     pytest.param(lambda: MultisineSpec(20.0, [0, 1], [1.0, 1.0], [0.0, 0.0]),
                  "harmonics must be >= 1 (DC is never excited)", id="multisine DC harmonic"),
+    pytest.param(lambda: MultisineSpec(1.0, [2, 2], [1.0, 1.0], [0.0, 0.0]),
+                 "harmonics must be strictly increasing without duplicates",
+                 id="multisine duplicate harmonics"),
+    pytest.param(lambda: MultisineSpec(1.0, [1], [-1.0], [0.0]),
+                 "amplitudes must be strictly positive", id="multisine amplitude negative"),
+    pytest.param(lambda: MultisineSpec(1.0, [1], [1.0], [7.0]), "phases must lie in [0, 2*pi)",
+                 id="multisine phase beyond 2*pi"),
     pytest.param(lambda: MultisineSpec(20.0, [1.5, 3.9], [1.0, 1.0], [0.0, 0.0]),
                  "harmonics must hold whole bin numbers", id="multisine fractional harmonics"),
     pytest.param(lambda: MultisineSpec(20.0, [10**400], [1.0], [0.0]),
@@ -124,6 +153,9 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
                  id="record period 0"),
     pytest.param(lambda: TimeRecord(np.ones((2, 2)), 1.0, 1.0), "samples must be 1-D",
                  id="record 2-D"),
+    pytest.param(lambda: TimeRecord(np.zeros(7), 4.0, 1.0),
+                 "record length 7 is not a positive multiple of period_s*sample_rate_hz = 4",
+                 id="record length not whole periods"),
     pytest.param(lambda: HalfOrderRational(a=[1.0], b=[np.nan]), "coefficients must be finite",
                  id="rational not finite"),
     pytest.param(lambda: ImpedanceCurve(freq_hz=[1.0, 2.0], z_ohm=[1.0]),

@@ -411,10 +411,16 @@ def test_plain_tables_under_compressed_looking_names_read_as_under_csv(tmp_path,
             == table.tobytes())
 
 
-def test_the_compressed_suffixes_are_those_numpy_opens_by_name():
-    from numpy.lib import _datasource
-
-    assert set(_datasource._file_openers.keys()) - {None} == set(recordio._DECOMPRESSED_SUFFIXES)
+def test_a_regular_table_under_another_name_is_parsed_from_its_lines(tmp_path):
+    # only a .csv name goes to np.loadtxt, which might otherwise decompress it
+    table = np.column_stack([np.arange(1.0, 6.0), np.linspace(0.1, 0.5, 5), np.full(5, -0.3)])
+    write_csv(tmp_path / "eis.csv", _TABLE_HEADER, table.T)
+    write_csv(tmp_path / "eis.txt", _TABLE_HEADER, table.T)
+    with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        from_lines = recordio.read_csv(tmp_path / "eis.txt", _TABLE_HEADER)
+    assert loadtxt.call_count == 1
+    assert isinstance(loadtxt.call_args.args[0], list)
+    assert from_lines.tobytes() == recordio.read_csv(tmp_path / "eis.csv", _TABLE_HEADER).tobytes()
 
 
 def test_a_gzip_compressed_record_fails_its_header_check(tmp_path):

@@ -155,17 +155,6 @@ def test_noise_sigma_references_ac_component(sim_params):
     assert injected.std() < 0.2 * sim_params.ocv / 10.0
 
 
-def test_add_noise_rejects_pure_dc():
-    record = TimeRecord(samples=np.full(16, 3.6), sample_rate_hz=4.0, period_s=4.0)
-    with pytest.raises(ValueError, match="AC"):
-        add_noise(record, NoiseSpec(snr=10.0))
-
-
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(snr=0.0)
-
-
 @pytest.mark.parametrize("current", [
     make_multisine_current(period_s=10.0, f_min_hz=0.1, f_max_hz=1.0, points_per_decade=5,
                            sample_rate_hz=20.0, periods=2)[1],
