@@ -21,8 +21,8 @@ error into the exit-1 line (a design grid's MemoryError is `_design`'s own Schem
 a field in its table `_CONFIG_KEYS` is named by its config key ("rms_target
 ..." reads "invalid config <path>: rms_a ..."), the other errors of `design`
 and `simulate` are the config's, and those of `fit` the estimate file's.
-Exit codes: 0 success, 1 usage or schema error, 2 numerical failure
-(a NumericsError or a numpy linear-algebra error).
+Exit codes: 0 success, 1 usage or schema error or an --out that cannot be made or
+written, 2 numerical failure (a NumericsError or a numpy linear-algebra error).
 """
 
 from __future__ import annotations
@@ -389,13 +389,15 @@ _CONFIG_KEYS = {
 
 def _input_error(args, cfg: dict, exc: Exception) -> str:
     """The exit-1 message of `exc`, raised by `args.command` under the config `cfg`.
-    A SchemaError names its file; any other error of fit is the estimate file's, and
-    one that starts with a field of `_CONFIG_KEYS` is the config's, under its key.
-    Every input of design and simulate is a config key or a spec file that its
-    SchemaError names, so their other errors are reported as the config's."""
+    A SchemaError names its file, an OSError its path; any other error of fit is the
+    estimate file's, and one that starts with a field of `_CONFIG_KEYS` is the config's,
+    under its key.  Every input of design and simulate is a config key or a spec file
+    that its SchemaError names, so their other errors are reported as the config's."""
     message = str(exc)
     if isinstance(exc, SchemaError):
         return message
+    if isinstance(exc, OSError):  # an --out that cannot be made or written
+        return f"{exc.filename}: {exc.strerror}" if exc.filename else message
     if args.command == "fit":
         return f"invalid estimate file {args.estimate}: {message}"
     keys = _CONFIG_KEYS.get(args.command, {})
@@ -428,7 +430,7 @@ def main(argv=None) -> int:
     except (NumericsError, np.linalg.LinAlgError) as exc:  # before its base, ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (SchemaError, ValueError, MemoryError) as exc:  # a record too large to allocate
+    except (SchemaError, ValueError, MemoryError, OSError) as exc:
         print(f"error: {_input_error(args, cfg, exc)}", file=sys.stderr)
         return 1
     if not args.quiet:

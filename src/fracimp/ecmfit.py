@@ -3,7 +3,7 @@
 Six coefficient equations constrain the four unknowns (r_s, r_ct, c_dl,
 sigma_w); the overdetermined system is solved by damped Gauss-Newton on
 relative residuals over log-parameters, started from a closed-form inversion
-of four of the equations.
+of four of the equations; its Jacobian is `model.randles_log_jacobian`.
 """
 
 from __future__ import annotations
@@ -13,20 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .model import SQRT2, HalfOrderRational, RandlesParams, randles_coefficients
+from .model import SQRT2, HalfOrderRational, RandlesParams, randles_coefficients, \
+    randles_log_jacobian
 
 _RESIDUAL_FLOOR = 1e-12
 _MAX_ITER = 50
 _STEP_TOL = 1e-12  # stop once the accepted log-step norm is below this
-# exponent of each of [r_s, r_ct, c_dl, sigma_w] in each coefficient monomial
-_EXPONENTS = np.array([
-    [0, 0, 1, 1],  # a_2 = sqrt2 sigma_w c_dl
-    [0, 1, 1, 0],  # a_3 = r_ct c_dl
-    [0, 0, 0, 1],  # b_0 = sqrt2 sigma_w
-    [0, 0, 0, 0],  # b_1 = r_s + r_ct is no monomial: set in `_jacobian_log`
-    [1, 0, 1, 1],  # b_2 = sqrt2 r_s sigma_w c_dl
-    [1, 1, 1, 0],  # b_3 = r_s r_ct c_dl
-])
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +42,6 @@ def _randles_targets(r: HalfOrderRational) -> np.ndarray:
         raise ValueError("Randles recovery needs the (N_a, N_b) = (3, 3) structure")
     # [a_2, a_3, b_0, b_1, b_2, b_3] at a_1 = 1, the order of `randles_coefficients`
     return np.concatenate([r.a[1:], r.b]) / r.a[0]
-
-
-def _jacobian_log(x: np.ndarray) -> np.ndarray:
-    """d(coefficients)/d(log params): for a monomial, itself times each exponent."""
-    jac = randles_coefficients(*x)[:, None] * _EXPONENTS
-    jac[3, :2] = x[:2]
-    return jac
 
 
 def init_from_coefficients(r: HalfOrderRational) -> RandlesParams:
@@ -97,7 +82,7 @@ def fit_randles(r: HalfOrderRational) -> EcmFitResult:
     converged = False
 
     for iterations in range(1, _MAX_ITER + 1):
-        jac = _jacobian_log(x) / denom[:, None]
+        jac = randles_log_jacobian(*x) / denom[:, None]
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         for alpha in 0.5 ** np.arange(31):
             # a trial that overflows costs inf or nan, and is halved like any other

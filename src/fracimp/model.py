@@ -3,7 +3,7 @@
 The Randles cell (series resistance, double-layer capacitance in parallel with
 charge-transfer resistance plus a Warburg diffusion element) has an impedance
 that is rational in q = sqrt(s).  This module holds the circuit, the rational
-form, and the exact coefficient map between them.
+form, the exact coefficient map between them and that map's log-Jacobian.
 """
 
 from __future__ import annotations
@@ -134,6 +134,16 @@ def randles_coefficients(r_s: float, r_ct: float, c_dl: float, sigma_w: float) -
         r_s * sw2 * c_dl,
         r_s * r_ct * c_dl,
     ])
+
+
+def randles_log_jacobian(r_s: float, r_ct: float, c_dl: float, sigma_w: float) -> np.ndarray:
+    """d(randles_coefficients)/d(log [r_s, r_ct, c_dl, sigma_w]), six rows by four: a
+    monomial's entry is the monomial itself where its variable appears, and 0
+    elsewhere; b_1 = r_s + r_ct has the row (r_s, r_ct, 0, 0)."""
+    a2, a3, b0, _, b2, b3 = randles_coefficients(r_s, r_ct, c_dl, sigma_w)
+    return np.array([[0.0, 0.0, a2, a2], [0.0, a3, a3, 0.0],  # a_2, a_3
+                     [0.0, 0.0, 0.0, b0], [r_s, r_ct, 0.0, 0.0],  # b_0, b_1
+                     [b2, 0.0, b2, b2], [b3, b3, b3, 0.0]])  # b_2, b_3
 
 
 def randles_to_rational(p: RandlesParams) -> HalfOrderRational:

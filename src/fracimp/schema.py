@@ -56,6 +56,8 @@ def load(path: str | Path, schema: dict, what: str, build=None):
         raise SchemaError(f"{context}: {exc.strerror}") from exc
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise SchemaError(f"{context}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json's message varies across Python versions
+        raise SchemaError(f"{context}: not valid JSON: nested too deeply to decode") from exc
     value = check(value, schema, context)
     try:
         return value if build is None else build(value)

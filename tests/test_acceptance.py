@@ -15,7 +15,6 @@ survey-style comparison uses 76 odd quasi-log lines in [5.6 mHz, 80 Hz] over
 import time
 
 import numpy as np
-import pytest
 
 from fracimp import (
     EstimationConfig,

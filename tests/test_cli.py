@@ -592,6 +592,20 @@ def test_quiet_silences_every_command(tmp_path, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_an_out_that_cannot_be_made_or_written_exits_1_naming_the_path(tmp_path, capsys):
+    # a regular file where --out should be, and a directory where eis.csv should
+    # be; the `_EXIT_1` rows require that --out does not exist, so these are no rows
+    run = _run_simulate(tmp_path)
+    config = _json(tmp_path, "c.json", {"multisine_path": str(run / "multisine.json")})
+    (tmp_path / "afile").touch()
+    (tmp_path / "e3" / "eis.csv").mkdir(parents=True)
+    for command, out, path, reason in [("estimate", "afile", "afile", "File exists"),
+                                       ("eis", "e3", "e3/eis.csv", "Is a directory")]:
+        assert main([command, "--record", str(run / "record.csv"), "--config", config,
+                     "--out", str(tmp_path / out), "--quiet"]) == 1
+        assert capsys.readouterr() == ("", f"error: {tmp_path / path}: {reason}\n")
+
+
 def _function_spans() -> dict:
     """`FUNCTION_SPANS` of the benchmark worker, read from its source."""
     tree = ast.parse((Path(__file__).parents[1] / "bench" / "worker.py").read_text())
@@ -702,6 +716,12 @@ def _nonpar_directory(tmp_path):
     argv = _compare(None, "1.0,1.0,0.0\n")(tmp_path)
     (tmp_path / "eis.csv").mkdir()
     return argv
+
+
+def _deep_config(tmp_path):
+    # json.dumps of a value this deep recurses too, so the text is written directly
+    (tmp_path / "c.json").write_text("[" * 100_000 + "]" * 100_000)
+    return ["design", "--config", str(tmp_path / "c.json")]
 
 
 def _infinite_snr(tmp_path):
@@ -1063,6 +1083,8 @@ _EXIT_1 = {
         _spec_argv("estimate", {**_SPEC, "harmonics": [1, 999]}),
         "invalid config {tmp}/c.json: multisine_path harmonics must lie within the spectrum "
         "(max bin 200), got 999")},
+    "test_a_config_nested_too_deeply_exits_1_naming_the_file": {None: (
+        _deep_config, "invalid config {tmp}/c.json: not valid JSON: nested too deeply to decode")},
     "test_a_table_that_cannot_be_opened_exits_1_naming_the_file": {
         "record": (_record_directory, "{tmp}/rec.csv: Is a directory"),
         "nonpar": (_nonpar_directory, "{tmp}/eis.csv: Is a directory"),

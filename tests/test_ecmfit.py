@@ -111,13 +111,13 @@ def test_accepted_steps_never_increase_cost(monkeypatch):
     # Gauss-Newton step raises the cost, so the step halving runs; and every
     # iterate the Jacobian is taken at: the start, then each accepted step
     monkeypatch.setattr(ecmfit, "init_from_coefficients", lambda r: start)
-    iterates, jacobian_log = [], ecmfit._jacobian_log
+    iterates, jacobian_log = [], ecmfit.randles_log_jacobian
 
-    def recording_jacobian(x):
-        iterates.append(x.copy())
-        return jacobian_log(x)
+    def recording_jacobian(*x):
+        iterates.append(np.array(x))
+        return jacobian_log(*x)
 
-    monkeypatch.setattr(ecmfit, "_jacobian_log", recording_jacobian)
+    monkeypatch.setattr(ecmfit, "randles_log_jacobian", recording_jacobian)
     result = fit_randles(noisy)
 
     targets = np.array([noisy.a[1], noisy.a[2], *noisy.b])

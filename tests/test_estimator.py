@@ -14,7 +14,6 @@ from fracimp import (
     SpectralSet,
     TimeRecord,
     equation_error_sigma,
-    eval_rational,
     fit_randles,
     generate_periodic_noise,
     parametric_impedance,

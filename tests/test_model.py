@@ -13,7 +13,7 @@ from fracimp import (
     resonance_frequency,
     warburg_impedance,
 )
-from fracimp.model import _sqrt_j_omega
+from fracimp.model import _sqrt_j_omega, randles_coefficients, randles_log_jacobian
 
 # frozen 50-digit `decimal` evaluation of the circuit formula at omega = 2*pi
 # for (0.551, 0.119, 1.464, 0.0346)
@@ -103,6 +103,23 @@ def test_coefficient_map_vanishing_series_resistance():
     rational = randles_to_rational(p)
     assert abs(rational.b[2]) < 1e-290
     assert abs(rational.b[3]) < 1e-290
+
+
+def test_log_jacobian_is_the_central_difference_of_the_coefficient_map(sim_params):
+    # in log x the map is smooth, so a step of 1e-5 leaves an error below 1e-10
+    # of each coefficient; a coefficient that does not read x moves by exactly 0
+    rng = np.random.default_rng(43)
+    protocol = np.array([sim_params.r_s, sim_params.r_ct, sim_params.c_dl, sim_params.sigma_w])
+    points = [protocol, *(protocol * 10 ** rng.uniform(-2, 2, size=4) for _ in range(100))]
+    h = 1e-5
+    for x in points:
+        jac = randles_log_jacobian(*x)
+        central = np.column_stack([
+            (randles_coefficients(*(x * np.exp(h * e))) -
+             randles_coefficients(*(x * np.exp(-h * e)))) / (2 * h) for e in np.eye(4)])
+        scale = np.abs(randles_coefficients(*x))[:, None]
+        assert np.all(np.abs(jac - central) <= 1e-8 * scale)
+        assert np.array_equal(jac == 0, central == 0)
 
 
 def test_rational_evaluation_equals_circuit_formula(sim_params):

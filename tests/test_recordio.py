@@ -486,11 +486,11 @@ def test_a_max_rows_the_file_cannot_hold_is_not_allocated(tmp_path):
     path = tmp_path / "eis.csv"
     write_csv(path, _TABLE_HEADER, ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
     most = path.stat().st_size // 6
-    for max_rows, given in ((most, most), (most + 1, None), (10**15, None)):
+    for max_rows, expected in ((most, most), (most + 1, None), (10**15, None)):
         with mock.patch.object(recordio.np, "loadtxt", wraps=np.loadtxt) as loadtxt:
             table = recordio.read_csv(path, _TABLE_HEADER, max_rows=max_rows)
         assert table.tolist() == [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]]
-        assert loadtxt.call_args.kwargs["max_rows"] == given
+        assert loadtxt.call_args.kwargs["max_rows"] == expected
 
 
 def test_a_table_that_cannot_be_opened_is_named(tmp_path):
