@@ -40,7 +40,8 @@ from .estimator import EstimationConfig, nonparametric_impedance, parametric_imp
     relative_error_curve, wtls_estimate
 from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
     scale_to_rms, synthesize_multisine
-from .model import HalfOrderRational, ImpedanceCurve, RandlesParams, resonance_frequency
+from .model import RANDLES_KEYS, HalfOrderRational, ImpedanceCurve, RandlesParams, \
+    resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
 from .schema import POSITIVE_NUMBER, check, dump, load
 from .simulate import NoiseSpec, add_noise, simulate_response
@@ -66,16 +67,12 @@ DESIGN_SCHEMA = {
     "additionalProperties": False,
 }
 
+# the four circuit values are required and positive; the OCV is any number
+*_CIRCUIT_KEYS, _OCV_KEY = RANDLES_KEYS.values()
 RANDLES_SCHEMA = {
     "type": "object",
-    "properties": {
-        "r_s_ohm": POSITIVE_NUMBER,
-        "r_ct_ohm": POSITIVE_NUMBER,
-        "c_dl_f": POSITIVE_NUMBER,
-        "sigma_w_ohm_per_sqrt_s": POSITIVE_NUMBER,
-        "ocv_v": {"type": "number"},
-    },
-    "required": ["r_s_ohm", "r_ct_ohm", "c_dl_f", "sigma_w_ohm_per_sqrt_s"],
+    "properties": {**dict.fromkeys(_CIRCUIT_KEYS, POSITIVE_NUMBER), _OCV_KEY: {"type": "number"}},
+    "required": _CIRCUIT_KEYS,
     "additionalProperties": False,
 }
 
@@ -284,8 +281,9 @@ def cmd_fit(args, cfg: dict) -> str:
     p = result.params
     rows = (("R_S [ohm]", p.r_s), ("R_CT [ohm]", p.r_ct), ("C_DL [F]", p.c_dl),
             ("sigma [ohm/sqrt(s)]", p.sigma_w), ("omega_res [rad/s]", resonance_frequency(p)))
-    return "\n".join([f"{'parameter':<12}{'value':>14}",
-                      *(f"{name:<12}{value:>14.6g}" for name, value in rows),
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([f"{'parameter':<{width}}{'value':>14}",
+                      *(f"{name:<{width}}{value:>14.6g}" for name, value in rows),
                       f"converged={result.converged} residual_norm={result.residual_norm:.3g}"])
 
 

@@ -3,7 +3,8 @@
 The Randles cell (series resistance, double-layer capacitance in parallel with
 charge-transfer resistance plus a Warburg diffusion element) has an impedance
 that is rational in q = sqrt(s).  This module holds the circuit, the rational
-form, the exact coefficient map between them and that map's log-Jacobian.
+form, the exact coefficient map between them and that map's log-Jacobian, and
+`RANDLES_KEYS`, the one spelling of the circuit's keys in files and configs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import NumericsError
 SQRT2 = float(np.sqrt(2.0))
 # principal branch of sqrt(j): exp(j*pi/4)
 _ROOT_J = np.exp(1j * np.pi / 4)
+# RandlesParams field -> its key in fit.json's params and a simulate config's
+# randles block; the four circuit values come first, then the optional OCV
+RANDLES_KEYS = {"r_s": "r_s_ohm", "r_ct": "r_ct_ohm", "c_dl": "c_dl_f",
+                "sigma_w": "sigma_w_ohm_per_sqrt_s", "ocv": "ocv_v"}
 
 
 @dataclass(frozen=True)
@@ -35,23 +40,13 @@ class RandlesParams:
                 raise ValueError(f"{name} must be strictly positive")
 
     def to_dict(self) -> dict:
-        return {
-            "r_s_ohm": self.r_s,
-            "r_ct_ohm": self.r_ct,
-            "c_dl_f": self.c_dl,
-            "sigma_w_ohm_per_sqrt_s": self.sigma_w,
-            "ocv_v": self.ocv,
-        }
+        return {key: getattr(self, field) for field, key in RANDLES_KEYS.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandlesParams":
-        return cls(
-            r_s=float(d["r_s_ohm"]),
-            r_ct=float(d["r_ct_ohm"]),
-            c_dl=float(d["c_dl_f"]),
-            sigma_w=float(d["sigma_w_ohm_per_sqrt_s"]),
-            ocv=float(d.get("ocv_v", 0.0)),
-        )
+        """The circuit of `d`, keyed as `to_dict` writes it; the OCV may be left out."""
+        return cls(**{field: float(d[key]) for field, key in RANDLES_KEYS.items()
+                      if key in d or field != "ocv"})
 
 
 @dataclass(frozen=True, eq=False)

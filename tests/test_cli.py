@@ -434,6 +434,31 @@ def test_fit_prints_parameter_table(tmp_path, capsys):
     assert main(["fit", "--estimate", str(est), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "R_CT" in out and "omega_res" in out
+    # the longest label, "sigma [ohm/sqrt(s)]", sets the label column of every
+    # row, so each value ends under the header's "value"
+    header, *rows, _ = out.splitlines()
+    end = header.index("value") + len("value")
+    assert header.startswith("parameter ") and len(header) == end
+    assert len(rows) == 5 and [len(row) for row in rows] == [end] * 5
+
+
+def test_a_fitted_circuit_simulates_as_the_randles_block(tmp_path):
+    # fit.json's params is keyed as a randles block, with ocv_v 0.0 (no OCV is fitted)
+    out = _run_simulate(tmp_path)
+    est = tmp_path / "est"
+    assert main(["estimate", "--record", str(out / "record.csv"), "--out", str(est),
+                 "--quiet"]) == 0
+    assert main(["fit", "--estimate", str(est / "estimate.json"), "--out", str(est),
+                 "--quiet"]) == 0
+    params = json.loads((est / "fit.json").read_text())["params"]
+    assert params["ocv_v"] == 0.0
+    config = _json(tmp_path, "refit.json", {**SIM_CONFIG, "randles": params})
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "refit"),
+                 "--quiet"]) == 0
+    # noiseless: the refitted circuit gives the same response, less the OCV
+    _, voltage, _ = read_record(out / "record.csv")
+    _, refit, _ = read_record(tmp_path / "refit" / "record.csv")
+    assert refit.samples == pytest.approx(voltage.samples - RANDLES_JSON["ocv_v"], abs=1e-9)
 
 
 def test_fit_overflowing_trial_step_prints_no_warning(tmp_path, capsys):

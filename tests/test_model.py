@@ -13,7 +13,9 @@ from fracimp import (
     resonance_frequency,
     warburg_impedance,
 )
+from fracimp.cli import RANDLES_SCHEMA
 from fracimp.model import _sqrt_j_omega, randles_coefficients, randles_log_jacobian
+from fracimp.schema import check
 
 # frozen 50-digit `decimal` evaluation of the circuit formula at omega = 2*pi
 # for (0.551, 0.119, 1.464, 0.0346)
@@ -120,6 +122,22 @@ def test_log_jacobian_is_the_central_difference_of_the_coefficient_map(sim_param
         scale = np.abs(randles_coefficients(*x))[:, None]
         assert np.all(np.abs(jac - central) <= 1e-8 * scale)
         assert np.array_equal(jac == 0, central == 0)
+
+
+def test_a_circuit_round_trips_through_its_dict_as_a_valid_randles_block(sim_params):
+    # fit.json's params is this dict, and a simulate config's randles block takes it
+    rng = np.random.default_rng(44)
+    protocol = np.array([sim_params.r_s, sim_params.r_ct, sim_params.c_dl, sim_params.sigma_w])
+    for _ in range(100):
+        values = protocol * 10 ** rng.uniform(-2, 2, size=4)
+        p = RandlesParams(*values.tolist(), ocv=float(rng.uniform(-5.0, 5.0)))
+        d = p.to_dict()
+        assert RandlesParams.from_dict(d) == p
+        assert check(d, RANDLES_SCHEMA, "randles") == d
+    # a randles block may leave the OCV out; the circuit's default is 0 V
+    del d["ocv_v"]
+    assert RandlesParams.from_dict(d).ocv == 0.0
+    assert check(d, RANDLES_SCHEMA, "randles") == d
 
 
 def test_rational_evaluation_equals_circuit_formula(sim_params):
