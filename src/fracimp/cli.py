@@ -36,8 +36,8 @@ import numpy as np
 
 from .ecmfit import fit_randles
 from .errors import NumericsError, SchemaError
-from .estimator import EstimationConfig, nonparametric_impedance, parametric_impedance, \
-    relative_error_curve, wtls_estimate
+from .estimator import ESTIMATE_MINIMUMS, EstimationConfig, nonparametric_impedance, \
+    parametric_impedance, relative_error_curve, wtls_estimate
 from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
     scale_to_rms, synthesize_multisine
 from .model import RANDLES_KEYS, HalfOrderRational, ImpedanceCurve, RandlesParams, \
@@ -102,10 +102,7 @@ SIMULATE_SCHEMA = {
 ESTIMATE_SCHEMA = {
     "type": "object",
     "properties": {
-        "n_a": _COUNT,
-        "n_b": {"type": "integer", "minimum": 0},
-        "n_r": {"type": "integer", "minimum": 0},
-        "iterations": {"type": "integer", "minimum": 0},
+        **{key: {"type": "integer", "minimum": least} for key, least in ESTIMATE_MINIMUMS.items()},
         "k_min": _COUNT,
         "k_max": _COUNT,
         "excited_bins": {"type": "array", "items": _COUNT},
@@ -238,7 +235,7 @@ def _estimate_on_record(args, cfg: dict, estimator):
         spec = _load_multisine(cfg["multisine_path"])
         mask = spec.harmonics
     window = (cfg["k_min"], cfg["k_max"]) if "k_min" in cfg else None
-    given = {key: cfg[key] for key in ("n_a", "n_b", "n_r", "iterations") if key in cfg}
+    given = {key: cfg[key] for key in ESTIMATE_MINIMUMS if key in cfg}
     est_cfg = EstimationConfig(bin_window=window, bin_mask=mask, **given)
     current, voltage, _ = read_record(args.record)
     if "multisine_path" in cfg:

@@ -41,6 +41,9 @@ _GRAM_RIDGE = 1e-10
 # the reweighting stops once every a/b entry of theta moves by at most this
 # fraction of its own magnitude in one pass
 _THETA_TOL = 1e-10
+# EstimationConfig's whole-number fields, each with its least value; an
+# estimate config names them by these keys
+ESTIMATE_MINIMUMS = {"n_a": 1, "n_b": 0, "n_r": 0, "iterations": 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +68,7 @@ class EstimationConfig:
     iterations: int = 10
 
     def __post_init__(self):
-        for name, least in (("n_a", 1), ("n_b", 0), ("n_r", 0), ("iterations", 0)):
+        for name, least in ESTIMATE_MINIMUMS.items():
             if not getattr(self, name) >= least:  # also NaN
                 raise ValueError(f"{name} must be >= {least}")
             object.__setattr__(self, name, _whole_count(getattr(self, name), name))

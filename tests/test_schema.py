@@ -216,6 +216,50 @@ def test_dependent_keys_are_named():
         check({"k_min": 1}, cli.ESTIMATE_SCHEMA, "config")
 
 
+# EstimationConfig's whole-number fields, which an estimate config sets by the
+# same names, and the least value of each
+ESTIMATE_LEAST = {"n_a": 1, "n_b": 0, "n_r": 0, "iterations": 0}
+
+
+def test_estimate_schema_is_pinned():
+    assert cli.ESTIMATE_SCHEMA == {
+        "type": "object",
+        "properties": {
+            "n_a": {"type": "integer", "minimum": 1},
+            "n_b": {"type": "integer", "minimum": 0},
+            "n_r": {"type": "integer", "minimum": 0},
+            "iterations": {"type": "integer", "minimum": 0},
+            "k_min": {"type": "integer", "minimum": 1},
+            "k_max": {"type": "integer", "minimum": 1},
+            "excited_bins": {"type": "array", "items": {"type": "integer", "minimum": 1}},
+            "multisine_path": {"type": "string"},
+        },
+        "dependentRequired": {"k_min": ["k_max"], "k_max": ["k_min"]},
+        "additionalProperties": False,
+    }
+
+
+@pytest.mark.parametrize("key", ESTIMATE_LEAST)
+@pytest.mark.parametrize("offset,accepted", [(0, True), (-1, False), (1.0, True), (0.5, False),
+                                             (NAN, False)])
+def test_estimate_schema_and_config_agree_on_each_count(key, offset, accepted):
+    least = ESTIMATE_LEAST[key]
+    value = least + offset
+    if accepted:
+        checked = check({key: value}, cli.ESTIMATE_SCHEMA, "config")[key]
+        built = getattr(fracimp.EstimationConfig(**{key: value}), key)
+        assert type(checked) is type(built) is int
+        assert checked == built == value
+        return
+    with pytest.raises(SchemaError) as schema_info:
+        check({key: value}, cli.ESTIMATE_SCHEMA, "config")
+    with pytest.raises(ValueError) as config_info:
+        fracimp.EstimationConfig(**{key: value})
+    if offset == -1:
+        assert str(schema_info.value) == f"config: {key} must be >= {least}, got {value}"
+        assert str(config_info.value) == f"{key} must be >= {least}"
+
+
 @pytest.mark.parametrize("text,problem", [
     (None, "No such file or directory"),
     ("{", "not valid JSON: Expecting property name"),
