@@ -38,8 +38,8 @@ from .ecmfit import fit_randles
 from .errors import NumericsError, SchemaError
 from .estimator import ESTIMATE_MINIMUMS, EstimationConfig, nonparametric_impedance, \
     parametric_impedance, relative_error_curve, wtls_estimate
-from .excitation import MultisineSpec, design_odd_quasilog, generate_periodic_noise, \
-    scale_to_rms, synthesize_multisine
+from .excitation import RECORD_GRID, MultisineSpec, design_odd_quasilog, \
+    generate_periodic_noise, scale_to_rms, synthesize_multisine
 from .model import RANDLES_KEYS, HalfOrderRational, ImpedanceCurve, RandlesParams, \
     resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
@@ -56,11 +56,11 @@ _SEED = {"type": "integer", "minimum": 0}
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
 # the multisine band, and the record a design or simulate config synthesizes
 _BAND = {"f_min_hz": POSITIVE_NUMBER, "f_max_hz": POSITIVE_NUMBER, "points_per_decade": _COUNT}
-_RECORD = {"sample_rate_hz": POSITIVE_NUMBER, "periods": _COUNT, "rms_a": POSITIVE_NUMBER}
+_RECORD = {**RECORD_GRID, "rms_a": POSITIVE_NUMBER}
 
 DESIGN_SCHEMA = {
     "type": "object",
-    "properties": {"period_s": POSITIVE_NUMBER, **_BAND, "seed": _SEED, **_RECORD},
+    "properties": {**_BAND, "seed": _SEED, **_RECORD},
     "required": ["period_s", *_BAND],
     "dependentRequired": {"sample_rate_hz": ["periods"], "periods": ["sample_rate_hz"],
                           "rms_a": ["sample_rate_hz", "periods"]},
@@ -89,13 +89,12 @@ SIMULATE_SCHEMA = {
             "required": ["type"],
             "additionalProperties": False,
         },
-        "period_s": POSITIVE_NUMBER,
         **_RECORD,
         "randles": RANDLES_SCHEMA,
         "snr": POSITIVE_NUMBER,
         "seed": _SEED,
     },
-    "required": ["excitation", "period_s", *_RECORD, "randles"],
+    "required": ["excitation", *_RECORD, "randles"],
     "additionalProperties": False,
 }
 

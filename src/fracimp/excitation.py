@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import POSITIVE_NUMBER
+
 TWO_PI = 2.0 * np.pi
 _RMS_MIN = math.sqrt(sys.float_info.min)  # the smallest RMS whose square is a normal float
 
@@ -113,6 +115,11 @@ def _whole_count(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number")
 
 
+# the parts of a record's grid and their schemas, in the sidecar's key order
+RECORD_GRID = {"sample_rate_hz": POSITIVE_NUMBER, "periods": {"type": "integer", "minimum": 1},
+               "period_s": POSITIVE_NUMBER}
+
+
 @dataclass(frozen=True, eq=False)
 class TimeRecord:
     """Uniformly sampled record of whole periods: `periods` follows from its length."""
@@ -157,13 +164,13 @@ class TimeRecord:
 
 
 def check_shared_grid(current: TimeRecord, voltage: TimeRecord) -> None:
-    """Raise ValueError unless the pair shares sample rate, periods and period.
+    """Raise ValueError unless the pair shares each part of `RECORD_GRID`.
 
     Each is compared with ``np.isclose(..., rtol=1e-12, atol=0.0)``, purely
     relative at any magnitude; by the whole-periods rule, records that pass
     also hold the same number of samples.
     """
-    for attr in ("sample_rate_hz", "periods", "period_s"):
+    for attr in RECORD_GRID:
         if not np.isclose(getattr(current, attr), getattr(voltage, attr), rtol=1e-12, atol=0.0):
             raise ValueError(f"current/voltage records disagree on {attr}")
 
@@ -271,8 +278,8 @@ def generate_periodic_noise(
 ) -> TimeRecord:
     """One period of zero-mean Gaussian white noise, tiled `periods` times.
 
-    The per-period sample mean is subtracted before tiling, so every period is
-    exactly zero mean and the record is exactly periodic.
+    The per-period sample mean is subtracted before tiling, so every period is zero
+    mean up to rounding (the DC bin is never estimated) and the record is exactly periodic.
     """
     rng = np.random.default_rng(seed)
     one_period = rng.standard_normal(samples_per_period(period_s, sample_rate_hz))
@@ -283,21 +290,24 @@ def generate_periodic_noise(
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:
     """Rescale a record so its RMS equals rms_target exactly.
 
-    The record's mean square must be a finite normal float: below sqrt(smallest
-    normal) the squares underflow (the RMS reads 0), and above sqrt(largest float /
-    (2 n_samples)) their sum can overflow (the 2 covers its rounding), so either
-    bound raises before any sample is scaled.
+    The record's RMS and the target must each lie where the squares are normal
+    floats and their sum finite: from sqrt(smallest normal), below which the squares
+    underflow, to sqrt(largest float / (2 n_samples)), above which their sum can
+    overflow (the 2 covers its rounding).  Either bound raises before any sample is
+    scaled, so a record is never scaled to zeros or to an RMS off the target.
     """
     if not rms_target > 0:
         raise ValueError("rms_target must be positive")
-    if rms_target < _RMS_MIN:
-        raise ValueError(f"rms_target must be at least {_RMS_MIN:.6g}, or the record's squares "
-                         "underflow")
-    rms_max = math.sqrt(sys.float_info.max / (2 * record.n_samples))
-    if rms_target > rms_max:
-        raise ValueError(f"rms_target must be at most {rms_max:.6g} for {record.n_samples} "
-                         "samples, or the sum of their squares can overflow")
-    rms = record.rms()
-    if rms == 0.0:
+    with np.errstate(over="ignore"):  # squares beyond the float range read inf, refused below
+        rms = record.rms()
+    if rms == 0.0 and not record.samples.any():
         raise ValueError("cannot scale an identically zero record")
+    rms_max = math.sqrt(sys.float_info.max / (2 * record.n_samples))
+    for name, value in (("rms_target", rms_target), (f"the record's RMS {rms:.6g}", rms)):
+        if value < _RMS_MIN:
+            raise ValueError(f"{name} must be at least {_RMS_MIN:.6g}, or the record's squares "
+                             "underflow")
+        if value > rms_max:
+            raise ValueError(f"{name} must be at most {rms_max:.6g} for {record.n_samples} "
+                             "samples, or the sum of their squares can overflow")
     return record.with_samples(record.samples * (rms_target / rms))

@@ -1,9 +1,9 @@
 """CSV record files: `time_s,current_a,voltage_v` rows plus a JSON metadata sidecar.
 
 Row k's time is k/sample_rate_hz (`write_record` writes it, `read_record` checks
-it).  The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries
-sample_rate_hz, periods, period_s and an optional ocv_v; the first three are
-checked against `SIDECAR_SCHEMA`, and other keys are kept as they are.  The
+it).  The sidecar (``<name>.meta.json`` next to ``<name>.csv``) carries the
+record's grid, the keys of `excitation.RECORD_GRID` checked against
+`SIDECAR_SCHEMA`, and an optional ocv_v; other keys are kept as they are.  The
 time column is written in its shortest round-trip form (``%r``, Python's float
 repr: ``0.005`` rather than ``0.0050000000000000001``) and the samples with 17
 significant digits, so every float64 reads back bitwise.
@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .excitation import TimeRecord, check_shared_grid, samples_per_period
-from .schema import POSITIVE_NUMBER, dump, load
+from .excitation import RECORD_GRID, TimeRecord, check_shared_grid, samples_per_period
+from .schema import dump, load
 
 CSV_HEADER = "time_s,current_a,voltage_v"
 _TIME_TOL_S = 1e-9
@@ -43,15 +43,7 @@ _BLOCK_ROWS = 8192
 # the derived time k/fs in its shortest round-trip form, the samples at 17 digits
 _RECORD_FORMATS = ("%r", "%.17g", "%.17g")
 
-SIDECAR_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "sample_rate_hz": POSITIVE_NUMBER,
-        "period_s": POSITIVE_NUMBER,
-        "periods": {"type": "integer", "minimum": 1},
-    },
-    "required": ["sample_rate_hz", "period_s", "periods"],
-}
+SIDECAR_SCHEMA = {"type": "object", "properties": RECORD_GRID, "required": list(RECORD_GRID)}
 
 
 def sidecar_path(csv_path: str | Path) -> Path:
@@ -94,11 +86,7 @@ def write_record(
     volt = np.zeros_like(time_s) if voltage is None else voltage.samples
     write_csv(csv_path, CSV_HEADER, (time_s, current.samples, volt), _RECORD_FORMATS)
 
-    meta = {
-        "sample_rate_hz": current.sample_rate_hz,
-        "periods": current.periods,
-        "period_s": current.period_s,
-    }
+    meta = {key: getattr(current, key) for key in RECORD_GRID}
     if ocv_v is not None:
         meta["ocv_v"] = ocv_v
     dump(sidecar_path(csv_path), meta)

@@ -49,3 +49,35 @@ def test_assemble_refuses_a_run_without_its_result_line():
     printed = "".join(stdout.splitlines(keepends=True)[:-1])  # run.py stopped before its result
     with pytest.raises(ValueError, match="without its env and result lines"):
         bench_record.assemble(7, False, [(argv, 3, printed)])
+
+
+def _side(workload, seed, p50, records):
+    """(argv, exit code, stdout, result file) of one untraced run with the given p50."""
+    argv, code, stdout = _run(workload, 0, {"record_cal.p50": {"value": p50, "unit": "cal"}})
+    argv[argv.index("--seed") + 1] = str(seed)
+    return argv, code, stdout, {"record_s": records, "calibration_s": 0.04 * len(records)}
+
+
+def test_assemble_pairs_keeps_every_run_and_counts_the_pairs_the_change_reads_lower():
+    w = "noise_broadband"
+    pairs = [(w, 1, "parent", {"parent": _side(w, 1, 4.4, [0.02, 0.03, 0.05]),
+                               "change": _side(w, 1, 4.2, [0.02, 0.04])}),
+             (w, 2, "change", {"change": _side(w, 2, 4.6, [0.01]),
+                               "parent": _side(w, 2, 4.5, [0.03])})]
+
+    section = bench_record.assemble_pairs("def456", pairs)
+
+    assert section["parent_commit"] == "def456"
+    first, second = section["runs"][w]
+    assert (first["seed"], first["first"], second["seed"], second["first"]) == (
+        1, "parent", 2, "change")
+    assert first["parent"]["argv"] == pairs[0][3]["parent"][0]
+    assert first["parent"]["commit"] == ENV["git_commit"]
+    assert first["change"]["metrics"]["record_cal.p50"]["value"] == 4.2
+    assert first["parent"]["record_s.p50"] == 0.03 and first["change"]["record_s.p50"] == 0.03
+    assert first["parent"]["calibration_loop_s"] == pytest.approx(0.04)
+    assert second["change"]["record_s.p50"] == 0.01
+    assert section["summary"] == {w: {"record_cal.p50": {
+        "parent_median": pytest.approx(4.45), "change_median": pytest.approx(4.4),
+        "change_lower": 1, "pairs": 2, "unit": "cal"}}}
+    json.dumps(section)  # the file is plain JSON

@@ -1082,8 +1082,8 @@ _EXIT_1 = {
     },
     # a scale or a noise level that would make a record the chain cannot use
     "test_a_record_whose_squares_or_noise_leave_the_float_range_exits_1_naming_the_cause": {
-        name: (_argv(command, config=config), f"invalid config {{tmp}}/c.json: {problem}")
-        for name, command, config, problem in [
+        **{name: (_argv(command, config=config), f"invalid config {{tmp}}/c.json: {problem}")
+           for name, command, config, problem in [
             ("snr 1e-310", "simulate", {**SIM_CONFIG, "snr": 1e-310},
              "snr must be at least 4.45015e-308 for a record of AC RMS 0.5, or its noise "
              "overflows"),
@@ -1102,7 +1102,18 @@ _EXIT_1 = {
                 **SIM_CONFIG, "rms_a": 2.7e152, "snr": 50.0,
                 "randles": {**SIM_CONFIG["randles"], "r_s_ohm": 1000.0}},
              "record's AC power overflows; SNR is undefined"),
-        ]
+        ]},
+        # a spec whose own record's squares overflow, or fall below the normal floats,
+        # where the RMS it would be scaled by is inexact
+        **{f"spec amplitudes {amplitude}": (
+            _spec_argv("simulate", {**_SPEC, "amplitudes": [amplitude] * 2}),
+            f"invalid config {{tmp}}/c.json: the record's RMS {problem}")
+           for amplitude, problem in [
+               (1e200, "inf must be at most 2.73686e+152 for 1200 samples, or the sum of their "
+                       "squares can overflow"),
+               (1e-158, "1e-158 must be at least 1.49167e-154, or the record's squares "
+                        "underflow"),
+           ]},
     },
     "test_estimate_rejects_a_spec_beyond_the_spectrum_like_eis": {None: (
         _spec_argv("estimate", {**_SPEC, "harmonics": [1, 999]}),

@@ -18,6 +18,7 @@ from fracimp import (
     synthesize_multisine,
     write_record,
 )
+from fracimp.excitation import RECORD_GRID, check_shared_grid
 from fracimp.recordio import CSV_HEADER, sidecar_path, write_csv
 
 
@@ -355,6 +356,20 @@ def test_shared_grid_rule_is_the_same_for_writer_and_spectra(tmp_path, rel, acce
         else:
             with pytest.raises(ValueError, match="disagree on sample_rate_hz"):
                 call()
+
+
+@pytest.mark.parametrize("part", list(RECORD_GRID))
+def test_shared_grid_names_the_one_part_of_the_grid_that_differs(part):
+    """A pair that differs in one part of the grid only, the others equal, is refused
+    naming that part; a different length at the same rate and period is `periods`."""
+    grid = {"sample_rate_hz": 200.0, "periods": 2, "period_s": 0.05}
+    records = [TimeRecord(np.ones(round(g["sample_rate_hz"] * g["period_s"]) * g["periods"]),
+                          g["sample_rate_hz"], g["period_s"])
+               for g in (grid, {**grid, part: 2 * grid[part]})]
+    assert [key for key in RECORD_GRID
+            if getattr(records[0], key) != getattr(records[1], key)] == [part]
+    with pytest.raises(ValueError, match=f"^current/voltage records disagree on {part}$"):
+        check_shared_grid(*records)
 
 
 @pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-9, False)])

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracimp import (
     EstimationConfig,
@@ -39,6 +41,11 @@ _NAN = float("nan")
 _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
 
 
+def _scaled(record, gain):
+    """`record` with every sample times `gain`."""
+    return record.with_samples(record.samples * gain)
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: design_odd_quasilog(0.0, 0.05, 2.0, 8), "period_s must be positive",
                  id="design period 0"),
@@ -58,6 +65,17 @@ _SPECTRUM_OF_4 = per_period_spectra(*[TimeRecord(np.arange(4.0), 2.0, 1.0)] * 2)
     pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 1e154),
                  "rms_target must be at most 6.7039e+153 for 2 samples, or the sum of their "
                  "squares can overflow", id="scale rms overflow"),
+    # a record whose own squares overflow, fall below the normal floats or underflow
+    # to zero, which would scale to zeros, to an inexact RMS or read as all zeros
+    pytest.param(lambda: scale_to_rms(_scaled(_ONE_SAMPLE_PERIODS, 1e200), 0.5),
+                 "the record's RMS inf must be at most 6.7039e+153 for 2 samples, or the sum "
+                 "of their squares can overflow", id="scale record overflow"),
+    pytest.param(lambda: scale_to_rms(_scaled(_ONE_SAMPLE_PERIODS, 1e-158), 0.5),
+                 "the record's RMS 1e-158 must be at least 1.49167e-154, or the record's "
+                 "squares underflow", id="scale record subnormal squares"),
+    pytest.param(lambda: scale_to_rms(_scaled(_ONE_SAMPLE_PERIODS, 1e-200), 0.5),
+                 "the record's RMS 0 must be at least 1.49167e-154, or the record's squares "
+                 "underflow", id="scale record squares underflow"),
     pytest.param(lambda: add_noise(_ONE_SAMPLE_PERIODS, NoiseSpec(snr=1e-308)),
                  "snr must be at least 8.9003e-308 for a record of AC RMS 1, or its noise "
                  "overflows", id="noise sigma overflow"),
@@ -211,3 +229,18 @@ def test_scale_and_noise_at_their_bounds_keep_the_record_usable(seed):
     noisy = add_noise(record, NoiseSpec(snr=16.001 * record.rms() / sys.float_info.max,
                                         seed=seed))
     assert np.isfinite(noisy.samples).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(exponent=st.floats(min_value=-200.0, max_value=200.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_record_of_any_scale_scales_to_its_target_or_raises(exponent, seed):
+    """A normal record times 10^e, e drawn from [-200, 200], either scales to the
+    target RMS or raises a ValueError: never to zeros or to an RMS off the target,
+    and without a warning (which the suite makes an error)."""
+    record = _scaled(generate_periodic_noise(1.0, 64.0, 3, seed=seed), 10.0**exponent)
+    try:
+        scaled = scale_to_rms(record, 0.5)
+    except ValueError:
+        return
+    assert scaled.rms() == pytest.approx(0.5, rel=1e-12)
