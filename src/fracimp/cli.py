@@ -11,8 +11,9 @@ record's spectra, then the command's estimator (`wtls_estimate` or
 `nonparametric_impedance`) on that config, which selects the bins once; so
 `compare` matches every `eis.csv` row.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
-and checked against its schema below (numbers outside the float range and
-unknown config keys rejected, errors naming the file and the key path).
+and checked against its schema, below or, for a multisine spec,
+`excitation.MULTISINE_SCHEMA` (numbers outside the float range and unknown
+config keys rejected, errors naming the file and the key path).
 `schema.load` also reports, naming the file, the rules a schema cannot state:
 strictly increasing harmonics, a_1 != 0 and whole periods (in the sidecar).
 A multisine spec's period is checked against the config (`simulate`) or the
@@ -38,12 +39,12 @@ from .ecmfit import fit_randles
 from .errors import NumericsError, SchemaError
 from .estimator import ESTIMATE_MINIMUMS, EstimationConfig, nonparametric_impedance, \
     parametric_impedance, relative_error_curve, wtls_estimate
-from .excitation import RECORD_GRID, MultisineSpec, design_odd_quasilog, \
-    generate_periodic_noise, scale_to_rms, synthesize_multisine
+from .excitation import BAND, MULTISINE_SCHEMA, RECORD_GRID, MultisineSpec, \
+    design_odd_quasilog, generate_periodic_noise, scale_to_rms, synthesize_multisine
 from .model import RANDLES_KEYS, HalfOrderRational, ImpedanceCurve, RandlesParams, \
     resonance_frequency
 from .recordio import read_csv, read_record, write_csv, write_record
-from .schema import POSITIVE_NUMBER, check, dump, load
+from .schema import COUNT, NUMBERS, POSITIVE_NUMBER, check, dump, load
 from .simulate import NoiseSpec, add_noise, simulate_response
 from .spectra import per_period_spectra
 
@@ -51,17 +52,14 @@ _BODE_GRID_POINTS = 200
 _EIS_HEADER = "freq_hz,re_ohm,im_ohm"
 _BODE_HEADER = "freq_hz,mag_ohm,phase_deg"
 
-_COUNT = {"type": "integer", "minimum": 1}
 _SEED = {"type": "integer", "minimum": 0}
-_NUMBERS = {"type": "array", "items": {"type": "number"}}
-# the multisine band, and the record a design or simulate config synthesizes
-_BAND = {"f_min_hz": POSITIVE_NUMBER, "f_max_hz": POSITIVE_NUMBER, "points_per_decade": _COUNT}
+# the record a design or simulate config synthesizes
 _RECORD = {**RECORD_GRID, "rms_a": POSITIVE_NUMBER}
 
 DESIGN_SCHEMA = {
     "type": "object",
-    "properties": {**_BAND, "seed": _SEED, **_RECORD},
-    "required": ["period_s", *_BAND],
+    "properties": {**BAND, "seed": _SEED, **_RECORD},
+    "required": ["period_s", *BAND],
     "dependentRequired": {"sample_rate_hz": ["periods"], "periods": ["sample_rate_hz"],
                           "rms_a": ["sample_rate_hz", "periods"]},
     "additionalProperties": False,
@@ -84,7 +82,7 @@ SIMULATE_SCHEMA = {
             "properties": {
                 "type": {"enum": ["multisine", "noise"]},
                 "multisine_path": {"type": "string"},
-                **_BAND,
+                **BAND,
             },
             "required": ["type"],
             "additionalProperties": False,
@@ -102,32 +100,18 @@ ESTIMATE_SCHEMA = {
     "type": "object",
     "properties": {
         **{key: {"type": "integer", "minimum": least} for key, least in ESTIMATE_MINIMUMS.items()},
-        "k_min": _COUNT,
-        "k_max": _COUNT,
-        "excited_bins": {"type": "array", "items": _COUNT},
+        "k_min": COUNT,
+        "k_max": COUNT,
+        "excited_bins": {"type": "array", "items": COUNT},
         "multisine_path": {"type": "string"},
     },
     "dependentRequired": {"k_min": ["k_max"], "k_max": ["k_min"]},
     "additionalProperties": False,
 }
 
-# files one command writes and another reads: extra keys such as schema_version pass
-MULTISINE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "period_s": {"type": "number"},
-        "harmonics": {"type": "array", "items": _COUNT},
-        "amplitudes": _NUMBERS,
-        "phases": _NUMBERS,
-    },
-    "required": ["period_s", "harmonics", "amplitudes", "phases"],
-}
-
-RATIONAL_SCHEMA = {
-    "type": "object",
-    "properties": {"a": _NUMBERS, "b": _NUMBERS},
-    "required": ["a", "b"],
-}
+# estimate.json, which fit reads: extra keys such as schema_version pass
+RATIONAL_SCHEMA = {"type": "object", "properties": {"a": NUMBERS, "b": NUMBERS},
+                   "required": ["a", "b"]}
 
 
 def _load_multisine(path: str) -> MultisineSpec:
@@ -145,12 +129,11 @@ def _design(band: dict, period_s: float, seed, config_path, prefix: str = "") ->
     """The multisine of the band keys in `band`, which the config holds under `prefix`;
     a grid too large to allocate names the keys that size it."""
     try:
-        return design_odd_quasilog(period_s, band["f_min_hz"], band["f_max_hz"],
-                                   band["points_per_decade"], seed=seed)
+        return design_odd_quasilog(period_s, **{key: band[key] for key in BAND}, seed=seed)
     except MemoryError as exc:  # the frequency grid, not a record
+        *keys, last = ["period_s", *(prefix + key for key in BAND)]
         raise SchemaError(f"invalid config {config_path}: {exc} (the design grid is sized by "
-                          f"period_s, {prefix}f_min_hz, {prefix}f_max_hz and "
-                          f"{prefix}points_per_decade)") from exc
+                          f"{', '.join(keys)} and {last})") from exc
 
 
 def cmd_design(args, cfg: dict) -> str:
@@ -185,7 +168,7 @@ def _build_excitation(cfg: dict, seed: int, config_path: str):
     noise = exc["type"] == "noise"
     # noise reads only its type; a multisine its spec file, or else its band
     unread = [key for key in exc
-              if key != "type" and (noise or (key in _BAND and "multisine_path" in exc))]
+              if key != "type" and (noise or (key in BAND and "multisine_path" in exc))]
     if unread:
         reader = "noise excitation" if noise else "a multisine from multisine_path"
         raise ValueError(f"excitation.{unread[0]} is not read by {reader}")
@@ -196,11 +179,10 @@ def _build_excitation(cfg: dict, seed: int, config_path: str):
     if "multisine_path" in exc:
         spec = _load_multisine(exc["multisine_path"])
         _check_spec_period(spec, exc["multisine_path"], cfg["period_s"], f"config {config_path}")
-    elif _BAND.keys() <= exc.keys():
+    elif BAND.keys() <= exc.keys():
         spec = _design(exc, cfg["period_s"], seed, config_path, "excitation.")
     else:
-        raise ValueError("multisine excitation needs either multisine_path or "
-                         "f_min_hz/f_max_hz/points_per_decade")
+        raise ValueError(f"multisine excitation needs either multisine_path or {'/'.join(BAND)}")
     record = synthesize_multisine(spec, cfg["sample_rate_hz"], cfg["periods"])
     return scale_to_rms(record, cfg["rms_a"]), spec
 
@@ -375,7 +357,7 @@ _BIN_KEYS = {"bin_mask": "excited_bins", "bin_window": "k_min and k_max"}
 _CONFIG_KEYS = {
     "design": {"rms_target": "rms_a"},
     "simulate": {"rms_target": "rms_a", "ocv": "randles.ocv_v",
-                 **{key: f"excitation.{key}" for key in _BAND}},
+                 **{key: f"excitation.{key}" for key in BAND}},
     "estimate": _BIN_KEYS,
     "eis": _BIN_KEYS,
 }
@@ -416,7 +398,8 @@ def main(argv=None) -> int:
     cfg = {}  # until the config is loaded
     try:
         with warnings.catch_warnings():
-            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            # one write per line: the spectra's second thread can warn too
+            warnings.showwarning = lambda msg, *_: sys.stderr.write(f"warning: {msg}\n")
             cfg = {} if args.config is None else load(args.config, args.schema, "config")
             if args.seed is not None:
                 cfg["seed"] = check(args.seed, _SEED, "invalid option", "--seed")

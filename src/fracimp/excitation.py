@@ -15,10 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import POSITIVE_NUMBER
+from .schema import COUNT, NUMBERS, POSITIVE_NUMBER
 
 TWO_PI = 2.0 * np.pi
 _RMS_MIN = math.sqrt(sys.float_info.min)  # the smallest RMS whose square is a normal float
+_EXACT_INTS = 2**53  # above it floats are at least 2 apart, so none is an odd integer
+
+# multisine.json, keyed by MultisineSpec's fields; extra keys such as schema_version pass
+_MULTISINE_FIELDS = {"period_s": {"type": "number"},
+                     "harmonics": {"type": "array", "items": COUNT},
+                     "amplitudes": NUMBERS, "phases": NUMBERS}
+MULTISINE_SCHEMA = {"type": "object", "properties": _MULTISINE_FIELDS,
+                    "required": list(_MULTISINE_FIELDS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +67,8 @@ class MultisineSpec:
         return self.harmonics / self.period_s
 
     def to_dict(self) -> dict:
-        return {
-            "period_s": self.period_s,
-            "harmonics": self.harmonics.tolist(),
-            "amplitudes": self.amplitudes.tolist(),
-            "phases": self.phases.tolist(),
-        }
+        """This spec as multisine.json holds it, under `MULTISINE_SCHEMA`'s keys."""
+        return {key: np.asarray(getattr(self, key)).tolist() for key in _MULTISINE_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultisineSpec":
@@ -116,8 +120,7 @@ def _whole_count(value, name: str) -> int:
 
 
 # the parts of a record's grid and their schemas, in the sidecar's key order
-RECORD_GRID = {"sample_rate_hz": POSITIVE_NUMBER, "periods": {"type": "integer", "minimum": 1},
-               "period_s": POSITIVE_NUMBER}
+RECORD_GRID = {"sample_rate_hz": POSITIVE_NUMBER, "periods": COUNT, "period_s": POSITIVE_NUMBER}
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +183,10 @@ def _nearest_odd(x: np.ndarray) -> np.ndarray:
     return (2 * np.floor(np.asarray(x, dtype=float) / 2.0) + 1).astype(np.int64)
 
 
+# design_odd_quasilog's band parameters and their schemas, in its signature's order
+BAND = {"f_min_hz": POSITIVE_NUMBER, "f_max_hz": POSITIVE_NUMBER, "points_per_decade": COUNT}
+
+
 def design_odd_quasilog(
     period_s: float,
     f_min_hz: float,
@@ -197,8 +204,10 @@ def design_odd_quasilog(
     harmonics: its largest gap is then below one harmonic, so it already hits
     every odd harmonic in the band and a denser grid would give the same
     harmonics.  Phases are drawn uniformly on [0, 2*pi); amplitudes are all 1
-    (scale the synthesized record afterwards).
+    (scale the synthesized record afterwards).  The band is taken as floats, up
+    to harmonic f_max_hz*period_s = 2**53: no float above it is odd.
     """
+    f_min_hz, f_max_hz, points_per_decade = map(float, (f_min_hz, f_max_hz, points_per_decade))
     if not period_s > 0:
         raise ValueError("period_s must be positive")
     if not f_min_hz >= 1.0 / period_s * (1 - 1e-12):
@@ -207,14 +216,17 @@ def design_odd_quasilog(
         raise ValueError("f_max_hz must be >= f_min_hz")
     if not points_per_decade >= 1:
         raise ValueError("points_per_decade must be >= 1")
+    if not f_max_hz * period_s <= _EXACT_INTS:
+        raise ValueError(f"f_max_hz must be at most 2**53/period_s = {_EXACT_INTS / period_s:.6g} "
+                         "Hz, as no float above harmonic 2**53 is odd")
 
-    # band edges in harmonic units, with slack against float dirt at exact edges
+    # band edges in harmonic units, with slack against float dirt at exact edges (k_hi <= 2**53)
     x_lo = f_min_hz * period_s
     x_hi = f_max_hz * period_s
     k_lo = int(np.ceil(x_lo - 1e-9 * max(1.0, x_lo)))
     if k_lo % 2 == 0:
         k_lo += 1
-    k_hi = int(np.floor(x_hi + 1e-9 * max(1.0, x_hi)))
+    k_hi = int(np.floor(min(x_hi + 1e-9 * max(1.0, x_hi), _EXACT_INTS)))
     if k_hi % 2 == 0:
         k_hi -= 1
     if k_lo > k_hi:

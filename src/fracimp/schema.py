@@ -28,6 +28,8 @@ from .errors import SchemaError
 
 SCHEMA_VERSION = "1"  # written by `dump` into every JSON output file
 POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
+COUNT = {"type": "integer", "minimum": 1}
+NUMBERS = {"type": "array", "items": {"type": "number"}}
 
 
 def _is_number(value) -> bool:

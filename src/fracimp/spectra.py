@@ -61,8 +61,8 @@ def _sum_sq(d: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     The rows are added in order, as ``(np.abs(d) ** 2).sum(axis=0)`` adds
     them, so the result is bitwise the same without a buffer the size of d.
     That plain sum also takes the same time per call, but its (P - 1, M/2 + 1)
-    buffer moved the noise_broadband benchmark's record_cal.p50 from 4.17 to
-    4.72 cal (the heap state of ROADMAP item 4), so the loop stays.
+    buffer moved the noise_broadband benchmark's record_s p50 from 24.2 to 25.7
+    ms, higher in 5 of 6 pairs (ROADMAP, "Kept on measurement"), so the loop stays.
     """
     total, row_sq = scratch.view(float).reshape(2, -1)
     np.abs(d[0], out=total)

@@ -1,5 +1,6 @@
 import ast
 import json
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -280,6 +281,19 @@ def test_estimate_reaches_the_top_bin_of_an_odd_record(tmp_path):
                  "--out", str(tmp_path / "est"), "--quiet"]) == 0
     bode = np.loadtxt(tmp_path / "est" / "bode.csv", delimiter=",", skiprows=1)
     assert bode[-1, 0] == 200 / 20.0
+
+
+@pytest.mark.filterwarnings("always::UserWarning")
+def test_a_warning_is_one_write_to_stderr(tmp_path, monkeypatch):
+    """Each `warning:` line is written whole, so the spectra's two threads cannot
+    interleave two warnings within a line."""
+    out = _run_simulate(tmp_path, extra={"periods": 1})
+    writes = []
+    monkeypatch.setattr(sys, "stderr", type("Stderr", (), {"write": staticmethod(writes.append)}))
+    assert main(["estimate", "--record", str(out / "record.csv"),
+                 "--out", str(tmp_path / "est"), "--quiet"]) == 0
+    assert writes == ["warning: noise covariances unavailable (single period); falling back to "
+                      "unweighted total least squares\n"]
 
 
 def test_a_warning_that_the_filters_make_an_error_propagates(tmp_path):
@@ -774,6 +788,13 @@ def _with_key(cfg: dict, key: str, value) -> dict:
     return cfg
 
 
+def _with_band(cfg: dict, prefix: str, change: dict) -> dict:
+    """`cfg` with `change`: its band keys under `prefix`, its period_s at the top."""
+    for key, value in change.items():
+        cfg = _with_key(cfg, key if key == "period_s" else prefix + key, value)
+    return cfg
+
+
 _SPEC = {"period_s": 20.0, "harmonics": [1, 3], "amplitudes": [1.0, 0.5], "phases": [0.0, 1.0]}
 _SPEC_MUTATIONS = {  # all but the last pass an int()/float() cast
     "fractional harmonic": ({"harmonics": [1.5, 3]},
@@ -956,6 +977,21 @@ _EXIT_1 = {
                             "points_per_decade": 1e17}),
             ("simulate", "excitation.", {**SIM_CONFIG, "period_s": 1e15, "excitation": {
                 **SIM_CONFIG["excitation"], "points_per_decade": 1e17}}),
+        ]
+    },
+    # above 2**53 floats are at least 2 apart, so no harmonic there is odd
+    "test_a_band_beyond_harmonic_2_53_exits_1_naming_f_max_hz": {
+        f"{command}-{name}": (
+            _argv(command, config=_with_band(base, prefix, change)),
+            f"invalid config {{tmp}}/c.json: {prefix}f_max_hz must be at most 2**53/period_s = "
+            f"{bound} Hz, as no float above harmonic 2**53 is odd")
+        for command, base, prefix in (("design", _DESIGN_CONFIG, ""),
+                                      ("simulate", SIM_CONFIG, "excitation."))
+        for name, change, bound in [
+            ("period 1e17", {"period_s": 1e17, "f_min_hz": 1e-17, "f_max_hz": 1.0}, "0.090072"),
+            ("period 1e300", {"period_s": 1e300, "f_min_hz": 1e-17, "f_max_hz": 1.0},
+             "9.0072e-285"),
+            ("f_max 2**64", {"f_max_hz": 2**64}, "4.5036e+14"),
         ]
     },
     "test_design_nyquist_violation_exit_1": {None: (

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -18,8 +19,9 @@ from fracimp import (
     synthesize_multisine,
     write_record,
 )
-from fracimp.excitation import RECORD_GRID, check_shared_grid
+from fracimp.excitation import BAND, MULTISINE_SCHEMA, RECORD_GRID, check_shared_grid
 from fracimp.recordio import CSV_HEADER, sidecar_path, write_csv
+from fracimp.schema import check
 
 
 def _nearest_in_band_odd(x, k_lo, k_hi):
@@ -72,6 +74,17 @@ def test_design_random_bands_stay_odd_and_in_band():
         assert spec.freqs_hz[-1] <= f_max * (1 + 1e-9)
         assert np.all(spec.amplitudes == 1.0)
         assert np.all((spec.phases >= 0) & (spec.phases < 2 * np.pi))
+
+
+@pytest.mark.parametrize("x_hi", [2.0**53, 2.0**53 - 1, 2.0**53 - 2])
+def test_design_up_to_harmonic_2_53_stays_odd(x_hi):
+    """A band reaching 2**53 harmonics keeps every harmonic odd, its edge slack included;
+    the next float above 2**53 is refused naming f_max_hz."""
+    spec = design_odd_quasilog(x_hi, 1e3 / x_hi, 1.0, 3, seed=1)
+    assert np.all(spec.harmonics % 2 == 1)
+    assert spec.harmonics[-1] < 2**53
+    with pytest.raises(ValueError, match="^f_max_hz must be at most 2\\*\\*53/period_s"):
+        design_odd_quasilog(np.nextafter(2.0**53, np.inf), 1e-3, 1.0, 3, seed=1)
 
 
 def test_design_empty_band_errors():
@@ -335,10 +348,20 @@ def test_time_record_names_the_first_non_finite_sample():
 
 
 def test_multisine_spec_json_roundtrip():
-    spec = design_odd_quasilog(50.0, 0.02, 1.0, 8, seed=10)
-    clone = MultisineSpec.from_dict(spec.to_dict())
-    assert np.array_equal(clone.harmonics, spec.harmonics)
-    assert clone.phases == pytest.approx(spec.phases, rel=1e-15)
+    """A spec designed from `BAND`, the parameters after period_s, holds
+    `MULTISINE_SCHEMA`'s keys in its order, passes it and reads back bitwise;
+    an integer period_s stays an integer in the file."""
+    assert list(inspect.signature(design_odd_quasilog).parameters)[1:4] == list(BAND)
+    for period_s in (50.0, 50):
+        spec = design_odd_quasilog(period_s, **dict(zip(BAND, (0.02, 1.0, 8))), seed=10)
+        d = spec.to_dict()
+        assert list(d) == MULTISINE_SCHEMA["required"] == list(MULTISINE_SCHEMA["properties"])
+        assert check(d, MULTISINE_SCHEMA, "spec") == d
+        assert json.dumps(d["period_s"]) == repr(period_s)
+        clone = MultisineSpec.from_dict(json.loads(json.dumps(d)))
+        for key in MULTISINE_SCHEMA["properties"]:
+            assert np.asarray(getattr(clone, key), dtype=float).tobytes() == \
+                np.asarray(getattr(spec, key), dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("rel, accepted", [(1e-13, True), (1e-9, False)])

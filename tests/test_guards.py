@@ -53,6 +53,10 @@ def _scaled(record, gain):
                  id="design period negative"),
     pytest.param(lambda: design_odd_quasilog(20.0, 0.05, 2.0, 0),
                  "points_per_decade must be >= 1", id="design points_per_decade 0"),
+    pytest.param(lambda: design_odd_quasilog(1e17, 1e-17, 1.0, 8),
+                 "f_max_hz must be at most 2**53/period_s = 0.090072 Hz, as no float above "
+                 "harmonic 2**53 is odd",
+                 id="design band beyond 2**53"),
     pytest.param(lambda: scale_to_rms(_ONE_SAMPLE_PERIODS, 0.0), "rms_target must be positive",
                  id="scale rms 0"),
     pytest.param(lambda: scale_to_rms(TimeRecord(np.zeros(4), 4.0, 1.0), 1.0),
