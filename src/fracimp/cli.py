@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     cfg = {}  # until the config is loaded
     try:
         with warnings.catch_warnings():
-            # one write per line: the spectra's second thread can warn too
+            # one write per warning, so each `warning:` line reaches stderr whole
             warnings.showwarning = lambda msg, *_: sys.stderr.write(f"warning: {msg}\n")
             cfg = {} if args.config is None else load(args.config, args.schema, "config")
             if args.seed is not None:

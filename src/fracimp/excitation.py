@@ -20,6 +20,9 @@ from .schema import COUNT, NUMBERS, POSITIVE_NUMBER
 TWO_PI = 2.0 * np.pi
 _RMS_MIN = math.sqrt(sys.float_info.min)  # the smallest RMS whose square is a normal float
 _EXACT_INTS = 2**53  # above it floats are at least 2 apart, so none is an odd integer
+# a band edge f*period_s is 3 roundings off the product meant, each within 2**-53
+# relative, which is under one ulp: 3 ulps to first order, and one more for the rest
+_EDGE_ULPS = 4
 
 # multisine.json, keyed by MultisineSpec's fields; extra keys such as schema_version pass
 _MULTISINE_FIELDS = {"period_s": {"type": "number"},
@@ -205,7 +208,10 @@ def design_odd_quasilog(
     every odd harmonic in the band and a denser grid would give the same
     harmonics.  Phases are drawn uniformly on [0, 2*pi); amplitudes are all 1
     (scale the synthesized record afterwards).  The band is taken as floats, up
-    to harmonic f_max_hz*period_s = 2**53: no float above it is odd.
+    to harmonic f_max_hz*period_s = 2**53: no float above it is odd.  Each edge
+    is one rounded product of two rounded floats, so it is widened by 4 ulps to
+    keep a harmonic that it lands on exactly; from harmonic 2**52 up, where one
+    ulp is a whole harmonic, up to 4 harmonics past the band may be excited.
     """
     f_min_hz, f_max_hz, points_per_decade = map(float, (f_min_hz, f_max_hz, points_per_decade))
     if not period_s > 0:
@@ -223,10 +229,10 @@ def design_odd_quasilog(
     # band edges in harmonic units, with slack against float dirt at exact edges (k_hi <= 2**53)
     x_lo = f_min_hz * period_s
     x_hi = f_max_hz * period_s
-    k_lo = int(np.ceil(x_lo - 1e-9 * max(1.0, x_lo)))
+    k_lo = int(np.ceil(x_lo - _EDGE_ULPS * math.ulp(x_lo)))
     if k_lo % 2 == 0:
         k_lo += 1
-    k_hi = int(np.floor(min(x_hi + 1e-9 * max(1.0, x_hi), _EXACT_INTS)))
+    k_hi = int(np.floor(min(x_hi + _EDGE_ULPS * math.ulp(x_hi), _EXACT_INTS)))
     if k_hi % 2 == 0:
         k_hi -= 1
     if k_lo > k_hi:
@@ -299,14 +305,20 @@ def generate_periodic_noise(
     return TimeRecord(_tile(one_period, periods), sample_rate_hz, period_s)
 
 
+def largest_rms(n_samples: int) -> float:
+    """sqrt(largest float / (2 n_samples)): above this RMS the sum of a record's squares,
+    and the spectra's sums of |deviation|^2, can overflow (the 2 covers rounding)."""
+    return math.sqrt(sys.float_info.max / (2 * n_samples))
+
+
 def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:
     """Rescale a record so its RMS equals rms_target exactly.
 
     The record's RMS and the target must each lie where the squares are normal
     floats and their sum finite: from sqrt(smallest normal), below which the squares
-    underflow, to sqrt(largest float / (2 n_samples)), above which their sum can
-    overflow (the 2 covers its rounding).  Either bound raises before any sample is
-    scaled, so a record is never scaled to zeros or to an RMS off the target.
+    underflow, to `largest_rms`, above which their sum can overflow.  Either bound
+    raises before any sample is scaled, so a record is never scaled to zeros or to an
+    RMS off the target.
     """
     if not rms_target > 0:
         raise ValueError("rms_target must be positive")
@@ -314,7 +326,7 @@ def scale_to_rms(record: TimeRecord, rms_target: float) -> TimeRecord:
         rms = record.rms()
     if rms == 0.0 and not record.samples.any():
         raise ValueError("cannot scale an identically zero record")
-    rms_max = math.sqrt(sys.float_info.max / (2 * record.n_samples))
+    rms_max = largest_rms(record.n_samples)
     for name, value in (("rms_target", rms_target), (f"the record's RMS {rms:.6g}", rms)):
         if value < _RMS_MIN:
             raise ValueError(f"{name} must be at least {_RMS_MIN:.6g}, or the record's squares "

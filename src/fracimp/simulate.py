@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excitation import TimeRecord
+from .excitation import TimeRecord, largest_rms
 from .model import RandlesParams, randles_impedance
 
 
@@ -99,10 +99,11 @@ def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:
 
     The SNR is referenced to the AC part so a large DC level (OCV on the
     voltage channel) does not inflate the noise.  A record whose AC part is
-    zero or squares to infinity has no SNR, and an snr so small that 16 sigma
-    (numpy's standard normal never draws beyond +-12.3) does not fit in the
-    float range beside the mean would make samples infinite: each raises a
-    ValueError before any noise is drawn.
+    zero or squares to infinity has no SNR.  An snr whose noisy record's
+    expected RMS, hypot(mean, AC RMS, sigma), exceeds `excitation.largest_rms`
+    would give a record whose squares and spectra can overflow; below that
+    bound every sample is finite too, as numpy's standard normal never draws
+    beyond +-12.3.  Each raises a ValueError before any noise is drawn.
 
     Memory: a call allocates one record-sized buffer, which becomes the
     noisy record.  It holds the squared AC part, then the standard normal
@@ -120,10 +121,12 @@ def add_noise(record: TimeRecord, spec: NoiseSpec) -> TimeRecord:
     if rms_ac == np.inf:
         raise ValueError("record's AC power overflows; SNR is undefined")
     sigma = rms_ac / spec.snr
-    headroom = sys.float_info.max - abs(mean)
-    if not 16.0 * sigma <= headroom:
-        raise ValueError(f"snr must be at least {16.0 * rms_ac / headroom:.6g} for a record of "
-                         f"AC RMS {rms_ac:.6g}, or its noise overflows")
+    rms, rms_max = math.hypot(mean, rms_ac), largest_rms(record.n_samples)
+    if not math.hypot(rms, sigma) <= rms_max:
+        room = math.sqrt(max(rms_max - rms, 0.0) * (rms_max + rms))  # the largest sigma left
+        raise ValueError(f"snr must be at least {rms_ac / room if room else math.inf:.6g} for "
+                         f"{record.n_samples} samples of RMS {rms:.6g} and AC RMS "
+                         f"{rms_ac:.6g}, or the noisy record's sum of squares can overflow")
     np.random.default_rng(spec.seed).standard_normal(out=buf)
     buf *= sigma
     buf += record.samples

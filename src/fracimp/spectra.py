@@ -9,8 +9,6 @@ into P periods, segment bin k corresponds to frequency k/period_s
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,15 +95,6 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     spectra; with P = 1 the covariance fields are left unavailable and only
     uniform-weight estimation is possible downstream.
 
-    Threads: the two channels are independent until the cross term, so the
-    current channel runs on one extra thread, started for the call and joined
-    before it returns, while the voltage channel runs on the calling thread.
-    Each channel does the same numpy operations in the same order as a serial
-    call, so every field is bitwise the same.  The thread runs in a copy of
-    the caller's context, so ``np.errstate`` holds in it, and an exception
-    raised there (a warning made an error included) is raised again in the
-    caller.  There is no setting.
-
     Memory: besides per-bin arrays, a call allocates only the two
     complex (P, M/2+1) `rfft` outputs, each about one input record in bytes.
     The FFT applies the 1/M scale itself (``norm="forward"``), so it takes no
@@ -124,23 +113,8 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if m < 2:
         raise ValueError("need at least 2 samples per period")
 
-    outcome = []  # the current channel's result, or the exception that ended it
-
-    def current_channel():
-        try:
-            outcome.append(_channel(current, p, m))
-        except BaseException as exc:
-            outcome.append(exc)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(current_channel,))
-    thread.start()
-    try:
-        mean_vol, d_vol, s_vol, var_vol = _channel(voltage, p, m)
-    finally:
-        thread.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    mean_cur, d_cur, s_cur, var_cur = outcome[0]
+    mean_cur, d_cur, s_cur, var_cur = _channel(current, p, m)
+    mean_vol, d_vol, s_vol, var_vol = _channel(voltage, p, m)
 
     covar_vi = None
     if p >= 2:

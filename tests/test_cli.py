@@ -285,8 +285,8 @@ def test_estimate_reaches_the_top_bin_of_an_odd_record(tmp_path):
 
 @pytest.mark.filterwarnings("always::UserWarning")
 def test_a_warning_is_one_write_to_stderr(tmp_path, monkeypatch):
-    """Each `warning:` line is written whole, so the spectra's two threads cannot
-    interleave two warnings within a line."""
+    """Each `warning:` line is one write to stderr, text and newline together, so
+    another writer to the same stream cannot land inside it."""
     out = _run_simulate(tmp_path, extra={"periods": 1})
     writes = []
     monkeypatch.setattr(sys, "stderr", type("Stderr", (), {"write": staticmethod(writes.append)}))
@@ -1120,9 +1120,11 @@ _EXIT_1 = {
     "test_a_record_whose_squares_or_noise_leave_the_float_range_exits_1_naming_the_cause": {
         **{name: (_argv(command, config=config), f"invalid config {{tmp}}/c.json: {problem}")
            for name, command, config, problem in [
-            ("snr 1e-310", "simulate", {**SIM_CONFIG, "snr": 1e-310},
-             "snr must be at least 4.45015e-308 for a record of AC RMS 0.5, or its noise "
-             "overflows"),
+            # a noisy current of RMS above 2.73686e+152, the rms_a bound below
+            *((f"snr {snr}", "simulate", {**SIM_CONFIG, "snr": snr},
+               "snr must be at least 1.82691e-153 for 1200 samples of RMS 0.5 and AC RMS 0.5, "
+               "or the noisy record's sum of squares can overflow")
+              for snr in (1e-155, 1e-156, 1e-310)),
             ("rms_a 1e300", "simulate", {**SIM_CONFIG, "rms_a": 1e300, "snr": 50.0},
              "rms_a must be at most 2.73686e+152 for 1200 samples, or the sum of their squares "
              "can overflow"),

@@ -87,6 +87,14 @@ def test_design_up_to_harmonic_2_53_stays_odd(x_hi):
         design_odd_quasilog(np.nextafter(2.0**53, np.inf), 1e-3, 1.0, 3, seed=1)
 
 
+def test_design_band_edge_slack_is_a_few_ulps():
+    """At 2e9 s an edge of 1 Hz is harmonic 2e9, whose float is exact: harmonic
+    2 000 000 001 lies above the band, however many harmonics the band spans."""
+    spec = design_odd_quasilog(2e9, 0.5, 1.0, 12, seed=1)
+    assert spec.harmonics[0] == 1_000_000_001
+    assert spec.harmonics[-1] == 1_999_999_999
+
+
 def test_design_empty_band_errors():
     with pytest.raises(ValueError, match="no excitable odd harmonic"):
         design_odd_quasilog(10.0, 0.19, 0.2, points_per_decade=5, seed=0)

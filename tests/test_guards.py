@@ -28,6 +28,7 @@ from fracimp import (
     warburg_impedance,
     wtls_estimate,
 )
+from fracimp import spectra
 from fracimp.excitation import samples_per_period
 from fracimp.model import ImpedanceCurve
 
@@ -81,8 +82,8 @@ def _scaled(record, gain):
                  "the record's RMS 0 must be at least 1.49167e-154, or the record's squares "
                  "underflow", id="scale record squares underflow"),
     pytest.param(lambda: add_noise(_ONE_SAMPLE_PERIODS, NoiseSpec(snr=1e-308)),
-                 "snr must be at least 8.9003e-308 for a record of AC RMS 1, or its noise "
-                 "overflows", id="noise sigma overflow"),
+                 "snr must be at least 1.49167e-154 for 2 samples of RMS 1 and AC RMS 1, or "
+                 "the noisy record's sum of squares can overflow", id="noise sigma overflow"),
     pytest.param(lambda: add_noise(TimeRecord(np.array([1e300, -1e300]), 1.0, 1.0),
                                    NoiseSpec(snr=50.0)),
                  "record's AC power overflows; SNR is undefined", id="noise AC power overflow"),
@@ -222,17 +223,23 @@ def test_library_guard_raises_naming_its_rule(call, message):
 def test_scale_and_noise_at_their_bounds_keep_the_record_usable(seed):
     """At each bound of scale_to_rms the RMS reads back without a warning (which
     the suite makes an error) and the next float beyond it raises; noise just
-    above the smallest snr keeps every sample finite."""
+    above the smallest snr, which takes the record to that same upper bound,
+    leaves its RMS and its spectral variance finite, and noise just below it raises."""
     record = generate_periodic_noise(1.0, 64.0, 3, seed=seed)
-    for rms, beyond in ((math.sqrt(sys.float_info.min), 0.0),
-                        (math.sqrt(sys.float_info.max / (2 * record.n_samples)), np.inf)):
+    rms_max = math.sqrt(sys.float_info.max / (2 * record.n_samples))
+    for rms, beyond in ((math.sqrt(sys.float_info.min), 0.0), (rms_max, np.inf)):
         assert scale_to_rms(record, rms).rms() == pytest.approx(rms, rel=1e-12)
         with pytest.raises(ValueError, match="^rms_target must be at"):
             scale_to_rms(record, np.nextafter(rms, beyond))
-    # just above the smallest snr, 16 sigma of noise nearly fills the float range
-    noisy = add_noise(record, NoiseSpec(snr=16.001 * record.rms() / sys.float_info.max,
-                                        seed=seed))
-    assert np.isfinite(noisy.samples).all()
+    # the record's RMS is its AC RMS (zero mean) and far below rms_max, so the least
+    # snr puts sigma at rms_max
+    least = record.rms() / rms_max
+    noisy = add_noise(record, NoiseSpec(snr=1.001 * least, seed=seed))
+    assert np.isfinite(noisy.rms())
+    variance = spectra._channel(noisy, noisy.periods, noisy.samples_per_period)[-1]
+    assert np.isfinite(variance).all()
+    with pytest.raises(ValueError, match="^snr must be at least"):
+        add_noise(record, NoiseSpec(snr=0.999 * least, seed=seed))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,5 +1,4 @@
 import dataclasses
-import threading
 import warnings
 
 import numpy as np
@@ -162,7 +161,7 @@ def test_metadata_mismatch_errors():
         per_period_spectra(current, voltage)
 
 
-# ---------------------------------------------------------------- the current channel's thread
+# ---------------------------------------------------------------- errors reach the caller
 
 
 def _overflowing_pair():
@@ -174,8 +173,8 @@ def _overflowing_pair():
 
 
 def test_the_callers_errstate_holds_in_the_current_channel():
-    # numpy's errstate is a context variable, so a thread started without a
-    # copy of the caller's context returned a non-finite var_current here
+    # under the caller's errstate the current's rfft overflow raises, rather than
+    # leaving a non-finite var_current
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("ignore")
         with pytest.raises(FloatingPointError, match="overflow encountered in rfft"):
@@ -190,26 +189,20 @@ def test_a_warning_made_an_error_in_the_current_channel_reaches_the_caller():
 
 
 @pytest.mark.parametrize("failing", ["current", "voltage"])
-def test_an_error_in_one_channel_reaches_the_caller_and_no_thread_outlives_the_call(
-        monkeypatch, failing):
+def test_an_error_in_either_channel_is_raised_unchanged_to_the_caller(monkeypatch, failing):
     current = generate_periodic_noise(1.0, 64.0, 3, seed=10)
     voltage = current.with_samples(2.0 * current.samples)
-    channel, error, ran_on = spectra_module._channel, LookupError("injected"), []
+    channel, error = spectra_module._channel, LookupError("injected")
 
     def one_channel_fails(record, p, m):
         if record is {"current": current, "voltage": voltage}[failing]:
-            ran_on.append(threading.current_thread())
             raise error
         return channel(record, p, m)
 
     monkeypatch.setattr(spectra_module, "_channel", one_channel_fails)
-    threads = threading.active_count()
     with pytest.raises(LookupError) as raised:
         per_period_spectra(current, voltage)
     assert raised.value is error
-    assert threading.active_count() == threads
-    # the current channel runs on the extra thread, the voltage channel on the caller's
-    assert (ran_on[0] is threading.current_thread()) == (failing == "voltage")
 
 
 # ---------------------------------------------------------------- nonparametric EIS
