@@ -8,8 +8,9 @@ A command makes --out only once its inputs are checked, and writes CSV files
 (`recordio.write_csv`) and JSON files (`schema.dump`) there.
 `estimate` and `eis` run one pipeline, `_estimate_on_record`: the config, the
 record's spectra, then the command's estimator (`wtls_estimate` or
-`nonparametric_impedance`) on that config, which selects the bins once; so
-`compare` matches every `eis.csv` row.
+`nonparametric_impedance`) on that config, which selects the bins once.
+`estimate` writes `bode.csv` at the frequencies it evaluated, those bins' among
+them, and `compare` joins on equal frequencies; so it matches every `eis.csv` row.
 Every JSON input (config, multisine spec, estimate) is read by `schema.load`
 and checked against its schema, below or, for a multisine spec,
 `excitation.MULTISINE_SCHEMA` (numbers outside the float range and unknown
@@ -235,8 +236,9 @@ def cmd_estimate(args, cfg: dict) -> str:
     grid = np.logspace(np.log10(f_sel[0]), np.log10(f_sel[-1]), _BODE_GRID_POINTS)
     freqs = np.unique(np.concatenate([grid, f_sel]))
     curve = parametric_impedance(result, 2.0 * np.pi * freqs)
+    # freqs, not curve.freq_hz, whose omega / (2 pi) can miss k / period_s by an ulp
     write_csv(out / "bode.csv", _BODE_HEADER,
-              (curve.freq_hz, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
+              (freqs, np.abs(curve.z_ohm), np.degrees(np.angle(curve.z_ohm))))
     write_csv(out / "nyquist.csv", "re_ohm,neg_im_ohm",
               (curve.z_ohm.real, -curve.z_ohm.imag))
     stop = {True: ", converged", False: ", not converged", None: ""}[result.converged]
@@ -277,26 +279,16 @@ def cmd_compare(args, cfg: dict) -> str:
     f_par = par[:, 0]
     z_par = par[:, 1] * np.exp(1j * np.radians(par[:, 2]))
 
-    # nearest parametric row to each nonparametric frequency, as argmin over
-    # |f_par - f| picks it: the nearest distinct value below f or at or above
-    # it, each standing for its first row, and a tie goes to the earlier row
+    # each eis.csv row meets the first bode.csv row of the same frequency;
+    # a row whose frequency bode.csv lacks is skipped
     values, first = np.unique(f_par, return_index=True)
-    pos = np.searchsorted(values, f_np)
-    below, above = first[np.maximum(pos - 1, 0)], first[np.minimum(pos, values.size - 1)]
-    d_below, d_above = np.abs(f_par[below] - f_np), np.abs(f_par[above] - f_np)
-    take_below = (d_below < d_above) | ((d_below == d_above) & (below < above))
-    nearest = np.where(take_below, below, above)
-    # not an exact match: bode.csv holds parametric_impedance's omega / (2 pi),
-    # which differs from eis.csv's k / period_s in the last bit (241 of the 2 000
-    # rows of the README noise walkthrough, seed 1)
-    idx_np = np.flatnonzero(np.abs(f_par[nearest] - f_np) <= 1e-9 * np.maximum(f_np, 1.0))
+    idx_np = np.flatnonzero(np.isin(f_np, values))
     if not idx_np.size:
         raise SchemaError("nonparametric and parametric grids share no frequencies")
 
-    # compared at the nonparametric frequency: below 1 Hz the match tolerance
-    # is absolute, looser than relative_error_curve's relative grid check
     ref = ImpedanceCurve(freq_hz=f_np[idx_np], z_ohm=z_np[idx_np])
-    est = ImpedanceCurve(freq_hz=ref.freq_hz, z_ohm=z_par[nearest[idx_np]])
+    est = ImpedanceCurve(freq_hz=ref.freq_hz,
+                         z_ohm=z_par[first[np.searchsorted(values, ref.freq_hz)]])
     err = relative_error_curve(ref, est)
     keep = ~np.isnan(err)
 

@@ -40,8 +40,10 @@ class SpectralSet:
         if self.var_current is not None:
             if np.any(self.var_current < 0) or np.any(self.var_voltage < 0):
                 raise ValueError("variances must be nonnegative")
-            cs = self.var_current * self.var_voltage - np.abs(self.covar_vi) ** 2
-            if np.any(cs < -1e-12 * np.maximum(self.var_current * self.var_voltage, 1e-300)):
+            # sqrt(var) * sqrt(var) cannot overflow as var * var can; a 4e-13 slack on
+            # |covar| is less than 1e-12 on |covar|^2, as (1 + 4e-13)^2 < 1 + 1e-12
+            bound = np.sqrt(self.var_current) * np.sqrt(self.var_voltage)
+            if np.any(np.abs(self.covar_vi) - bound > 4e-13 * bound):
                 raise ValueError("covariance violates the Cauchy-Schwarz bound")
 
     @property

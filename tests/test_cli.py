@@ -183,65 +183,36 @@ def test_compare_produces_small_errors_on_noiseless_data(tmp_path):
     assert err[:, 1].max() < 1e-8
 
 
-def _compare_by_argmin(f_np, z_np, f_par, z_par):
-    """Reference matching: argmin over the whole parametric grid, row by row."""
-    from fracimp import ImpedanceCurve, relative_error_curve
-    idx_np, idx_par = [], []
-    for i, f in enumerate(f_np):
-        j = np.argmin(np.abs(f_par - f))
-        if abs(f_par[j] - f) <= 1e-9 * max(f, 1.0):
-            idx_np.append(i)
-            idx_par.append(j)
-    err = relative_error_curve(ImpedanceCurve(f_np[idx_np], z_np[idx_np]),
-                               ImpedanceCurve(f_par[idx_par], z_par[idx_par]))
-    return f_np[idx_np], err
-
-
-def _compare_files(tmp_path, f_np, z_np, f_par, mag, phase_deg):
+def test_compare_joins_each_eis_row_to_the_first_bode_row_of_its_frequency(tmp_path):
+    """Unsorted bode.csv: a repeated frequency meets its first row, and an eis.csv
+    row one ulp off every bode.csv frequency meets none."""
+    f_par = np.array([3.0, 1.0, 2.0, 1.0, 0.5, 2.0, 5.0])
+    mag = 1.0 + np.arange(f_par.size)  # a distinct impedance per row shows which row matched
+    phase_deg = np.linspace(-60.0, 30.0, f_par.size)
+    f_np = np.array([2.0, 1.0, np.nextafter(3.0, 4.0), 0.5, 4.0, np.nextafter(5.0, 0.0), 5.0])
+    z_np = np.linspace(1.0, 2.0, f_np.size) + 0.5j
     nonpar, par, expected = tmp_path / "eis.csv", tmp_path / "bode.csv", tmp_path / "ref.csv"
     write_csv(nonpar, "freq_hz,re_ohm,im_ohm", (f_np, z_np.real, z_np.imag))
     write_csv(par, "freq_hz,mag_ohm,phase_deg", (f_par, mag, phase_deg))
+
     # the reference reads the tables back, so it sees the values compare sees
-    f_np, re, im = np.loadtxt(nonpar, delimiter=",", skiprows=1, ndmin=2).T
-    f_par, mag, phase_deg = np.loadtxt(par, delimiter=",", skiprows=1, ndmin=2).T
-    write_csv(expected, "freq_hz,rel_error", _compare_by_argmin(
-        f_np, re + 1j * im, f_par, mag * np.exp(1j * np.radians(phase_deg))))
+    from fracimp import ImpedanceCurve, relative_error_curve
+    f_np, re, im = np.loadtxt(nonpar, delimiter=",", skiprows=1).T
+    f_par, mag, phase_deg = np.loadtxt(par, delimiter=",", skiprows=1).T
+    z_par = mag * np.exp(1j * np.radians(phase_deg))
+    first = {}
+    for row, f in enumerate(f_par):
+        first.setdefault(f, row)
+    idx_np = [i for i, f in enumerate(f_np) if f in first]
+    idx_par = [first[f_np[i]] for i in idx_np]
+    assert idx_par == [2, 1, 4, 6]
+    ref = ImpedanceCurve(f_np[idx_np], (re + 1j * im)[idx_np])
+    write_csv(expected, "freq_hz,rel_error",
+              (ref.freq_hz, relative_error_curve(ref, ImpedanceCurve(ref.freq_hz, z_par[idx_par]))))
+
     assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
                  "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
-    return (tmp_path / "cmp" / "error.csv").read_bytes(), expected.read_bytes()
-
-
-def test_compare_matches_rows_as_argmin_does(tmp_path):
-    """Unsorted grid: duplicates go to their first row, exact ties to the earlier row."""
-    eps = 2.0**-40  # exact distances, well inside the 1e-9 tolerance
-    f_par = np.array([3.0, 1.0 + eps, 2.0, 1.0 - eps, 2.0, 7.0, 6.0 - 4 * eps, 0.5,
-                      6.0 + 4 * eps, 7.0, 5.0])
-    mag = 1.0 + np.arange(f_par.size)  # a distinct impedance per row shows which row matched
-    f_np = np.array([2.0, 1.0, 0.5 * (1 + 1e-12), 4.0, 7.0 * (1 + 1e-12), 6.0, 3.0,
-                     5.0 * (1 - 1e-12), 0.1, 9.0])
-    z_np = 2.0 + 0.5j
-    got, expected = _compare_files(tmp_path, f_np, np.full(f_np.size, z_np), f_par, mag,
-                                   np.zeros(f_par.size))
-    assert got == expected
-    # rows 2 (first 2.0), 1 (tie, above), 7, 5 (first 7.0, from below), 6 (tie, below),
-    # 0 and 10 matched; 4.0, 0.1 and 9.0 did not
-    rows = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1)
-    assert rows[:, 1] == pytest.approx(np.abs(z_np - mag[[2, 1, 7, 5, 6, 0, 10]]) / abs(z_np))
-
-
-def test_compare_matches_argmin_on_random_grids(tmp_path):
-    rng = np.random.default_rng(5)
-    for trial in range(20):
-        grid = 0.01 * rng.integers(1, 60, size=40) * (1 + rng.choice([0, 1e-12, -1e-12], 40))
-        f_par, f_np = rng.choice(grid, rng.integers(1, 30)), rng.choice(grid, rng.integers(1, 30))
-        z_np = rng.standard_normal(f_np.size) + 1j * rng.standard_normal(f_np.size)
-        out = tmp_path / str(trial)
-        out.mkdir()
-        if not _compare_by_argmin(f_np, z_np, f_par, np.ones(f_par.size))[0].size:
-            continue  # no shared frequency: exit 1, covered elsewhere
-        got, expected = _compare_files(out, f_np, z_np, f_par, 1.0 + rng.random(f_par.size),
-                                       rng.uniform(-90, 90, f_par.size))
-        assert got == expected
+    assert (tmp_path / "cmp" / "error.csv").read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.filterwarnings("always::UserWarning")
@@ -425,6 +396,18 @@ def test_a_linear_algebra_failure_exits_2(tmp_path, monkeypatch, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("always::RuntimeWarning")
+def test_estimate_at_snr_1e_100_is_one_numerical_failure_and_no_warning(tmp_path, capsys):
+    # noise of RMS about 1e100 on both channels: the product of its variances
+    # overflows, their square roots' product does not
+    record = str(_run_simulate(tmp_path, extra={"snr": 1e-100}) / "record.csv")
+    out = tmp_path / "est"
+    assert main(["estimate", "--record", record, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical failure: ")
+    assert not out.exists()
+
+
 def test_fit_inconsistent_coefficients_exit_2(tmp_path, capsys):
     from fracimp import randles_to_rational
 
@@ -512,6 +495,16 @@ def test_eis_and_compare_on_noise_excitation_share_every_bin(tmp_path):
     assert np.median(err[:, 1]) < 0.05  # 1.6 % at seed 77
 
 
+def test_bode_holds_each_estimated_bin_at_its_own_frequency(tmp_path):
+    # omega / (2 pi) misses k / period_s in the last bit at some of these 199 bins
+    record = str(_run_noise_simulate(tmp_path) / "record.csv")
+    assert main(["estimate", "--record", record, "--out", str(tmp_path), "--quiet"]) == 0
+    spectra = per_period_spectra(*read_record(record)[:2])
+    bins = wtls_estimate(spectra, EstimationConfig()).bins
+    bode = np.loadtxt(tmp_path / "bode.csv", delimiter=",", skiprows=1)
+    assert np.isin(spectra.freq_hz[bins], bode[:, 0]).all()
+
+
 @pytest.mark.parametrize("excitation", ["multisine", "noise"])
 def test_eis_writes_the_bins_estimate_fits_and_compare_matches_them_all(tmp_path, excitation):
     if excitation == "noise":
@@ -550,17 +543,6 @@ def test_estimate_with_zero_numerator_order(tmp_path):
     estimate = json.loads((est_out / "estimate.json").read_text())
     assert len(estimate["a"]) == 2 and len(estimate["b"]) == 1
     # fit refuses these orders: the input error row "fit zero numerator"
-
-
-def test_compare_matches_below_1_hz_within_1e_9_hz(tmp_path):
-    # 5e-10 Hz apart: 1e-7 relative, yet within the absolute 1e-9 Hz below 1 Hz
-    nonpar, par = tmp_path / "eis.csv", tmp_path / "bode.csv"
-    nonpar.write_text("freq_hz,re_ohm,im_ohm\n0.005,1.0,0.0\n")
-    par.write_text("freq_hz,mag_ohm,phase_deg\n0.0050000005,2.0,0.0\n")
-    assert main(["compare", "--nonpar", str(nonpar), "--par", str(par),
-                 "--out", str(tmp_path / "cmp"), "--quiet"]) == 0
-    rows = np.loadtxt(tmp_path / "cmp" / "error.csv", delimiter=",", skiprows=1, ndmin=2)
-    assert rows.tolist() == [[0.005, 1.0]]
 
 
 @pytest.mark.parametrize("order", ["n_a", "n_b", "n_r"])

@@ -15,7 +15,7 @@ from fracimp import (
 )
 from fracimp import spectra as spectra_module
 
-from conftest import make_multisine_current, simulate_pair
+from conftest import make_multisine_current, simulate_pair, spectral_set
 
 
 def _dft_direct(x):
@@ -159,6 +159,18 @@ def test_metadata_mismatch_errors():
     voltage = TimeRecord(samples=np.zeros(128), sample_rate_hz=32.0, period_s=2.0)
     with pytest.raises(ValueError, match="disagree"):
         per_period_spectra(current, voltage)
+
+
+def test_the_cauchy_schwarz_check_holds_near_1e200_without_overflow():
+    # var_current * var_voltage and |covar|^2 are about 1e400 here; the pytest
+    # config makes a warning an error, so an overflow in the check would fail this
+    ones = np.ones(3)
+    var_current, var_voltage = np.array([1e200, 2e200, 0.0]), np.array([4e200, 3e200, 5e200])
+    at_bound = np.sqrt(var_current) * np.sqrt(var_voltage) * np.exp(1j * np.array([0.3, 2.0, 0.0]))
+    spectral_set(1.0, ones, ones, var_current, var_voltage, at_bound)
+    for over in (at_bound * (1 + 1e-9), at_bound + [0, 0, 1e-300]):
+        with pytest.raises(ValueError, match="Cauchy-Schwarz"):
+            spectral_set(1.0, ones, ones, var_current, var_voltage, over)
 
 
 # ---------------------------------------------------------------- errors reach the caller
