@@ -94,7 +94,8 @@ def write_record(
 
 
 def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
-    """Read a record CSV and its sidecar; returns (current, voltage, metadata)."""
+    """Read a record CSV and its sidecar; returns (current, voltage, metadata), each
+    sample column copied out of the (N, 3) parse table, which is freed on return."""
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise SchemaError(f"record file not found: {csv_path}")
@@ -117,7 +118,8 @@ def read_record(csv_path: str | Path) -> tuple[TimeRecord, TimeRecord, dict]:
             line, _ = next(itertools.islice(_data_lines(fh), bad[0], None))
         raise SchemaError(f"{csv_path}: non-uniform time column starting at row {line} "
                           f"(expected step {1.0 / fs})")
-    return TimeRecord(table[:, 1], fs, period_s), TimeRecord(table[:, 2], fs, period_s), meta
+    return (TimeRecord(table[:, 1].copy(), fs, period_s),
+            TimeRecord(table[:, 2].copy(), fs, period_s), meta)
 
 
 def read_csv(path: str | Path, header: str, max_rows: int | None = None) -> np.ndarray:

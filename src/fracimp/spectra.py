@@ -97,17 +97,17 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     spectra; with P = 1 the covariance fields are left unavailable and only
     uniform-weight estimation is possible downstream.
 
-    Memory: besides per-bin arrays, a call allocates only the two
-    complex (P, M/2+1) `rfft` outputs, each about one input record in bytes.
-    The FFT applies the 1/M scale itself (``norm="forward"``), so it takes no
-    pass over the outputs.  The deviations from the first period and the
-    cross term are computed inside those two arrays, and |d|^2 is summed a
-    period at a time in each channel's first row, which the deviations no
-    longer need.  The cross term is formed as conj(d_cur) *= d_vol, in that
-    operand order: complex multiply is not bitwise commutative under numpy's
-    SIMD loops, and this is the order numpy's temporary elision picks for
-    ``d_vol * np.conj(d_cur)`` once the deviations reach 256 KiB, as they do
-    at the protocol record size.  The other order differs in the last bit.
+    Memory: besides per-bin arrays, a call allocates only the two complex (P, M/2+1)
+    `rfft` outputs, each about one input record in bytes; both are freed once the cross
+    term is summed, before the covariance tail and the `SpectralSet` checks.  The FFT
+    applies the 1/M scale itself (``norm="forward"``), so it takes no pass over the
+    outputs.  The deviations from the first period and the cross term are computed
+    inside those two arrays, and |d|^2 is summed a period at a time in each channel's
+    first row, which the deviations no longer need.  The cross term is formed as
+    conj(d_cur) *= d_vol, in that operand order: complex multiply is not bitwise
+    commutative under numpy's SIMD loops, and this is the order numpy's temporary
+    elision picks for ``d_vol * np.conj(d_cur)`` once the deviations reach 256 KiB, as
+    they do at the protocol record size.  The other order differs in the last bit.
     """
     check_shared_grid(current, voltage)
     p = current.periods
@@ -122,7 +122,9 @@ def per_period_spectra(current: TimeRecord, voltage: TimeRecord) -> SpectralSet:
     if p >= 2:
         np.conjugate(d_cur, out=d_cur)
         d_cur *= d_vol
-        covar_vi = (d_cur.sum(axis=0) - s_vol * np.conj(s_cur) / p) / (p - 1)
+        cross = d_cur.sum(axis=0)
+        del d_cur, d_vol  # the two rfft outputs, freed before the tail and the checks
+        covar_vi = (cross - s_vol * np.conj(s_cur) / p) / (p - 1)
 
     return SpectralSet(
         period_s=current.period_s,

@@ -79,5 +79,23 @@ def test_assemble_pairs_keeps_every_run_and_counts_the_pairs_the_change_reads_lo
     assert second["change"]["record_s.p50"] == 0.01
     assert section["summary"] == {w: {"record_cal.p50": {
         "parent_median": pytest.approx(4.45), "change_median": pytest.approx(4.4),
+        "parent_q1": pytest.approx(4.425), "parent_q3": pytest.approx(4.475),
         "change_lower": 1, "pairs": 2, "unit": "cal"}}}
     json.dumps(section)  # the file is plain JSON
+
+
+@pytest.mark.parametrize("parent, quartiles", [
+    ([4.4], (None, None)),  # none below two pairs
+    ([5.0, 1.0, 4.0, 2.0], (1.75, 4.25)),  # numpy's percentile at 25 and 75
+], ids=["one_pair", "four_pairs"])
+def test_assemble_pairs_gives_the_parents_inclusive_quartiles(parent, quartiles):
+    w = "cli_files"
+    pairs = [(w, seed, "parent", {"parent": _side(w, seed, value, [0.02]),
+                                  "change": _side(w, seed, value - 0.5, [0.02])})
+             for seed, value in enumerate(parent, start=1)]
+
+    summary = bench_record.assemble_pairs("def456", pairs)["summary"][w]["record_cal.p50"]
+
+    assert (summary["parent_q1"], summary["parent_q3"]) == pytest.approx(quartiles)
+    assert summary["change_lower"] == summary["pairs"] == len(parent)
+    json.dumps(summary)  # None is written as null

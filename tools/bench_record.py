@@ -17,8 +17,10 @@ into a temporary directory, which is removed afterwards.  The file's "pairs"
 section holds every run of both sides, with the commit its tree is on, and the
 median record time and mean calibration loop (`calibration_s` over the record
 count) from that tree's bench/out result file; and per workload and end-to-end
-metric both medians and the number of pairs in which this tree read lower.  This
-tree's seed-1 runs are the end_to_end section.
+metric both medians, the parent's quartiles and the number of pairs in which this
+tree read lower, so a claimed gain's pair count and its median gap against the
+parent's quartile distance read off the file.  This tree's seed-1 runs are the
+end_to_end section.
 """
 
 from __future__ import annotations
@@ -81,12 +83,22 @@ def assemble_pairs(parent: str, pairs: list[tuple[str, int, str, dict]]) -> dict
         summary[workload] = {name: {
             **{f"{side}_median": statistics.median(m[name]["value"] for m in values[side])
                for side in SIDES},
+            **_parent_quartiles([m[name]["value"] for m in values["parent"]]),
             "change_lower": sum(c[name]["value"] < p[name]["value"]
                                 for p, c in zip(values["parent"], values["change"])),
             "pairs": len(entries),
             "unit": values["change"][0][name]["unit"],
         } for name in sorted(names)}
     return {"parent_commit": parent, "runs": runs, "summary": summary}
+
+
+def _parent_quartiles(values: list[float]) -> dict:
+    """The parent side's first and third quartiles, inclusive as numpy's percentile
+    takes them; None below two pairs."""
+    if len(values) < 2:
+        return {"parent_q1": None, "parent_q3": None}
+    q1, _, q3 = statistics.quantiles(values, method="inclusive")
+    return {"parent_q1": q1, "parent_q3": q3}
 
 
 def _bench(tree: Path, command: list[str], workload: str, seed: int, trace: int):
